@@ -1,0 +1,6 @@
+import os
+import sys
+
+BENCH_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+REPO_ROOT = os.path.dirname(BENCH_DIR)
+sys.path.insert(0, BENCH_DIR)
