@@ -16,7 +16,7 @@ from conftest import BENCH_DIR, REPO_ROOT
 from run import END_TO_END, PER_LAYER, layer_metrics
 from tracing import (LEAF_TARGETS, TARGETS, Span, Tracer, self_times,
                      span_name, spans_from_json)
-from workloads import WORKLOADS, generate_configs
+from workloads import LISTED, WORKLOADS, generate_configs
 
 CONFIG_DIR = os.path.join(REPO_ROOT, "configs")
 
@@ -122,7 +122,7 @@ def test_generator_is_deterministic_and_changes_only_seed(tmp_path, workload):
 def test_benchmark_json_names_the_reported_metrics():
     with open(os.path.join(REPO_ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    assert [w["name"] for w in spec["workloads"]] == list(WORKLOADS)
+    assert [w["name"] for w in spec["workloads"]] == LISTED
     assert [(m["name"], m["unit"]) for m in spec["end_to_end"]] == END_TO_END
     assert [(m["name"], m["unit"]) for m in spec["per_layer"]] == PER_LAYER
 

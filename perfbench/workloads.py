@@ -33,12 +33,19 @@ WORKLOADS = {
         "configs": ["typicality"],
         # one pass takes ~40 s on 2 cores; reruns are checked across runs
         "min_passes": 1,
+        # Not in BENCHMARK.json: the typicality config's
+        # beta_routes_within_25pct check fails on about 1 seed in 9 (e.g.
+        # seed 450983506: relative difference 0.276 at n = 12), so a
+        # seeded run of it is not reliably correct.  It still runs by name.
+        "listed": False,
         "why": "dense linear algebra in spinchain: TFIM build and eigh up to "
                "4096^2, one process, sensitive to BLAS threads",
     },
 }
 
 ALL_CONFIGS = sorted(c for w in WORKLOADS.values() for c in w["configs"])
+# the workloads BENCHMARK.json names
+LISTED = [name for name, w in WORKLOADS.items() if w.get("listed", True)]
 
 
 def generate_configs(config_dir: str, out_dir: str, workload: str,
