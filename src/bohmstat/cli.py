@@ -1,17 +1,25 @@
 """Command-line runner: `bohmstat run <config.json>` and
 `bohmstat list-experiments`.
 
-Exit codes: 0 success, 2 configuration/validation error, 3 a built-in
-numerical check failed.  Every run leaves a manifest.json next to its outputs
-with the config echo, seed, wall time, sha256 of every emitted file, and the
-headline metrics; re-running the same config and seed reproduces the metrics
-and hashes bit-identically.
+Exit codes: 0 success; 2 invalid or unsupported input (a config error, or a
+package error such as StepperBoundaryMismatch, MemoryBudgetExceeded or
+DenseBudgetExceeded); 3 a built-in numerical check failed, or the run hit a
+numerical failure (TrajectoryEscapedDomain, ConvergenceFailure,
+TruncationInsufficient, NotADensityMatrix, OutsideAllCells, WindowEmpty).
+Each error class names its code in `errors`; a package error prints one line
+to stderr and leaves no manifest.
+
+Every successful or check-failed run leaves a manifest.json next to its
+outputs with the config echo, seed, wall time, thread cap, sha256 of every
+emitted file, and the headline metrics; re-running the same config and seed
+reproduces everything but the wall time bit-identically.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import sys
@@ -19,7 +27,7 @@ import time
 
 from . import __version__
 from .configio import EXPERIMENTS_META, load_config, validate_config
-from .errors import ConfigError
+from .errors import BohmstatError, ConfigError
 from .experiments import RUNNERS
 
 
@@ -53,28 +61,43 @@ def _resolve_threads(args) -> int | None:
     return None
 
 
-def _apply_threads(k):
+def _apply_threads(k) -> dict:
+    """Cap numba's thread pool at k and return the manifest's `threads` entry.
+
+    Only numba is capped; BLAS and FFT threads are not, so `applied_to` never
+    names them.  `numba_installed` is looked up without importing numba.
+    """
+    entry = {"requested": k, "applied_to": [],
+             "numba_installed": importlib.util.find_spec("numba") is not None}
     if k is None:
-        return
+        return entry
     if k < 1:
         raise ConfigError("--threads", "must be >= 1")
     os.environ.setdefault("NUMBA_NUM_THREADS", str(k))
-    try:
-        import numba
+    if entry["numba_installed"]:
+        try:
+            import numba
 
-        numba.set_num_threads(k)
-    except Exception:
-        pass  # numpy fallback build: thread cap is advisory only
+            numba.set_num_threads(k)
+            entry["applied_to"].append("numba")
+        except (ImportError, ValueError):
+            pass  # broken install, or k above numba's pool size
+    return entry
+
+
+def _report_error(exc: BohmstatError) -> int:
+    kind = "config error" if isinstance(exc, ConfigError) else type(exc).__name__
+    print(f"{kind}: {exc}", file=sys.stderr)
+    return exc.exit_code
 
 
 def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
         name = validate_config(cfg)
-        _apply_threads(_resolve_threads(args))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        threads = _apply_threads(_resolve_threads(args))
+    except BohmstatError as exc:
+        return _report_error(exc)
     except FileNotFoundError:
         print(f"config error: {args.config}: no such file", file=sys.stderr)
         return 2
@@ -84,9 +107,8 @@ def cmd_run(args) -> int:
     start = time.perf_counter()
     try:
         result = RUNNERS[name](cfg, outdir, seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except BohmstatError as exc:
+        return _report_error(exc)
     wall = time.perf_counter() - start
     manifest = {
         "experiment": name,
@@ -94,6 +116,7 @@ def cmd_run(args) -> int:
         "seed": seed,
         "config": cfg,
         "wall_time_s": wall,
+        "threads": threads,
         "files": {f: _sha256(os.path.join(outdir, f)) for f in result.files},
         "metrics": result.metrics,
         "checks": result.checks,

@@ -19,12 +19,12 @@ DEFAULT_EPS_REL = 1e-12
 
 
 def density(psi: WaveField) -> ScalarField:
-    """Spin-summed modulus squared, clipped at -1e-12 from below."""
+    """Spin-summed modulus squared; non-negative by construction."""
     grid = psi.grid
     rho = np.abs(psi.amplitudes) ** 2
     if grid.spin_shape:
         rho = rho.sum(axis=tuple(range(grid.n_spin_axes)))
-    return ScalarField(grid, np.maximum(rho, 0.0), psi.time)
+    return ScalarField(grid, rho, psi.time)
 
 
 def current(psi: WaveField, h: HamiltonianSpec) -> VectorField:

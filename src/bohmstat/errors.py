@@ -1,8 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class carries the exit code `bohmstat run` returns when a run raises it:
+2 for input the package rejects or does not support, 3 for a numerical
+failure found while the run computes.
+"""
 
 
 class BohmstatError(Exception):
     """Base class for all package-specific errors."""
+
+    exit_code = 2
 
 
 class MemoryBudgetExceeded(BohmstatError):
@@ -22,7 +29,7 @@ class StepperBoundaryMismatch(BohmstatError):
 
 
 class ConvergenceFailure(BohmstatError):
-    pass
+    exit_code = 3
 
 
 class NonuniformFrames(BohmstatError):
@@ -38,15 +45,15 @@ class DenseBudgetExceeded(BohmstatError):
 
 
 class TrajectoryEscapedDomain(BohmstatError):
-    pass
+    exit_code = 3
 
 
 class NotADensityMatrix(BohmstatError):
-    pass
+    exit_code = 3
 
 
 class OutsideAllCells(BohmstatError):
-    pass
+    exit_code = 3
 
 
 class EmptyRegion(BohmstatError):
@@ -54,7 +61,7 @@ class EmptyRegion(BohmstatError):
 
 
 class TruncationInsufficient(BohmstatError):
-    pass
+    exit_code = 3
 
 
 class GridTooCoarse(BohmstatError):
@@ -62,7 +69,7 @@ class GridTooCoarse(BohmstatError):
 
 
 class WindowEmpty(BohmstatError):
-    pass
+    exit_code = 3
 
 
 class DiagonalizationBudget(BohmstatError):

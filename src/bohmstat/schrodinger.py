@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal, solve_banded
 
 from .errors import ConvergenceFailure, DenseBudgetExceeded, StepperBoundaryMismatch
 from .lattice import Grid, WaveField, integrate, laplacian_axis
@@ -159,6 +158,8 @@ class _CrankNicolsonStepper:
             self.bands.append((ab, off, diag, z))
 
     def _axis_solve(self, amp, pos_axis):
+        from scipy.linalg import solve_banded
+
         ab, off, diag, z = self.bands[pos_axis]
         ax = self.grid.pos_axis(pos_axis)
         moved = np.moveaxis(amp, ax, 0)
@@ -239,6 +240,8 @@ def eigenstates(grid: Grid, h: HamiltonianSpec, count: int,
 
 
 def _eigenstates_dense(grid: Grid, h: HamiltonianSpec, count: int):
+    from scipy.linalg import eigh, eigh_tridiagonal
+
     total = grid.spec.total_points
     v = potential_grid(grid, h)
     if (grid.n_pos_axes == 1 and not grid.spin_shape

@@ -1,9 +1,17 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import bohmstat
+from bohmstat import errors
 from bohmstat.cli import main
+from bohmstat.experiments import RUNNERS
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 SCALING = {
     "experiment": "scaling",
@@ -62,6 +70,27 @@ class TestRun:
             slopes.append(m["metrics"]["slope"])
             assert m["seed"] == int(seed)
         assert slopes[0] != slopes[1]
+
+    def test_threads_entry_without_flag(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("BOHM_THREADS", raising=False)
+        cfg = write_cfg(tmp_path, SCALING)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--output", str(out)]) == 0
+        threads = json.loads((out / "manifest.json").read_text())["threads"]
+        assert threads["requested"] is None
+        assert threads["applied_to"] == []
+        assert isinstance(threads["numba_installed"], bool)
+
+    def test_threads_entry_with_flag(self, tmp_path):
+        cfg = write_cfg(tmp_path, SCALING)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--output", str(out), "--threads", "1"]) == 0
+        threads = json.loads((out / "manifest.json").read_text())["threads"]
+        assert threads["requested"] == 1
+        # only numba's pool is ever capped, and only when numba is there
+        assert set(threads["applied_to"]) <= {"numba"}
+        if not threads["numba_installed"]:
+            assert threads["applied_to"] == []
 
     def test_output_dir_from_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -125,6 +154,81 @@ class TestCheckFailures:
         assert "[FAIL]" in capsys.readouterr().out
         m = json.loads((out / "manifest.json").read_text())
         assert m["status"] == "check_failed"
+
+
+# the documented exit code of every package error (cli docstring, README)
+EXIT_CODES = {
+    "MemoryBudgetExceeded": 2,
+    "InvalidExtent": 2,
+    "AxisMismatch": 2,
+    "StepperBoundaryMismatch": 2,
+    "NonuniformFrames": 2,
+    "PartitionMismatch": 2,
+    "DenseBudgetExceeded": 2,
+    "EmptyRegion": 2,
+    "GridTooCoarse": 2,
+    "DiagonalizationBudget": 2,
+    "AnalyticDensityUnavailable": 2,
+    "ConfigError": 2,
+    "ConvergenceFailure": 3,
+    "TrajectoryEscapedDomain": 3,
+    "NotADensityMatrix": 3,
+    "OutsideAllCells": 3,
+    "TruncationInsufficient": 3,
+    "WindowEmpty": 3,
+}
+
+
+class TestPackageErrors:
+    def test_every_error_class_has_a_documented_code(self):
+        names = {c.__name__ for c in errors.BohmstatError.__subclasses__()}
+        assert names == set(EXIT_CODES)
+
+    @pytest.mark.parametrize("cls", errors.BohmstatError.__subclasses__(),
+                             ids=lambda c: c.__name__)
+    def test_runner_error_exit_code(self, cls, tmp_path, monkeypatch, capsys):
+        exc = cls("x", "raised by the test") if cls is errors.ConfigError \
+            else cls("raised by the test")
+
+        def runner(cfg, outdir, seed):
+            raise exc
+
+        monkeypatch.setitem(RUNNERS, "scaling", runner)
+        path = write_cfg(tmp_path, SCALING)
+        out = tmp_path / "o"
+        assert main(["run", path, "--output", str(out)]) == EXIT_CODES[cls.__name__]
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "raised by the test" in err
+        assert not (out / "manifest.json").exists()
+
+    def test_stepper_boundary_mismatch(self, tmp_path, capsys):
+        with open(os.path.join(CONFIG_DIR, "evolve.json")) as f:
+            cfg = json.load(f)
+        cfg["grid"]["boundary"] = "dirichlet"
+        path = write_cfg(tmp_path, cfg)
+        assert main(["run", path, "--output", str(tmp_path / "o")]) == 2
+        assert "StepperBoundaryMismatch" in capsys.readouterr().err
+
+
+def test_runs_without_scipy_reach_no_scipy_import(tmp_path):
+    # a fresh interpreter: the test process has scipy loaded already
+    script = textwrap.dedent("""
+        import contextlib, io, os, sys
+        from bohmstat.cli import main
+        configs, out = sys.argv[1], sys.argv[2]
+        for name in ("evolve", "thermo"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = main(["run", os.path.join(configs, name + ".json"),
+                           "--output", os.path.join(out, name)])
+            assert rc == 0, (name, rc)
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert not loaded, loaded
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bohmstat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script, CONFIG_DIR, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestList:
