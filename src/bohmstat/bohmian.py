@@ -8,12 +8,11 @@ traced velocity field on the A grid; paths then carry only A coordinates.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import codec, kernels
 from .errors import AxisMismatch, TrajectoryEscapedDomain
 from .lattice import Grid, ScalarField, VectorField
 
@@ -141,15 +140,10 @@ def write_trajectories(path, ens: TrajectoryEnsemble):
         "times": [float(t) for t in ens.times],
         "shape": list(ens.paths.shape),
     }
-    with open(path, "wb") as f:
-        f.write(json.dumps(header).encode() + b"\n")
-        f.write(ens.paths.astype("<f8").tobytes())
+    codec.write(path, header, ens.paths)
 
 
 def read_trajectories(path):
-    with open(path, "rb") as f:
-        header = json.loads(f.readline().decode())
-        payload = np.frombuffer(f.read(), dtype="<f8")
-    paths = payload.reshape(tuple(header["shape"]))
+    header, (paths,) = codec.read(path, lambda h: [(h["shape"], False)])
     return TrajectoryEnsemble(header["flavor"], header["seed"],
                               np.array(header["times"]), paths)

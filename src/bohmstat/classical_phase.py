@@ -12,12 +12,11 @@ phase-space grids.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
+from . import codec, kernels
 from .errors import AnalyticDensityUnavailable
 
 
@@ -45,8 +44,8 @@ def forces(h: ClassicalHSpec, x: np.ndarray) -> np.ndarray:
     """-dV/dx for states x of shape (nsamples, N)."""
     m = np.asarray(h.masses)
     om = np.asarray(h.omegas)
-    return kernels._forces_numpy(np.atleast_2d(np.asarray(x, dtype=float)).copy(),
-                                 m, om, h.kappa)
+    return kernels.forces(np.atleast_2d(np.asarray(x, dtype=float)).copy(),
+                          m, om, h.kappa)
 
 
 def hamilton_velocity(h: ClassicalHSpec, x: np.ndarray, p: np.ndarray):
@@ -291,7 +290,7 @@ def total_energy_observable(mass: float = 1.0, omega: float = 1.0):
 
 
 # ---------------------------------------------------------------------------
-# .ens serialization
+# .ens files (format in `codec`)
 
 def write_ensemble(path, ens: PhaseEnsemble):
     header = {
@@ -302,20 +301,12 @@ def write_ensemble(path, ens: PhaseEnsemble):
         "shape": list(ens.xs.shape),
         "seed": int(ens.seed),
     }
-    with open(path, "wb") as f:
-        f.write(json.dumps(header).encode() + b"\n")
-        f.write(ens.xs.astype("<f8").tobytes())
-        f.write(ens.ps.astype("<f8").tobytes())
+    codec.write(path, header, ens.xs, ens.ps)
 
 
 def read_ensemble(path) -> PhaseEnsemble:
-    with open(path, "rb") as f:
-        header = json.loads(f.readline().decode())
-        payload = np.frombuffer(f.read(), dtype="<f8")
-    shape = tuple(header["shape"])
-    k = int(np.prod(shape))
-    xs = payload[:k].reshape(shape)
-    ps = payload[k:2 * k].reshape(shape)
+    header, (xs, ps) = codec.read(
+        path, lambda h: [(h["shape"], False), (h["shape"], False)])
     h = ClassicalHSpec(tuple(header["masses"]), tuple(header["omegas"]),
                        header["kappa"])
     return PhaseEnsemble(h, xs, ps, np.array(header["times"]), header["seed"])

@@ -2,24 +2,23 @@
 `bohmstat list-experiments`.
 
 Exit codes: 0 success; 2 invalid or unsupported input (a config error, or a
-package error such as StepperBoundaryMismatch, MemoryBudgetExceeded or
-DenseBudgetExceeded); 3 a built-in numerical check failed, or the run hit a
-numerical failure (TrajectoryEscapedDomain, ConvergenceFailure,
-TruncationInsufficient, NotADensityMatrix, OutsideAllCells, WindowEmpty).
-Each error class names its code in `errors`; a package error prints one line
-to stderr and leaves no manifest.
+package error such as StepperBoundaryMismatch, MemoryBudgetExceeded,
+DenseBudgetExceeded or MalformedFile); 3 a built-in numerical check failed,
+or the run hit a numerical failure (TrajectoryEscapedDomain,
+ConvergenceFailure, TruncationInsufficient, NotADensityMatrix,
+OutsideAllCells, WindowEmpty).  Each error class names its code in `errors`;
+a package error prints one line to stderr and leaves no manifest.
 
 Every successful or check-failed run leaves a manifest.json next to its
-outputs with the config echo, seed, wall time, thread cap, sha256 of every
-emitted file, and the headline metrics; re-running the same config and seed
-reproduces everything but the wall time bit-identically.
+outputs with the config echo, seed, wall time, sha256 of every emitted file,
+and the headline metrics; re-running the same config and seed reproduces
+everything but the wall time bit-identically.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib.util
 import json
 import os
 import sys
@@ -49,42 +48,6 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _resolve_threads(args) -> int | None:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("BOHM_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError("BOHM_THREADS", f"not an integer: {env!r}") from exc
-    return None
-
-
-def _apply_threads(k) -> dict:
-    """Cap numba's thread pool at k and return the manifest's `threads` entry.
-
-    Only numba is capped; BLAS and FFT threads are not, so `applied_to` never
-    names them.  `numba_installed` is looked up without importing numba.
-    """
-    entry = {"requested": k, "applied_to": [],
-             "numba_installed": importlib.util.find_spec("numba") is not None}
-    if k is None:
-        return entry
-    if k < 1:
-        raise ConfigError("--threads", "must be >= 1")
-    os.environ.setdefault("NUMBA_NUM_THREADS", str(k))
-    if entry["numba_installed"]:
-        try:
-            import numba
-
-            numba.set_num_threads(k)
-            entry["applied_to"].append("numba")
-        except (ImportError, ValueError):
-            pass  # broken install, or k above numba's pool size
-    return entry
-
-
 def _report_error(exc: BohmstatError) -> int:
     kind = "config error" if isinstance(exc, ConfigError) else type(exc).__name__
     print(f"{kind}: {exc}", file=sys.stderr)
@@ -95,12 +58,8 @@ def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
         name = validate_config(cfg)
-        threads = _apply_threads(_resolve_threads(args))
     except BohmstatError as exc:
         return _report_error(exc)
-    except FileNotFoundError:
-        print(f"config error: {args.config}: no such file", file=sys.stderr)
-        return 2
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     outdir = args.output or cfg.get("output_dir") or "."
     os.makedirs(outdir, exist_ok=True)
@@ -116,7 +75,6 @@ def cmd_run(args) -> int:
         "seed": seed,
         "config": cfg,
         "wall_time_s": wall,
-        "threads": threads,
         "files": {f: _sha256(os.path.join(outdir, f)) for f in result.files},
         "metrics": result.metrics,
         "checks": result.checks,
@@ -151,8 +109,6 @@ def main(argv=None) -> int:
     run_p.add_argument("config", help="path to the experiment config")
     run_p.add_argument("--output", help="output directory (overrides config)")
     run_p.add_argument("--seed", type=int, help="seed override (64-bit)")
-    run_p.add_argument("--threads", type=int,
-                       help="thread cap (fallback: BOHM_THREADS)")
     run_p.set_defaults(func=cmd_run)
     list_p = sub.add_parser("list-experiments",
                             help="table of experiments and config sections")

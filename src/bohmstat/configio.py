@@ -77,8 +77,10 @@ def load_config(path) -> dict:
     try:
         with open(path) as f:
             return json.load(f)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(str(path), exc.strerror.lower()) from exc
 
 
 def validate_config(cfg: dict) -> str:

@@ -80,6 +80,10 @@ class AnalyticDensityUnavailable(BohmstatError):
     pass
 
 
+class MalformedFile(BohmstatError):
+    """A binary file whose header or payload length does not fit its format."""
+
+
 class ConfigError(BohmstatError):
     """Invalid experiment configuration; carries the offending config path."""
 

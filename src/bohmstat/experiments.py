@@ -25,8 +25,7 @@ from .errors import ConfigError
 from .lattice import write_field
 from .schrodinger import energy, evolve
 from .subsystem import (SubsystemPartition, reduced_density_matrix,
-                        subsystem_frame, truncated_continuity_residual,
-                        truncated_current_from_rdm, truncated_velocity,
+                        subsystem_frame, truncated_current_from_rdm,
                         write_rdm)
 
 
@@ -131,7 +130,7 @@ def run_subsystem_currents(cfg, outdir, seed):
     sfs = [subsystem_frame(f, h, part) for f in frames[-3:]]
     if len(sfs) < 3:
         raise ConfigError("evolution.t_final", "need at least three frames")
-    _, rel_a = truncated_continuity_residual(sfs)
+    _, rel_a = continuity_residual(sfs)
     last = frames[-1]
     sf = subsystem_frame(last, h, part)
     rdm = reduced_density_matrix(last, part)
@@ -187,7 +186,7 @@ def run_bohm_truncated(cfg, outdir, seed):
     grid, h, frames, ffs, vels, x0, substeps, bins = _bohm_setup(cfg, seed)
     part = _partition(cfg, grid)
     sfs = [subsystem_frame(f, h, part) for f in frames]
-    vtr = [truncated_velocity(s.rho, s.currents) for s in sfs]
+    vtr = [velocity(s) for s in sfs]
     a_axes = [a for p in part.a_particles for a in grid.particle_axes(p)]
     full = bm.integrate_trajectories(vels, x0, substeps, "full", seed)
     trunc = bm.integrate_trajectories(vtr, x0[:, a_axes], substeps, "truncated", seed)

@@ -1,10 +1,9 @@
 """Hot numeric kernels: RK4 trajectory advection and velocity-Verlet.
 
-Both exist twice: a numba @njit loop version and a vectorized pure-numpy
-version.  Selection is by the environment variable BOHM_NO_NUMBA (any
-non-empty value other than "0" picks the numpy path), checked at import.
-The two paths are bit-compatible on the operations used (no fastmath), and
-benchmarks/bench_kernels.py compares their throughput.
+Both are vectorized numpy, looping over time steps only; every sample moves
+in the same array operations.  tests/test_kernels.py holds per-sample loop
+versions of both as slow reference oracles and requires bit-identical
+results from them.
 
 Velocity grids are passed flattened: vflat[frame, component, point] with
 C-order point index over the D position axes.
@@ -12,159 +11,14 @@ C-order point index over the D position axes.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_flag = os.environ.get("BOHM_NO_NUMBA", "")
-NUMBA_ENABLED = _flag in ("", "0")
-if NUMBA_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        NUMBA_ENABLED = False
-
-if not NUMBA_ENABLED:
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
+# there is no jit path; kept because perfbench/run.py's environment probe reads it
+NUMBA_ENABLED = False
 
 
 # ---------------------------------------------------------------------------
-# multilinear interpolation + RK4, numba path (per-sample loops)
-
-@njit(cache=True)
-def _interp_point(vflat_f, x, x_first, dx, n, d_dims, strides, periodic, out,
-                  idx0, frac):
-    # idx0/frac are caller-owned scratch; allocating them here per call
-    # dominated the kernel runtime
-    for d in range(d_dims):
-        u = (x[d] - x_first) / dx
-        if periodic:
-            i = int(np.floor(u))
-            frac[d] = u - i
-            idx0[d] = i % n
-        else:
-            if u < 0.0:
-                u = 0.0
-            if u > n - 1.0:
-                u = n - 1.0
-            i = int(np.floor(u))
-            if i > n - 2:
-                i = n - 2
-            idx0[d] = i
-            frac[d] = u - i
-    for c in range(d_dims):
-        out[c] = 0.0
-    n_corners = 1 << d_dims
-    for corner in range(n_corners):
-        w = 1.0
-        flat = 0
-        for d in range(d_dims):
-            hi = (corner >> d) & 1
-            if hi == 1:
-                w *= frac[d]
-                i = idx0[d] + 1
-                if periodic and i >= n:
-                    i -= n
-            else:
-                w *= 1.0 - frac[d]
-                i = idx0[d]
-            flat += i * strides[d]
-        for c in range(d_dims):
-            out[c] += w * vflat_f[c, flat]
-
-
-@njit(cache=True)
-def _rk4_paths_numba(x0, frame_times, vflat, x_first, dx, n, periodic,
-                     substeps, lo, hi):
-    nsamples, d_dims = x0.shape
-    nf = frame_times.shape[0]
-    npts = vflat.shape[2]
-    strides = np.empty(d_dims, np.int64)
-    s = 1
-    for d in range(d_dims - 1, -1, -1):
-        strides[d] = s
-        s *= n
-    paths = np.empty((nsamples, nf, d_dims))
-    escaped = np.zeros(nsamples, np.uint8)
-    k1 = np.empty(d_dims)
-    k2 = np.empty(d_dims)
-    k3 = np.empty(d_dims)
-    k4 = np.empty(d_dims)
-    xt = np.empty(d_dims)
-    idx0 = np.empty(d_dims, np.int64)
-    frac = np.empty(d_dims, np.float64)
-    v0 = np.empty((d_dims, npts))
-    vm = np.empty((d_dims, npts))
-    v1 = np.empty((d_dims, npts))
-    xcur = x0.copy()
-    length = hi - lo
-    for smp in range(nsamples):
-        for d in range(d_dims):
-            paths[smp, 0, d] = xcur[smp, d]
-    for f in range(nf - 1):
-        t0 = frame_times[f]
-        t1 = frame_times[f + 1]
-        h = (t1 - t0) / substeps
-        for ss in range(substeps):
-            t = t0 + ss * h
-            # stage-time blends, shared by every sample
-            a0 = (t - t0) / (t1 - t0)
-            am = (t + 0.5 * h - t0) / (t1 - t0)
-            a1 = (t + h - t0) / (t1 - t0)
-            for c in range(d_dims):
-                for pnt in range(npts):
-                    base = vflat[f, c, pnt]
-                    nxt = vflat[f + 1, c, pnt]
-                    v0[c, pnt] = (1.0 - a0) * base + a0 * nxt
-                    vm[c, pnt] = (1.0 - am) * base + am * nxt
-                    v1[c, pnt] = (1.0 - a1) * base + a1 * nxt
-            for smp in range(nsamples):
-                if escaped[smp]:
-                    continue
-                x = xcur[smp]
-                _interp_point(v0, x, x_first, dx, n, d_dims, strides,
-                              periodic, k1, idx0, frac)
-                for d in range(d_dims):
-                    xt[d] = x[d] + 0.5 * h * k1[d]
-                _interp_point(vm, xt, x_first, dx, n, d_dims, strides,
-                              periodic, k2, idx0, frac)
-                for d in range(d_dims):
-                    xt[d] = x[d] + 0.5 * h * k2[d]
-                _interp_point(vm, xt, x_first, dx, n, d_dims, strides,
-                              periodic, k3, idx0, frac)
-                for d in range(d_dims):
-                    xt[d] = x[d] + h * k3[d]
-                _interp_point(v1, xt, x_first, dx, n, d_dims, strides,
-                              periodic, k4, idx0, frac)
-                for d in range(d_dims):
-                    xd = x[d] + (h / 6.0) * (k1[d] + 2 * k2[d] + 2 * k3[d] + k4[d])
-                    if periodic:
-                        xd = lo + (xd - lo) % length
-                    else:
-                        if xd < lo:
-                            if lo - xd < dx:
-                                xd = 2 * lo - xd
-                            else:
-                                escaped[smp] = 1
-                                xd = lo
-                        elif xd > hi:
-                            if xd - hi < dx:
-                                xd = 2 * hi - xd
-                            else:
-                                escaped[smp] = 1
-                                xd = hi
-                    xcur[smp, d] = xd
-        for smp in range(nsamples):
-            for d in range(d_dims):
-                paths[smp, f + 1, d] = xcur[smp, d]
-    return paths, escaped
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback (vectorized over samples)
+# multilinear interpolation + RK4 (vectorized over samples)
 
 def _interp_batch(vcomp, x, x_first, dx, n, periodic):
     """vcomp: (D, npts) flat velocity; x: (nsamples, D) -> (nsamples, D)."""
@@ -196,13 +50,20 @@ def _interp_batch(vcomp, x, x_first, dx, n, periodic):
     return out
 
 
-def _rk4_paths_numpy(x0, frame_times, vflat, x_first, dx, n, periodic,
-                     substeps, lo, hi):
-    nsamples, d_dims = x0.shape
+def rk4_paths(x0, frame_times, vflat, x_first, dx, n, periodic, substeps, lo, hi):
+    """Advect samples through interpolated velocity frames with fixed-step RK4.
+
+    Returns (paths[nsamples, nframes, D], escaped[nsamples]).
+    """
+    x = np.array(x0, dtype=np.float64)
+    frame_times = np.ascontiguousarray(frame_times, dtype=np.float64)
+    vflat = np.ascontiguousarray(vflat, dtype=np.float64)
+    x_first, dx, lo, hi = float(x_first), float(dx), float(lo), float(hi)
+    n, periodic, substeps = int(n), bool(periodic), int(substeps)
+    nsamples, d_dims = x.shape
     nf = frame_times.shape[0]
     paths = np.empty((nsamples, nf, d_dims))
     escaped = np.zeros(nsamples, np.uint8)
-    x = x0.copy()
     paths[:, 0, :] = x
     length = hi - lo
     for f in range(nf - 1):
@@ -237,70 +98,12 @@ def _rk4_paths_numpy(x0, frame_times, vflat, x_first, dx, n, periodic,
     return paths, escaped
 
 
-def rk4_paths(x0, frame_times, vflat, x_first, dx, n, periodic, substeps, lo, hi):
-    """Advect samples through interpolated velocity frames with fixed-step RK4.
-
-    Returns (paths[nsamples, nframes, D], escaped[nsamples]).
-    """
-    x0 = np.ascontiguousarray(x0, dtype=np.float64)
-    frame_times = np.ascontiguousarray(frame_times, dtype=np.float64)
-    vflat = np.ascontiguousarray(vflat, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _rk4_paths_numba(x0, frame_times, vflat, float(x_first),
-                                float(dx), int(n), bool(periodic),
-                                int(substeps), float(lo), float(hi))
-    return _rk4_paths_numpy(x0, frame_times, vflat, float(x_first), float(dx),
-                            int(n), bool(periodic), int(substeps), float(lo),
-                            float(hi))
-
-
 # ---------------------------------------------------------------------------
 # velocity-Verlet for separable classical Hamiltonians
 # V = sum_a (1/2) m_a w_a^2 x_a^2 + (kappa/2) sum_a (x_{a+1} - x_a)^2
 
-@njit(cache=True)
-def _forces_numba(x, m, omega, kappa, out):
-    # operation order mirrors _forces_numpy so both paths round identically
-    nsamples, npart = x.shape
-    for s in range(nsamples):
-        for a in range(npart):
-            f = -m[a] * (omega[a] * omega[a]) * x[s, a]
-            if kappa != 0.0:
-                if a < npart - 1:
-                    f += kappa * (x[s, a + 1] - x[s, a])
-                if a > 0:
-                    f -= kappa * (x[s, a] - x[s, a - 1])
-            out[s, a] = f
-
-
-@njit(cache=True)
-def _verlet_numba(x, p, m, omega, kappa, dt, steps, store_stride):
-    nsamples, npart = x.shape
-    nstore = steps // store_stride + 1
-    xs = np.empty((nstore, nsamples, npart))
-    ps = np.empty((nstore, nsamples, npart))
-    xs[0] = x
-    ps[0] = p
-    f = np.empty_like(x)
-    _forces_numba(x, m, omega, kappa, f)
-    k = 1
-    for step in range(1, steps + 1):
-        for s in range(nsamples):
-            for a in range(npart):
-                p[s, a] += 0.5 * dt * f[s, a]
-                x[s, a] += dt * p[s, a] / m[a]
-        _forces_numba(x, m, omega, kappa, f)
-        for s in range(nsamples):
-            for a in range(npart):
-                p[s, a] += 0.5 * dt * f[s, a]
-        if step % store_stride == 0:
-            xs[k] = x
-            ps[k] = p
-            k += 1
-    return xs, ps
-
-
-def _forces_numpy(x, m, omega, kappa):
+def forces(x, m, omega, kappa):
+    """-dV/dx for states x of shape (nsamples, nparticles)."""
     f = -m * omega**2 * x
     if kappa != 0.0:
         npart = x.shape[1]
@@ -311,34 +114,28 @@ def _forces_numpy(x, m, omega, kappa):
     return f
 
 
-def _verlet_numpy(x, p, m, omega, kappa, dt, steps, store_stride):
+def verlet(x0, p0, masses, omegas, kappa, dt, steps, store_stride=1):
+    """Symplectic velocity-Verlet; returns stored (xs, ps) with the initial
+    state first, shapes (nstored, nsamples, nparticles)."""
+    x = np.asarray(x0, dtype=np.float64)
+    p = np.asarray(p0, dtype=np.float64)
+    m = np.asarray(masses, dtype=np.float64)
+    om = np.asarray(omegas, dtype=np.float64)
+    kappa, dt = float(kappa), float(dt)
+    steps, store_stride = int(steps), int(store_stride)
     nstore = steps // store_stride + 1
     nsamples, npart = x.shape
     xs = np.empty((nstore, nsamples, npart))
     ps = np.empty((nstore, nsamples, npart))
     xs[0], ps[0] = x, p
-    f = _forces_numpy(x, m, omega, kappa)
+    f = forces(x, m, om, kappa)
     k = 1
     for step in range(1, steps + 1):
         p = p + 0.5 * dt * f
         x = x + dt * p / m
-        f = _forces_numpy(x, m, omega, kappa)
+        f = forces(x, m, om, kappa)
         p = p + 0.5 * dt * f
         if step % store_stride == 0:
             xs[k], ps[k] = x, p
             k += 1
     return xs, ps
-
-
-def verlet(x0, p0, masses, omegas, kappa, dt, steps, store_stride=1):
-    """Symplectic velocity-Verlet; returns stored (xs, ps) with the initial
-    state first, shapes (nstored, nsamples, nparticles)."""
-    x = np.array(x0, dtype=np.float64, copy=True)
-    p = np.array(p0, dtype=np.float64, copy=True)
-    m = np.ascontiguousarray(masses, dtype=np.float64)
-    om = np.ascontiguousarray(omegas, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _verlet_numba(x, p, m, om, float(kappa), float(dt), int(steps),
-                             int(store_stride))
-    return _verlet_numpy(x, p, m, om, float(kappa), float(dt), int(steps),
-                         int(store_stride))

@@ -17,11 +17,12 @@ Natural units: hbar = 1, masses relative to a reference mass, k_B = 1.
 
 from __future__ import annotations
 
-import json
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import codec
 from .errors import AxisMismatch, InvalidExtent, MemoryBudgetExceeded
 
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3  # bytes
@@ -184,6 +185,13 @@ def integrate(values, grid: Grid, axes=None):
     return out
 
 
+def _axis_slice(ndim: int, axis: int, start: int, stop: int) -> tuple:
+    """Index selecting start:stop along `axis` of an ndim array, all of the rest."""
+    index = [slice(None)] * ndim
+    index[axis] = slice(start, stop)
+    return tuple(index)
+
+
 def gradient(values, grid: Grid, pos_axis: int):
     """Derivative along one position axis.
 
@@ -222,21 +230,10 @@ def derivative_along(values, grid: Grid, array_axis: int):
     # dirichlet: pad with the implicit zero boundary, central difference
     out = np.zeros_like(arr, dtype=arr.dtype if np.iscomplexobj(arr) else np.float64)
     n = arr.shape[ax]
-    sl = [slice(None)] * arr.ndim
-
-    def take(i0, i1):
-        s = sl.copy()
-        s[ax] = slice(i0, i1)
-        return arr[tuple(s)]
-
-    def put(i0, i1, val):
-        s = sl.copy()
-        s[ax] = slice(i0, i1)
-        out[tuple(s)] = val
-
-    put(1, n - 1, (take(2, n) - take(0, n - 2)) / (2 * grid.dx))
-    put(0, 1, take(1, 2) / (2 * grid.dx))          # left neighbor is 0
-    put(n - 1, n, -take(n - 2, n - 1) / (2 * grid.dx))  # right neighbor is 0
+    sl = functools.partial(_axis_slice, arr.ndim, ax)
+    out[sl(1, n - 1)] = (arr[sl(2, n)] - arr[sl(0, n - 2)]) / (2 * grid.dx)
+    out[sl(0, 1)] = arr[sl(1, 2)] / (2 * grid.dx)               # left neighbor is 0
+    out[sl(n - 1, n)] = -arr[sl(n - 2, n - 1)] / (2 * grid.dx)  # right neighbor is 0
     return out
 
 
@@ -256,28 +253,16 @@ def laplacian_axis(values, grid: Grid, pos_axis: int):
         return out
     out = np.zeros_like(arr, dtype=arr.dtype if np.iscomplexobj(arr) else np.float64)
     n = arr.shape[ax]
-    sl = [slice(None)] * arr.ndim
-
-    def take(i0, i1):
-        s = sl.copy()
-        s[ax] = slice(i0, i1)
-        return arr[tuple(s)]
-
-    def put(i0, i1, val):
-        s = sl.copy()
-        s[ax] = slice(i0, i1)
-        out[tuple(s)] = val
-
+    sl = functools.partial(_axis_slice, arr.ndim, ax)
     dx2 = grid.dx**2
-    put(1, n - 1, (take(2, n) - 2 * take(1, n - 1) + take(0, n - 2)) / dx2)
-    put(0, 1, (take(1, 2) - 2 * take(0, 1)) / dx2)
-    put(n - 1, n, (take(n - 2, n - 1) - 2 * take(n - 1, n)) / dx2)
+    out[sl(1, n - 1)] = (arr[sl(2, n)] - 2 * arr[sl(1, n - 1)] + arr[sl(0, n - 2)]) / dx2
+    out[sl(0, 1)] = (arr[sl(1, 2)] - 2 * arr[sl(0, 1)]) / dx2
+    out[sl(n - 1, n)] = (arr[sl(n - 2, n - 1)] - 2 * arr[sl(n - 1, n)]) / dx2
     return out
 
 
 # ---------------------------------------------------------------------------
-# .fld serialization: JSON header line + raw little-endian float64 payload
-# (complex stored as interleaved re/im).
+# .fld files (format in `codec`)
 
 def write_field(path, values, grid: Grid, time=0.0):
     arr = np.asarray(values)
@@ -291,25 +276,10 @@ def write_field(path, values, grid: Grid, time=0.0):
         "time": float(time),
         "complex": bool(np.iscomplexobj(arr)),
     }
-    with open(path, "wb") as f:
-        f.write(json.dumps(header).encode() + b"\n")
-        if np.iscomplexobj(arr):
-            interleaved = np.empty(arr.size * 2, dtype="<f8")
-            interleaved[0::2] = arr.ravel().real
-            interleaved[1::2] = arr.ravel().imag
-            f.write(interleaved.tobytes())
-        else:
-            f.write(arr.astype("<f8").tobytes())
+    codec.write(path, header, arr)
 
 
 def read_field(path):
     """Returns (values, header dict)."""
-    with open(path, "rb") as f:
-        header = json.loads(f.readline().decode())
-        payload = np.frombuffer(f.read(), dtype="<f8")
-    shape = tuple(header["shape"])
-    if header["complex"]:
-        values = (payload[0::2] + 1j * payload[1::2]).reshape(shape)
-    else:
-        values = payload.reshape(shape)
+    header, (values,) = codec.read(path, lambda h: [(h["shape"], h["complex"])])
     return values, header

@@ -11,12 +11,12 @@ must agree on the shared discrete gradient:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .currents import FieldFrame, continuity_residual, regularized_velocity
+from . import codec
+from .currents import FieldFrame
 from .errors import DenseBudgetExceeded, PartitionMismatch
 from .lattice import (Grid, GridSpec, ScalarField, VectorField, WaveField,
                       derivative_along, integrate)
@@ -193,17 +193,6 @@ def truncated_current_from_rdm(rdm: ReducedDensityMatrix,
     return VectorField(g, comps, rdm.time)
 
 
-def truncated_velocity(rho_a: ScalarField, j_tr_a: VectorField,
-                       eps_rel: float = 1e-12) -> VectorField:
-    return regularized_velocity(rho_a, j_tr_a, eps_rel)
-
-
-def truncated_continuity_residual(frames):
-    """Continuity residual of (rho_A, j_tr_A) frames; same contract as the
-    full-system residual but on the A grid."""
-    return continuity_residual(frames)
-
-
 def subsystem_frame(psi: WaveField, h: HamiltonianSpec,
                     part: SubsystemPartition) -> FieldFrame:
     """FieldFrame of (rho_A, j_tr_A) built through the integral route."""
@@ -214,7 +203,7 @@ def subsystem_frame(psi: WaveField, h: HamiltonianSpec,
     return FieldFrame(psi.time, rho_a, j_tr)
 
 
-# .rdm serialization: JSON header + complex matrix little-endian
+# .rdm files (format in `codec`)
 
 def write_rdm(path, rdm: ReducedDensityMatrix):
     header = {
@@ -226,18 +215,9 @@ def write_rdm(path, rdm: ReducedDensityMatrix):
         "spin_dims": list(rdm.a_grid.spec.spin_dims),
         "time": rdm.time,
     }
-    with open(path, "wb") as f:
-        f.write(json.dumps(header).encode() + b"\n")
-        flat = np.empty(rdm.matrix.size * 2, dtype="<f8")
-        flat[0::2] = rdm.matrix.ravel().real
-        flat[1::2] = rdm.matrix.ravel().imag
-        f.write(flat.tobytes())
+    codec.write(path, header, np.asarray(rdm.matrix, dtype=np.complex128))
 
 
 def read_rdm(path):
-    with open(path, "rb") as f:
-        header = json.loads(f.readline().decode())
-        payload = np.frombuffer(f.read(), dtype="<f8")
-    dim = header["dim"]
-    mat = (payload[0::2] + 1j * payload[1::2]).reshape(dim, dim)
+    header, (mat,) = codec.read(path, lambda h: [((h["dim"], h["dim"]), True)])
     return mat, header

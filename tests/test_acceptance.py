@@ -19,8 +19,7 @@ from bohmstat.currents import continuity_residual
 from bohmstat.experiments import RUNNERS
 from bohmstat.schrodinger import evolve
 from bohmstat.subsystem import (SubsystemPartition, reduced_density_matrix,
-                                subsystem_frame, truncated_continuity_residual,
-                                truncated_current_from_rdm)
+                                subsystem_frame, truncated_current_from_rdm)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -91,8 +90,8 @@ def entangled_subsystem():
 
 def test_criterion_02_truncated_continuity(entangled_subsystem):
     _, _, _, _, sfs = entangled_subsystem
-    rel_h = truncated_continuity_residual(sfs[2:5])[1]
-    rel_2h = truncated_continuity_residual([sfs[0], sfs[2], sfs[4]])[1]
+    rel_h = continuity_residual(sfs[2:5])[1]
+    rel_2h = continuity_residual([sfs[0], sfs[2], sfs[4]])[1]
     ratio = rel_2h / rel_h
     ok = rel_h < 1e-3 and ratio >= 3.5
     report(2, ok, f"truncated residual {rel_h:.3g} < 1e-3, "

@@ -71,27 +71,6 @@ class TestRun:
             assert m["seed"] == int(seed)
         assert slopes[0] != slopes[1]
 
-    def test_threads_entry_without_flag(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("BOHM_THREADS", raising=False)
-        cfg = write_cfg(tmp_path, SCALING)
-        out = tmp_path / "out"
-        assert main(["run", cfg, "--output", str(out)]) == 0
-        threads = json.loads((out / "manifest.json").read_text())["threads"]
-        assert threads["requested"] is None
-        assert threads["applied_to"] == []
-        assert isinstance(threads["numba_installed"], bool)
-
-    def test_threads_entry_with_flag(self, tmp_path):
-        cfg = write_cfg(tmp_path, SCALING)
-        out = tmp_path / "out"
-        assert main(["run", cfg, "--output", str(out), "--threads", "1"]) == 0
-        threads = json.loads((out / "manifest.json").read_text())["threads"]
-        assert threads["requested"] == 1
-        # only numba's pool is ever capped, and only when numba is there
-        assert set(threads["applied_to"]) <= {"numba"}
-        if not threads["numba_installed"]:
-            assert threads["applied_to"] == []
-
     def test_output_dir_from_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = dict(SCALING, output_dir="from_config")
@@ -104,6 +83,17 @@ class TestValidationFailures:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
         assert "no such file" in capsys.readouterr().err
+
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error:")
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert main(["run", str(path)]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
 
     def test_tiny_grid_names_config_path(self, tmp_path, capsys):
         cfg = {
@@ -123,19 +113,6 @@ class TestValidationFailures:
         path = write_cfg(tmp_path, cfg)
         assert main(["run", path]) == 2
         assert "scaling.turbo" in capsys.readouterr().err
-
-    def test_bad_threads_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("BOHM_THREADS", "many")
-        path = write_cfg(tmp_path, SCALING)
-        assert main(["run", path, "--output", str(tmp_path / "o")]) == 2
-        assert "BOHM_THREADS" in capsys.readouterr().err
-
-    def test_threads_flag_beats_env(self, tmp_path, monkeypatch):
-        # invalid env must be ignored when --threads is explicit
-        monkeypatch.setenv("BOHM_THREADS", "many")
-        path = write_cfg(tmp_path, SCALING)
-        assert main(["run", path, "--output", str(tmp_path / "o"),
-                     "--threads", "1"]) == 0
 
 
 class TestCheckFailures:
@@ -169,6 +146,7 @@ EXIT_CODES = {
     "GridTooCoarse": 2,
     "DiagonalizationBudget": 2,
     "AnalyticDensityUnavailable": 2,
+    "MalformedFile": 2,
     "ConfigError": 2,
     "ConvergenceFailure": 3,
     "TrajectoryEscapedDomain": 3,

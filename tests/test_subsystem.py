@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from bohmstat.currents import FieldFrame, current, density
+from bohmstat.currents import FieldFrame, continuity_residual, current, density
 from bohmstat.errors import DenseBudgetExceeded, PartitionMismatch
 from bohmstat.lattice import GridSpec, WaveField, make_grid
 from bohmstat.schrodinger import HamiltonianSpec, evolve
 from bohmstat.subsystem import (ReducedDensityMatrix, SubsystemPartition,
                                 a_grid, marginal_density,
                                 reduced_density_matrix, read_rdm,
-                                subsystem_frame, truncated_continuity_residual,
-                                truncated_current_from_rdm,
+                                subsystem_frame, truncated_current_from_rdm,
                                 truncated_current_integral, write_rdm)
 
 H2 = HamiltonianSpec((1.0, 1.0), [{"kind": "free"}], time_step=1e-3)
@@ -135,7 +134,7 @@ class TestTruncatedCurrents:
         part = SubsystemPartition((0,), 2)
         frames = evolve(entangled_state(grid), H2, 0.03, frame_stride=10)
         sfs = [subsystem_frame(f, H2, part) for f in frames]
-        _, rel = truncated_continuity_residual(sfs[:3])
+        _, rel = continuity_residual(sfs[:3])
         assert rel < 1e-3
 
 
