@@ -20,12 +20,12 @@ SECTION_KEYS = {
              "memory_budget"},
     "hamiltonian": {"masses", "potential", "time_step", "stepper"},
     "initial_state": {"kind", "center", "width", "momentum", "centers",
-                      "momenta", "index", "temperature", "count"},
+                      "momenta", "index"},
     "evolution": {"t_final", "frame_stride"},
     "partition": {"a_particles"},
     "ensemble": {"samples", "substeps", "bins"},
     "classical": {"masses", "omegas", "kappa", "beta", "dt", "steps",
-                  "store_stride", "samples", "damping", "sigma_x", "sigma_p"},
+                  "store_stride", "samples", "damping"},
     "scaling": {"sizes", "samples", "beta", "omega"},
     "thermo": {"family", "mass", "omega", "gap", "levels", "v_lo", "v_hi",
                "v_count", "t_lo", "t_hi", "t_count", "refine"},
@@ -85,6 +85,8 @@ def load_config(path) -> dict:
 
 def validate_config(cfg: dict) -> str:
     """Returns the experiment name; raises ConfigError on any defect."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("config", "top level must be a JSON object")
     if "experiment" not in cfg:
         raise ConfigError("experiment", "missing")
     name = cfg["experiment"]

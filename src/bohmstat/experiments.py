@@ -340,22 +340,19 @@ def run_scaling(cfg, outdir, seed):
 # entropy experiments
 
 def _entropy_run(cfg, outdir, seed):
+    mc = cfg["macrostates"]
+    try:
+        p_cut = float(mc.get("p_cutoff", 4 * np.pi))
+        decomp = sm.MacrostateDecomposition.from_intervals_1d(mc.get("edges"),
+                                                              p_cut)
+        delta_z = float(mc.get("delta_z", 2 * np.pi))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("macrostates", str(exc)) from exc
     grid, h, frames, ffs, vels, x0, substeps, bins = _bohm_setup(cfg, seed)
     ens = bm.integrate_trajectories(vels, x0, substeps, "full", seed)
-    mc = cfg["macrostates"]
-    edges = mc.get("edges")
-    if edges is None or len(edges) < 2:
-        raise ConfigError("macrostates.edges", "need at least two edges")
-    p_cut = float(mc.get("p_cutoff", 4 * np.pi))
-    delta_z = float(mc.get("delta_z", 2 * np.pi))
-    decomp = sm.MacrostateDecomposition.from_intervals_1d(edges, p_cut)
-    lengths = np.diff(np.asarray(edges, dtype=float))
-    s_b_of_cell = np.log(lengths * 2 * p_cut / delta_z)
+    s_b_of_cell = np.log(np.diff(decomp.edges) * 2 * p_cut / delta_z)
     nt = len(ens.times)
-    cell_idx = np.empty((ens.samples, nt), dtype=int)
-    for k in range(ens.samples):
-        for t in range(nt):
-            cell_idx[k, t] = sm.macrostate_of(ens.paths[k, t], decomp)
+    cell_idx = sm.macrostate_of(ens.paths[:, :, 0], decomp)
     s_qb = np.log(np.asarray(decomp.dims, dtype=float))[cell_idx]
     s_b = s_b_of_cell[cell_idx]
     cg = np.empty(nt)

@@ -93,7 +93,10 @@ def rk4_paths(x0, frame_times, vflat, x_first, dx, n, periodic, substeps, lo, hi
                 x = np.where(small_o, 2 * hi - x, x)
                 bad = (under & ~small_u) | (over & ~small_o)
                 escaped |= bad.any(axis=1).astype(np.uint8)
-                x = np.clip(x, lo, hi)  # freeze escaped samples at the wall
+                # escaped samples are put back on the wall and keep moving
+                # from there on later substeps; their paths are not
+                # meaningful, and the caller raises on any escape flag
+                x = np.clip(x, lo, hi)
         paths[:, f + 1, :] = x
     return paths, escaped
 

@@ -43,18 +43,6 @@ def tfim_hamiltonian(n: int, j_coupling: float = 1.0, g_field: float = 1.0,
     return h
 
 
-def subsystem_hamiltonian(n_a: int, j_coupling: float = 1.0,
-                          g_field: float = 1.0) -> np.ndarray:
-    """Terms of the chain acting purely on the first n_a sites."""
-    dim = 2**n_a
-    h = np.zeros((dim, dim))
-    for i in range(n_a - 1):
-        h -= j_coupling * _site_op(_SZ, i, n_a) @ _site_op(_SZ, i + 1, n_a)
-    for i in range(n_a):
-        h -= g_field * _site_op(_SX, i, n_a)
-    return h
-
-
 @dataclass
 class ChainSpectrum:
     n: int
@@ -144,7 +132,7 @@ def canonical_typicality(n: int, n_a: int = 1, j_coupling: float = 1.0,
         idx = window_indices(energies, center, width)
     if len(idx) == 0:
         raise WindowEmpty(f"no levels in window around {center}")
-    h_a = subsystem_hamiltonian(n_a, j_coupling, g_field)
+    h_a = tfim_hamiltonian(n_a, j_coupling, g_field)
     beta_entropy = entropy_beta(energies, center, width, delta_e=width, k=k)
     rho_beta_entropy = canonical_state(h_a, beta_entropy)
     rng = np.random.default_rng(seed)

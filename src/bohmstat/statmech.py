@@ -5,6 +5,8 @@ k_B = 1 internally; every entropy accepts an optional `k` rescale.
 Entropies:
 * von Neumann      -k Tr rho ln rho
 * quantum Boltzmann k ln dim(H_M) with a semiclassical cell count for dim
+                     (`macrostate_dim`; the log is taken per sample in
+                     `experiments._entropy_run`)
 * Gibbs             -k sum p_c ln(p_c dz / vol_c)   (histogram plug-in)
 * coarse-grained    -k sum P_M ln(P_M / W_M)
 * classical Boltzmann k ln(volume / dz)
@@ -12,7 +14,7 @@ Entropies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,12 +58,6 @@ def von_neumann_entropy(rho_or_p, k: float = 1.0) -> float:
     return float(-k * np.sum(nz * np.log(nz)))
 
 
-def quantum_boltzmann_entropy(dim: int, k: float = 1.0) -> float:
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    return float(k * np.log(dim))
-
-
 def macrostate_dim(lengths, p_cutoff: float) -> int:
     """Semiclassical state count: per interval floor(L * 2 p_cutoff / 2 pi),
     at least 1, product over intervals (hbar = 1)."""
@@ -75,58 +71,50 @@ def macrostate_dim(lengths, p_cutoff: float) -> int:
     return dim
 
 
+def _checked_edges(edges) -> np.ndarray:
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or len(edges) < 2:
+        raise ValueError("edges must be a list of at least two numbers")
+    if not np.all(np.isfinite(edges)):
+        raise ValueError("edges must be finite")
+    if np.any(np.diff(edges) <= 0):
+        raise ValueError("edges must be strictly increasing")
+    return edges
+
+
 @dataclass
 class MacrostateDecomposition:
-    """Disjoint covering cells; each cell is a list of (lo, hi) intervals,
-    one per coordinate, with a Hilbert-space dimension per cell."""
+    """Closed 1-D cells [edges[i], edges[i + 1]] on the first coordinate,
+    with a Hilbert-space dimension per cell."""
 
-    cells: list            # [[(lo, hi), ...], ...]
+    edges: np.ndarray      # strictly increasing, finite
     dims: list             # per-cell dimension
 
     def __post_init__(self):
-        if len(self.cells) != len(self.dims):
+        self.edges = _checked_edges(self.edges)
+        if len(self.dims) != len(self.edges) - 1:
             raise ValueError("one dim per cell required")
         if any(d < 1 for d in self.dims):
             raise ValueError("cell dims must be >= 1")
 
     @classmethod
     def from_intervals_1d(cls, edges, p_cutoff: float):
-        cells = [[(edges[i], edges[i + 1])] for i in range(len(edges) - 1)]
-        dims = [macrostate_dim(e[0][1] - e[0][0], p_cutoff) for e in cells]
-        return cls(cells, dims)
-
-    def cell_volumes(self):
-        return [float(np.prod([hi - lo for lo, hi in cell])) for cell in self.cells]
+        edges = _checked_edges(edges)
+        return cls(edges, [macrostate_dim(length, p_cutoff)
+                           for length in np.diff(edges)])
 
 
-def macrostate_of(x, decomp: MacrostateDecomposition) -> int:
-    """Index of the cell containing x; boundary ties go to the lower index."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    for idx, cell in enumerate(decomp.cells):
-        inside = True
-        for d, (lo, hi) in enumerate(cell):
-            # closed cells; a shared boundary point matches the first
-            # (lower-index) cell that contains it
-            if not (lo <= x[d] <= hi):
-                inside = False
-                break
-        if inside:
-            return idx
-    raise OutsideAllCells(f"{x} is outside every cell")
-
-
-def macrostate_entropy_series(paths: np.ndarray,
-                              decomp: MacrostateDecomposition,
-                              k: float = 1.0) -> np.ndarray:
-    """S_qB(x(t)) = k ln dim of the occupied cell, per sample and time.
-
-    paths: (nsamples, ntimes, D) -> entropies (nsamples, ntimes)."""
-    out = np.empty(paths.shape[:2])
-    for s in range(paths.shape[0]):
-        for t in range(paths.shape[1]):
-            out[s, t] = quantum_boltzmann_entropy(
-                decomp.dims[macrostate_of(paths[s, t], decomp)], k)
-    return out
+def macrostate_of(x, decomp: MacrostateDecomposition):
+    """Cell index of each first coordinate in x (any shape; a scalar gives an
+    int).  Cells are closed: a point on a shared edge goes to the lower index."""
+    x = np.asarray(x, dtype=float)
+    edges = decomp.edges
+    outside = ~((x >= edges[0]) & (x <= edges[-1]))   # NaN compares false
+    if np.any(outside):
+        raise OutsideAllCells(f"{np.ravel(x)[np.ravel(outside)][0]} is outside "
+                              f"every cell [{edges[0]}, {edges[-1]}]")
+    idx = np.maximum(np.searchsorted(edges, x, side="left") - 1, 0)
+    return int(idx) if idx.ndim == 0 else idx
 
 
 def gibbs_entropy(samples: np.ndarray, delta_z: float, edges,
@@ -208,34 +196,45 @@ def harmonic_spectrum(omega: float, count: int = 200) -> Spectrum:
                     source="harmonic")
 
 
-def partition_function(spec: Spectrum, beta: float, tail_tol: float = 1e-12):
+def partition_function(spec: Spectrum, beta, tail_tol: float = 1e-12):
     """Z and occupation weights p_n, evaluated with an E_0 shift for stability.
 
-    For truncated spectra the tail bound exp(-beta (E_max - E_0)) must be
-    below tail_tol, otherwise TruncationInsufficient.
+    A scalar beta gives (Z, p, ln Z) as (float, 1-D array, float); an array
+    of beta gives arrays of Z and ln Z and p with a leading beta axis.  For
+    truncated spectra the tail bound exp(-beta (E_max - E_0)) must be below
+    tail_tol, otherwise TruncationInsufficient.
     """
-    if beta <= 0:
+    beta = np.asarray(beta, dtype=float)
+    if np.any(beta <= 0):
         raise ValueError("beta must be positive")
     e = spec.levels
     e0 = e[0]
-    w = np.exp(-beta * (e - e0))
-    if spec.truncated and w[-1] > tail_tol:
+    w = np.exp(-beta[..., None] * (e - e0))
+    tail = np.atleast_1d(w[..., -1])
+    if spec.truncated and np.any(tail > tail_tol):
         raise TruncationInsufficient(
-            f"tail weight {w[-1]:.3g} exceeds {tail_tol}; add levels"
-        )
-    z_shifted = w.sum()
-    p = w / z_shifted
+            f"tail weight {tail[tail > tail_tol][0]:.3g} exceeds {tail_tol}; "
+            "add levels")
+    z_shifted = w.sum(axis=-1)
+    p = w / z_shifted[..., None]
     log_z = np.log(z_shifted) - beta * e0
-    return float(np.exp(log_z)), p, float(log_z)
+    if beta.ndim == 0:
+        return float(np.exp(log_z)), p, float(log_z)
+    return np.exp(log_z), p, log_z
+
+
+def _energy_entropy(levels, p, k):
+    """E = sum E_n p_n and S = -k sum p_n ln p_n (0 ln 0 = 0) over the last
+    axis of p."""
+    log_p = np.log(p, out=np.zeros_like(p), where=p > 0)
+    return np.sum(levels * p, axis=-1), -k * np.sum(p * log_p, axis=-1)
 
 
 def direct_energy_entropy(spec: Spectrum, beta: float, k: float = 1.0):
     """E = sum E_n p_n and S = -k sum p_n ln p_n (the dual route)."""
-    _, p, log_z = partition_function(spec, beta)
-    e = float(np.sum(spec.levels * p))
-    mask = p > 0
-    s = float(-k * np.sum(p[mask] * np.log(p[mask])))
-    return e, s
+    _, p, _ = partition_function(spec, beta)
+    e, s = _energy_entropy(spec.levels, p, k)
+    return float(e), float(s)
 
 
 @dataclass
@@ -265,13 +264,11 @@ def thermo_table(spectrum_of_volume, v_grid, t_grid, k: float = 1.0) -> ThermoTa
     log_z = np.empty((n_v, n_t))
     e_dir = np.empty((n_v, n_t))
     s_dir = np.empty((n_v, n_t))
+    beta = 1.0 / (k * t_grid)
     for i, v in enumerate(v_grid):
         spec = spectrum_of_volume(v)
-        for j, t in enumerate(t_grid):
-            beta = 1.0 / (k * t)
-            _, _, lz = partition_function(spec, beta)
-            log_z[i, j] = lz
-            e_dir[i, j], s_dir[i, j] = direct_energy_entropy(spec, beta, k=k)
+        _, p, log_z[i] = partition_function(spec, beta)
+        e_dir[i], s_dir[i] = _energy_entropy(spec.levels, p, k)
     kt_log_z = k * t_grid[None, :] * log_z
     energy = np.full_like(log_z, np.nan)
     entropy = np.full_like(log_z, np.nan)
@@ -295,33 +292,25 @@ def first_law_residual(table: ThermoTable):
     edge, with midpoint T-bar and P-bar.  Returns (per-edge array, stats dict)
     where stats holds max, median and the isochoric-subset median."""
     tiny = 1e-300
-    residuals = []
-    iso = []
     e, s, p = table.energy, table.entropy, table.pressure
     tg, vg = table.t_grid, table.v_grid
-    n_v, n_t = e.shape
-    for i in range(1, n_v - 1):            # isochoric edges (T direction)
-        for j in range(1, n_t - 2):
-            de = e[i, j + 1] - e[i, j]
-            ds = s[i, j + 1] - s[i, j]
-            tbar = 0.5 * (tg[j] + tg[j + 1])
-            r = abs(de - tbar * ds) / (abs(de) + tiny)
-            residuals.append(r)
-            iso.append(r)
-    for j in range(1, n_t - 1):            # isothermal edges (V direction)
-        for i in range(1, n_v - 2):
-            de = e[i + 1, j] - e[i, j]
-            ds = s[i + 1, j] - s[i, j]
-            dv = vg[i + 1] - vg[i]
-            tbar = tg[j]
-            pbar = 0.5 * (p[i, j] + p[i + 1, j])
-            r = abs(de - tbar * ds + pbar * dv) / (abs(de) + tiny)
-            residuals.append(r)
-    residuals = np.array(residuals)
+    # isochoric edges (T direction), rows i = 1..nV-2, columns j = 1..nT-3
+    de = e[1:-1, 2:-1] - e[1:-1, 1:-2]
+    ds = s[1:-1, 2:-1] - s[1:-1, 1:-2]
+    tbar = 0.5 * (tg[1:-2] + tg[2:-1])
+    isochoric = (np.abs(de - tbar * ds) / (np.abs(de) + tiny)).ravel()
+    # isothermal edges (V direction), j = 1..nT-2 outer, i = 1..nV-3 inner
+    de = (e[2:-1, 1:-1] - e[1:-2, 1:-1]).T
+    ds = (s[2:-1, 1:-1] - s[1:-2, 1:-1]).T
+    dv = vg[2:-1] - vg[1:-2]
+    tbar = tg[1:-1, None]
+    pbar = 0.5 * (p[1:-2, 1:-1] + p[2:-1, 1:-1]).T
+    isothermal = np.abs(de - tbar * ds + pbar * dv) / (np.abs(de) + tiny)
+    residuals = np.concatenate([isochoric, isothermal.ravel()])
     stats = {
         "max": float(residuals.max()),
         "median": float(np.median(residuals)),
-        "median_isochoric": float(np.median(iso)),
+        "median_isochoric": float(np.median(isochoric)),
         "n_edges": len(residuals),
     }
     return residuals, stats

@@ -107,6 +107,30 @@ class TestValidationFailures:
         assert main(["run", path, "--output", str(tmp_path / "o")]) == 2
         assert "grid.points_per_axis" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["5", '["experiment"]', "null"])
+    def test_config_root_not_an_object(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error:")
+
+    @pytest.mark.parametrize("macrostates", [
+        {"p_cutoff": 0},
+        {"edges": [-12.0, 1.5, -1.5, 4.0, 12.0]},
+        {"edges": [12.0, 4.0, 1.5, -1.5, -4.0, -12.0]},
+    ], ids=["zero_cutoff", "inverted_cells", "reversed_edges"])
+    def test_bad_macrostates_exit_two(self, tmp_path, capsys, macrostates):
+        with open(os.path.join(CONFIG_DIR, "entropy_series.json")) as f:
+            cfg = json.load(f)
+        cfg["macrostates"].update(macrostates)
+        path = write_cfg(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["run", path, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: macrostates")
+        assert not (out / "manifest.json").exists()
+
     def test_unknown_key_exit_two(self, tmp_path, capsys):
         cfg = dict(SCALING)
         cfg["scaling"] = dict(SCALING["scaling"], turbo=True)

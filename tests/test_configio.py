@@ -1,10 +1,13 @@
+import ast
 import glob
+import inspect
 import json
 import os
 
 import numpy as np
 import pytest
 
+from bohmstat import experiments
 from bohmstat.configio import (EXPERIMENTS_META, SECTION_KEYS,
                                build_grid, build_hamiltonian,
                                build_initial_state, load_config,
@@ -67,6 +70,28 @@ class TestValidation:
         for name, (_, required) in EXPERIMENTS_META.items():
             for section in required:
                 assert section in SECTION_KEYS, (name, section)
+
+    def test_every_section_key_is_read(self):
+        # a key counts as read when a runner or a builder looks it up by
+        # name, as `section.get("key", ...)` or `section["key"]`
+        read = set()
+        for fn in (experiments, build_grid, build_hamiltonian,
+                   build_initial_state):
+            for node in ast.walk(ast.parse(inspect.getsource(fn))):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "get" and node.args):
+                    name = node.args[0]
+                elif isinstance(node, ast.Subscript):
+                    name = node.slice
+                else:
+                    continue
+                if isinstance(name, ast.Constant):
+                    read.add(name.value)
+        unread = sorted(f"{section}.{key}"
+                        for section, keys in SECTION_KEYS.items()
+                        for key in keys if key not in read)
+        assert unread == []
 
     @pytest.mark.parametrize(
         "path", sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json"))),

@@ -31,11 +31,6 @@ class TestHamiltonian:
         with pytest.raises(DiagonalizationBudget):
             sc.tfim_hamiltonian(13)
 
-    def test_subsystem_matches_isolated_chain(self):
-        np.testing.assert_allclose(sc.subsystem_hamiltonian(2, 1.1, 0.4),
-                                   sc.tfim_hamiltonian(2, 1.1, 0.4),
-                                   atol=1e-14)
-
 
 class TestTraceDistance:
     def test_identical_states(self):
@@ -64,18 +59,18 @@ class TestTraceDistance:
 
 class TestCanonicalState:
     def test_infinite_temperature_limit(self):
-        h = sc.subsystem_hamiltonian(1, 1.0, 1.0)
+        h = sc.tfim_hamiltonian(1, 1.0, 1.0)
         rho = sc.canonical_state(h, 1e-12)
         np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-10)
 
     def test_ground_state_limit(self):
-        h = sc.subsystem_hamiltonian(1, 1.0, 1.0)   # -g sx, ground = |+>
+        h = sc.tfim_hamiltonian(1, 1.0, 1.0)   # -g sx, ground = |+>
         rho = sc.canonical_state(h, 50.0)
         plus = np.full((2, 2), 0.5)
         np.testing.assert_allclose(rho, plus, atol=1e-10)
 
     def test_unit_trace(self):
-        h = sc.subsystem_hamiltonian(2, 1.0, 0.7)
+        h = sc.tfim_hamiltonian(2, 1.0, 0.7)
         assert np.trace(sc.canonical_state(h, 0.8)).real == \
             pytest.approx(1.0, abs=1e-12)
 

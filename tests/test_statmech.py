@@ -16,6 +16,73 @@ def random_density(dim, seed):
     return rho / np.trace(rho).real
 
 
+# ---------------------------------------------------------------------------
+# reference oracles: the per-point loops that statmech replaced with array code
+
+def loop_macrostate_of(x, edges):
+    """Index of the first closed cell [edges[i], edges[i + 1]] holding x."""
+    cells = [[(edges[i], edges[i + 1])] for i in range(len(edges) - 1)]
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    for idx, cell in enumerate(cells):
+        inside = True
+        for d, (lo, hi) in enumerate(cell):
+            if not (lo <= x[d] <= hi):
+                inside = False
+                break
+        if inside:
+            return idx
+    raise OutsideAllCells(f"{x} is outside every cell")
+
+
+def loop_thermo_columns(spectrum_of_volume, v_grid, t_grid, k=1.0):
+    """ln Z, direct E and direct S from one scalar evaluation per (V, T)."""
+    n_v, n_t = len(v_grid), len(t_grid)
+    log_z = np.empty((n_v, n_t))
+    e_dir = np.empty((n_v, n_t))
+    s_dir = np.empty((n_v, n_t))
+    for i, v in enumerate(v_grid):
+        spec = spectrum_of_volume(v)
+        e = spec.levels
+        for j, t in enumerate(t_grid):
+            beta = 1.0 / (k * t)
+            w = np.exp(-beta * (e - e[0]))
+            z_shifted = w.sum()
+            p = w / z_shifted
+            log_z[i, j] = np.log(z_shifted) - beta * e[0]
+            e_dir[i, j] = float(np.sum(e * p))
+            mask = p > 0
+            s_dir[i, j] = float(-k * np.sum(p[mask] * np.log(p[mask])))
+    return log_z, e_dir, s_dir
+
+
+def loop_first_law_residual(table):
+    """Per-edge residuals in file order, and the isochoric subset."""
+    tiny = 1e-300
+    residuals = []
+    iso = []
+    e, s, p = table.energy, table.entropy, table.pressure
+    tg, vg = table.t_grid, table.v_grid
+    n_v, n_t = e.shape
+    for i in range(1, n_v - 1):            # isochoric edges (T direction)
+        for j in range(1, n_t - 2):
+            de = e[i, j + 1] - e[i, j]
+            ds = s[i, j + 1] - s[i, j]
+            tbar = 0.5 * (tg[j] + tg[j + 1])
+            r = abs(de - tbar * ds) / (abs(de) + tiny)
+            residuals.append(r)
+            iso.append(r)
+    for j in range(1, n_t - 1):            # isothermal edges (V direction)
+        for i in range(1, n_v - 2):
+            de = e[i + 1, j] - e[i, j]
+            ds = s[i + 1, j] - s[i, j]
+            dv = vg[i + 1] - vg[i]
+            tbar = tg[j]
+            pbar = 0.5 * (p[i, j] + p[i + 1, j])
+            r = abs(de - tbar * ds + pbar * dv) / (abs(de) + tiny)
+            residuals.append(r)
+    return np.array(residuals), np.array(iso)
+
+
 class TestVonNeumann:
     def test_pure_state_zero(self):
         assert sm.von_neumann_entropy([1.0, 0.0, 0.0]) == 0.0
@@ -90,13 +157,61 @@ class TestMacrostates:
 
     def test_mismatched_dims_rejected(self):
         with pytest.raises(ValueError):
-            sm.MacrostateDecomposition([[(0.0, 1.0)]], [1, 2])
+            sm.MacrostateDecomposition([0.0, 1.0], [1, 2])
+        with pytest.raises(ValueError):
+            sm.MacrostateDecomposition([0.0, 1.0, 2.0], [1, 0])
+
+    @pytest.mark.parametrize("edges", [
+        [0.0], [[0.0, 1.0], [1.0, 2.0]], [1.0, 0.0], [0.0, 1.0, 1.0],
+        [-12.0, 1.5, -1.5, 4.0, 12.0], [0.0, np.inf], [0.0, np.nan, 2.0]])
+    def test_bad_edges_rejected(self, edges):
+        with pytest.raises(ValueError):
+            sm.MacrostateDecomposition.from_intervals_1d(edges, np.pi)
 
     def test_entropy_series_values(self):
-        d = sm.MacrostateDecomposition([[(0.0, 1.0)], [(1.0, 3.0)]], [1, 4])
+        d = sm.MacrostateDecomposition([0.0, 1.0, 3.0], [1, 4])
         paths = np.array([[[0.5], [2.0]]])       # one sample, two times
-        s = sm.macrostate_entropy_series(paths, d)
-        np.testing.assert_allclose(s, [[0.0, np.log(4)]])
+        idx = sm.macrostate_of(paths[:, :, 0], d)
+        np.testing.assert_array_equal(idx, [[0, 1]])
+        np.testing.assert_allclose(np.log(np.asarray(d.dims, float))[idx],
+                                   [[0.0, np.log(4)]])
+
+    def test_scalar_gives_int(self):
+        d = sm.MacrostateDecomposition.from_intervals_1d([0.0, 1.0, 2.0], np.pi)
+        assert type(sm.macrostate_of(1.5, d)) is int
+        assert sm.macrostate_of(np.array([[1.0]]), d).shape == (1, 1)
+
+    def test_outside_or_nan_in_array_raises(self):
+        d = sm.MacrostateDecomposition.from_intervals_1d([0.0, 1.0], np.pi)
+        for bad in (-1e-300, 1.0 + 1e-15, np.nan):
+            with pytest.raises(OutsideAllCells):
+                sm.macrostate_of(np.array([[0.5, bad], [0.0, 1.0]]), d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=8, unique=True),
+           st.lists(st.floats(-2e3, 2e3), max_size=20), st.data())
+    def test_matches_loop_oracle(self, edges, points, data):
+        edges = sorted(edges)
+        d = sm.MacrostateDecomposition.from_intervals_1d(edges, np.pi)
+        # every edge is an exact tie; points may fall outside the cells
+        points = points + edges + data.draw(st.lists(
+            st.sampled_from([np.nan, np.nextafter(edges[0], -np.inf),
+                             np.nextafter(edges[-1], np.inf)]), max_size=2))
+        inside, expect = [], []
+        for x in points:
+            try:
+                expect.append(loop_macrostate_of(x, edges))
+            except OutsideAllCells:
+                with pytest.raises(OutsideAllCells):
+                    sm.macrostate_of(x, d)
+                continue
+            inside.append(x)
+            assert sm.macrostate_of(x, d) == expect[-1]
+        got = sm.macrostate_of(np.array(inside, dtype=float), d)
+        np.testing.assert_array_equal(got, np.array(expect, dtype=np.intp))
+        if len(inside) < len(points):
+            with pytest.raises(OutsideAllCells):
+                sm.macrostate_of(np.array(points, dtype=float), d)
 
 
 class TestGibbs:
@@ -180,6 +295,24 @@ class TestPartitionFunction:
     def test_positive_beta_required(self):
         with pytest.raises(ValueError):
             sm.partition_function(sm.Spectrum([0.0, 1.0]), -1.0)
+        with pytest.raises(ValueError):
+            sm.partition_function(sm.Spectrum([0.0, 1.0]), np.array([1.0, 0.0]))
+
+    def test_truncation_guard_on_any_beta(self):
+        spec = sm.box_spectrum(1.0, mass=50.0, count=5)
+        with pytest.raises(TruncationInsufficient):
+            sm.partition_function(spec, np.array([10.0, 0.01, 5.0]))
+
+    def test_array_beta_rows_equal_scalar_calls(self):
+        spec = sm.box_spectrum(1.0, mass=50.0, count=800)
+        betas = 1.0 / np.linspace(0.5, 2.0, 13)
+        z, p, log_z = sm.partition_function(spec, betas)
+        assert z.shape == log_z.shape == (13,) and p.shape == (13, 800)
+        for i, beta in enumerate(betas):
+            z_i, p_i, log_z_i = sm.partition_function(spec, beta)
+            assert type(z_i) is float and type(log_z_i) is float
+            assert (z[i], log_z[i]) == (z_i, log_z_i)
+            np.testing.assert_array_equal(p[i], p_i)
 
     def test_two_level_direct_energy(self):
         gap, beta = 2.0, 0.9
@@ -200,6 +333,15 @@ class TestPartitionFunction:
 
 def two_level_family(v):
     return sm.Spectrum([0.0, 1.0 / v**2], volume=v)
+
+
+# the box spectrum of the shipped thermo configs underflows to p_n = 0 in its tail
+FAMILIES = {
+    "two_level": two_level_family,
+    "box": lambda v: sm.box_spectrum(v, mass=50.0, count=800),
+    "harmonic": lambda v: sm.Spectrum(sm.harmonic_spectrum(1.3, 200).levels,
+                                      volume=v, truncated=True),
+}
 
 
 class TestThermoTable:
@@ -239,6 +381,32 @@ class TestThermoTable:
         with pytest.raises(GridTooCoarse):
             sm.thermo_table(two_level_family, np.linspace(1, 2, 6),
                             np.geomspace(1, 2, 10))
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_matches_scalar_loop(self, family):
+        v_grid, t_grid = np.linspace(0.8, 1.2, 7), np.linspace(0.5, 2.0, 31)
+        t = sm.thermo_table(FAMILIES[family], v_grid, t_grid)
+        log_z, e_dir, s_dir = loop_thermo_columns(FAMILIES[family], v_grid,
+                                                  t_grid)
+        np.testing.assert_array_equal(t.log_z, log_z)
+        np.testing.assert_array_equal(t.energy_direct, e_dir)
+        np.testing.assert_array_equal(t.entropy_direct, s_dir)
+        for i, v in enumerate(v_grid):
+            for j, temp in enumerate(t_grid):
+                assert sm.direct_energy_entropy(FAMILIES[family](v), 1.0 / temp) \
+                    == (e_dir[i, j], s_dir[i, j])
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_first_law_matches_loop(self, family):
+        t = sm.thermo_table(FAMILIES[family], np.linspace(0.8, 1.2, 7),
+                            np.linspace(0.5, 2.0, 9))
+        res, stats = sm.first_law_residual(t)
+        loop_res, loop_iso = loop_first_law_residual(t)
+        np.testing.assert_array_equal(res, loop_res)
+        assert stats == {"max": float(loop_res.max()),
+                         "median": float(np.median(loop_res)),
+                         "median_isochoric": float(np.median(loop_iso)),
+                         "n_edges": len(loop_res)}
 
     def test_free_energy_sign(self):
         t = self.make(nv=5, nt=5)
