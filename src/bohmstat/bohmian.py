@@ -144,6 +144,7 @@ def write_trajectories(path, ens: TrajectoryEnsemble):
 
 
 def read_trajectories(path):
-    header, (paths,) = codec.read(path, lambda h: [(h["shape"], False)])
+    header, (paths,) = codec.read(path, lambda h: [(h["shape"], False)],
+                                  required=("flavor", "seed", "times"))
     return TrajectoryEnsemble(header["flavor"], header["seed"],
                               np.array(header["times"]), paths)

@@ -306,7 +306,8 @@ def write_ensemble(path, ens: PhaseEnsemble):
 
 def read_ensemble(path) -> PhaseEnsemble:
     header, (xs, ps) = codec.read(
-        path, lambda h: [(h["shape"], False), (h["shape"], False)])
+        path, lambda h: [(h["shape"], False), (h["shape"], False)],
+        required=("masses", "omegas", "kappa", "times", "seed"))
     h = ClassicalHSpec(tuple(header["masses"]), tuple(header["omegas"]),
                        header["kappa"])
     return PhaseEnsemble(h, xs, ps, np.array(header["times"]), header["seed"])

@@ -31,13 +31,13 @@ def write(path, header: dict, *arrays) -> None:
             f.write(np.ascontiguousarray(arr, _dtype(np.iscomplexobj(arr))).data)
 
 
-def read(path, layout):
+def read(path, layout, required=()):
     """Returns (header, arrays).
 
     `layout(header)` lists one (shape, is_complex) pair per stored array.
     Raises MalformedFile when the first line is not a JSON object, when the
-    header lacks a key that `layout` needs, or when the payload length is not
-    what the shapes require.
+    header lacks a key that `layout` needs or that `required` names, or when
+    the payload length is not what the shapes require.
     """
     with open(path, "rb") as f:
         first = f.readline()
@@ -48,6 +48,9 @@ def read(path, layout):
         header = None
     if not isinstance(header, dict):
         raise MalformedFile(f"{path}: first line is not a JSON object")
+    missing = [key for key in required if key not in header]
+    if missing:
+        raise MalformedFile(f"{path}: header lacks keys {missing}")
     try:
         specs = [(tuple(int(s) for s in shape), _dtype(is_complex))
                  for shape, is_complex in layout(header)]

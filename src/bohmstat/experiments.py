@@ -127,12 +127,12 @@ def run_continuity(cfg, outdir, seed):
 def run_subsystem_currents(cfg, outdir, seed):
     grid, h, frames = _evolved(cfg)
     part = _partition(cfg, grid)
-    sfs = [subsystem_frame(f, h, part) for f in frames[-3:]]
+    sfs = [subsystem_frame(f, part) for f in _field_frames(frames[-3:], h)]
     if len(sfs) < 3:
         raise ConfigError("evolution.t_final", "need at least three frames")
     _, rel_a = continuity_residual(sfs)
     last = frames[-1]
-    sf = subsystem_frame(last, h, part)
+    sf = sfs[-1]
     rdm = reduced_density_matrix(last, part)
     j_op = truncated_current_from_rdm(rdm, h, part)
     scale = float(np.max(np.abs(sf.currents.components)))
@@ -185,7 +185,7 @@ def run_bohm_full(cfg, outdir, seed):
 def run_bohm_truncated(cfg, outdir, seed):
     grid, h, frames, ffs, vels, x0, substeps, bins = _bohm_setup(cfg, seed)
     part = _partition(cfg, grid)
-    sfs = [subsystem_frame(f, h, part) for f in frames]
+    sfs = [subsystem_frame(f, part) for f in ffs]
     vtr = [velocity(s) for s in sfs]
     a_axes = [a for p in part.a_particles for a in grid.particle_axes(p)]
     full = bm.integrate_trajectories(vels, x0, substeps, "full", seed)
@@ -346,6 +346,8 @@ def _entropy_run(cfg, outdir, seed):
         decomp = sm.MacrostateDecomposition.from_intervals_1d(mc.get("edges"),
                                                               p_cut)
         delta_z = float(mc.get("delta_z", 2 * np.pi))
+        if not 0.0 < delta_z < np.inf:
+            raise ValueError(f"delta_z must be positive and finite, got {delta_z}")
     except (TypeError, ValueError) as exc:
         raise ConfigError("macrostates", str(exc)) from exc
     grid, h, frames, ffs, vels, x0, substeps, bins = _bohm_setup(cfg, seed)

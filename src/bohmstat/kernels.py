@@ -6,7 +6,10 @@ versions of both as slow reference oracles and requires bit-identical
 results from them.
 
 Velocity grids are passed flattened: vflat[frame, component, point] with
-C-order point index over the D position axes.
+C-order point index over the D position axes.  rk4_paths holds positions
+component-major, x[component, sample], so each of the 2^D interpolation
+corners gathers contiguous velocity rows with one np.take for all
+components, and the corner weight multiplies whole rows.
 """
 
 from __future__ import annotations
@@ -20,33 +23,46 @@ NUMBA_ENABLED = False
 # ---------------------------------------------------------------------------
 # multilinear interpolation + RK4 (vectorized over samples)
 
+def _wrap(y, period):
+    """y = np.mod(y, period) in place.  np.mod returns y itself where
+    0 <= y < period, so only the entries outside take the slow remainder."""
+    outside = (y < 0) | (y >= period)
+    y[outside] = np.mod(y[outside], period)
+
+
 def _interp_batch(vcomp, x, x_first, dx, n, periodic):
-    """vcomp: (D, npts) flat velocity; x: (nsamples, D) -> (nsamples, D)."""
-    nsamples, d_dims = x.shape
+    """vcomp: (D, npts) flat velocity; x: (D, nsamples) -> (D, nsamples)."""
+    d_dims, nsamples = x.shape
     strides = np.array([n**k for k in range(d_dims - 1, -1, -1)], dtype=np.int64)
     u = (x - x_first) / dx
     if periodic:
         i0 = np.floor(u).astype(np.int64)
         frac = u - i0
-        i0 = np.mod(i0, n)
-        i1 = np.mod(i0 + 1, n)
+        _wrap(i0, n)
+        i1 = i0 + 1
+        i1[i1 == n] = 0
     else:
         u = np.clip(u, 0.0, n - 1.0)
         i0 = np.minimum(np.floor(u).astype(np.int64), n - 2)
         frac = u - i0
         i1 = i0 + 1
-    out = np.zeros((nsamples, d_dims))
+    rest = 1.0 - frac
+    i0 *= strides[:, None]
+    i1 *= strides[:, None]
+    out = np.zeros((d_dims, nsamples))
     for corner in range(1 << d_dims):
-        w = np.ones(nsamples)
-        flat = np.zeros(nsamples, dtype=np.int64)
-        for d in range(d_dims):
+        # the weight is the product over axes in axis order, as in the oracle
+        upper = corner & 1
+        w = frac[0] if upper else rest[0]
+        flat = i1[0] if upper else i0[0]
+        for d in range(1, d_dims):
             if (corner >> d) & 1:
-                w = w * frac[:, d]
-                flat = flat + i1[:, d] * strides[d]
+                w = w * frac[d]
+                flat = flat + i1[d]
             else:
-                w = w * (1.0 - frac[:, d])
-                flat = flat + i0[:, d] * strides[d]
-        out += w[:, None] * vcomp[:, flat].T
+                w = w * rest[d]
+                flat = flat + i0[d]
+        out += w * np.take(vcomp, flat, axis=1)
     return out
 
 
@@ -55,16 +71,16 @@ def rk4_paths(x0, frame_times, vflat, x_first, dx, n, periodic, substeps, lo, hi
 
     Returns (paths[nsamples, nframes, D], escaped[nsamples]).
     """
-    x = np.array(x0, dtype=np.float64)
+    x = np.ascontiguousarray(np.asarray(x0, dtype=np.float64).T)
     frame_times = np.ascontiguousarray(frame_times, dtype=np.float64)
     vflat = np.ascontiguousarray(vflat, dtype=np.float64)
     x_first, dx, lo, hi = float(x_first), float(dx), float(lo), float(hi)
     n, periodic, substeps = int(n), bool(periodic), int(substeps)
-    nsamples, d_dims = x.shape
+    d_dims, nsamples = x.shape
     nf = frame_times.shape[0]
     paths = np.empty((nsamples, nf, d_dims))
     escaped = np.zeros(nsamples, np.uint8)
-    paths[:, 0, :] = x
+    paths[:, 0, :] = x.T
     length = hi - lo
     for f in range(nf - 1):
         t0, t1 = frame_times[f], frame_times[f + 1]
@@ -83,7 +99,9 @@ def rk4_paths(x0, frame_times, vflat, x_first, dx, n, periodic, substeps, lo, hi
             k4 = _interp_batch(v1, x + h * k3, x_first, dx, n, periodic)
             x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             if periodic:
-                x = lo + np.mod(x - lo, length)
+                x -= lo
+                _wrap(x, length)
+                x += lo
             else:
                 under = x < lo
                 over = x > hi
@@ -92,12 +110,12 @@ def rk4_paths(x0, frame_times, vflat, x_first, dx, n, periodic, substeps, lo, hi
                 x = np.where(small_u, 2 * lo - x, x)
                 x = np.where(small_o, 2 * hi - x, x)
                 bad = (under & ~small_u) | (over & ~small_o)
-                escaped |= bad.any(axis=1).astype(np.uint8)
+                escaped |= bad.any(axis=0).astype(np.uint8)
                 # escaped samples are put back on the wall and keep moving
                 # from there on later substeps; their paths are not
                 # meaningful, and the caller raises on any escape flag
                 x = np.clip(x, lo, hi)
-        paths[:, f + 1, :] = x
+        paths[:, f + 1, :] = x.T
     return paths, escaped
 
 

@@ -8,7 +8,12 @@ Two steppers:
 * crank_nicolson (dirichlet grids): Cayley form per position axis (the kinetic
   axis factors commute exactly) plus a Cayley factor for the diagonal
   potential, in Strang order.  Every factor is exactly unitary, the splitting
-  error is O(dt^2).
+  error is O(dt^2).  Each axis factor is one LAPACK ?gtsv call over all the
+  grid lines along that axis.
+
+A stepper's step(amp) advances the complex128 array amp in place (FFTs with
+out=amp, Cayley solves written back into it); evolve owns that working
+array and copies each stored frame out of it.
 """
 
 from __future__ import annotations
@@ -126,58 +131,61 @@ class _SplitStepper:
         self.pos_axes = tuple(grid.pos_axis(i) for i in range(grid.n_pos_axes))
 
     def step(self, amp):
-        amp = amp * self.half_v
-        amp = np.fft.fftn(amp, axes=self.pos_axes)
-        amp *= self.kin_phase
-        amp = np.fft.ifftn(amp, axes=self.pos_axes)
+        """Advance the complex128 array `amp` by one time step, in place."""
         amp *= self.half_v
-        return amp
+        np.fft.fftn(amp, axes=self.pos_axes, out=amp)
+        amp *= self.kin_phase
+        np.fft.ifftn(amp, axes=self.pos_axes, out=amp)
+        amp *= self.half_v
 
 
 class _CrankNicolsonStepper:
     """Cayley factors: exp(-iV dt/2) ~ (1-iVdt/4)/(1+iVdt/4), and per-axis
-    tridiagonal (1+i dt T_ax/2)^-1 (1-i dt T_ax/2)."""
+    tridiagonal (1+i dt T_ax/2)^-1 (1-i dt T_ax/2), solved by LAPACK ?gtsv."""
 
     def __init__(self, grid: Grid, h: HamiltonianSpec):
+        from scipy.linalg import get_lapack_funcs
+
         dt = h.time_step
         v = potential_grid(grid, h)
         self.half_v = (1.0 - 0.25j * dt * v) / (1.0 + 0.25j * dt * v)
         self.grid = grid
         n = grid.spec.points_per_axis
+        self.z = z = 0.5j * dt
         self.bands = []
         for ax in range(grid.n_pos_axes):
             m = h.mass_of_axis(grid, ax)
             # T = -(1/2m) D2, D2 tridiagonal (1,-2,1)/dx^2 with zero boundary
             off = -1.0 / (2 * m * grid.dx**2)
             diag = 1.0 / (m * grid.dx**2)
-            z = 0.5j * dt
-            ab = np.zeros((3, n), dtype=np.complex128)
-            ab[0, 1:] = z * off
-            ab[1, :] = 1.0 + z * diag
-            ab[2, :-1] = z * off
-            self.bands.append((ab, off, diag, z))
+            side = np.full(n - 1, z * off, dtype=np.complex128)
+            self.bands.append((side, np.full(n, 1.0 + z * diag), off, diag))
+        (self.gtsv,) = get_lapack_funcs(("gtsv",), (self.bands[0][0],))
 
     def _axis_solve(self, amp, pos_axis):
-        from scipy.linalg import solve_banded
-
-        ab, off, diag, z = self.bands[pos_axis]
-        ax = self.grid.pos_axis(pos_axis)
-        moved = np.moveaxis(amp, ax, 0)
-        shp = moved.shape
-        flat = moved.reshape(shp[0], -1)
-        # rhs = (1 - i dt T/2) psi
-        rhs = (1.0 - z * diag) * flat
-        rhs[:-1] -= z * off * flat[1:]
-        rhs[1:] -= z * off * flat[:-1]
-        sol = solve_banded((1, 1), ab, rhs)
-        return np.moveaxis(sol.reshape(shp), 0, ax)
+        """(1 + i dt T/2)^-1 (1 - i dt T/2) along one position axis, in place."""
+        side, d, off, diag = self.bands[pos_axis]
+        z = self.z
+        moved = amp.swapaxes(self.grid.pos_axis(pos_axis), -1)
+        rows = moved.reshape(-1, moved.shape[-1])
+        # rhs = (1 - i dt T/2) psi, one row per system; rhs.T is the
+        # Fortran-ordered (n, nrhs) block ?gtsv solves in place
+        rhs = (1.0 - z * diag) * rows
+        rhs[:, :-1] -= z * off * rows[:, 1:]
+        rhs[:, 1:] -= z * off * rows[:, :-1]
+        if not np.isfinite(rhs).all():
+            raise ValueError("Crank-Nicolson right-hand side holds infs or NaNs")
+        *_, sol, info = self.gtsv(side, d, side, rhs.T, overwrite_b=True)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"?gtsv failed with info = {info}")
+        moved[...] = sol.T.reshape(moved.shape)
 
     def step(self, amp):
-        amp = amp * self.half_v
+        """Advance the complex128 array `amp` by one time step, in place."""
+        amp *= self.half_v
         for ax in range(self.grid.n_pos_axes):
-            amp = self._axis_solve(amp, ax)
-        amp = amp * self.half_v
-        return amp
+            self._axis_solve(amp, ax)
+        amp *= self.half_v
 
 
 def make_stepper(grid: Grid, h: HamiltonianSpec):
@@ -200,7 +208,7 @@ def evolve(psi: WaveField, h: HamiltonianSpec, t_final: float, frame_stride: int
     amp = psi.amplitudes.copy()
     t = psi.time
     for i in range(1, n_steps + 1):
-        amp = stepper.step(amp)
+        stepper.step(amp)
         t = psi.time + i * dt
         if i % frame_stride == 0 or i == n_steps:
             frames.append(WaveField(psi.grid, amp.copy(), t))

@@ -131,8 +131,9 @@ class ReducedDensityMatrix:
         return vals[::-1]
 
     def purity(self) -> float:
-        p = self.eigenvalues()
-        return float(np.sum(p**2))
+        """Tr rho_A^2 = sum |rho_ij|^2 w^2 for Hermitian rho_A (no eigensolve)."""
+        m = self.matrix
+        return float(np.vdot(m, m).real * self.a_grid.weight**2)
 
     def spin_traced_diagonal(self) -> np.ndarray:
         """rho_A(x_A) on the A position grid."""
@@ -193,14 +194,11 @@ def truncated_current_from_rdm(rdm: ReducedDensityMatrix,
     return VectorField(g, comps, rdm.time)
 
 
-def subsystem_frame(psi: WaveField, h: HamiltonianSpec,
-                    part: SubsystemPartition) -> FieldFrame:
-    """FieldFrame of (rho_A, j_tr_A) built through the integral route."""
-    from .currents import current, density
-
-    rho_a = marginal_density(density(psi), part)
-    j_tr = truncated_current_integral(current(psi, h), part)
-    return FieldFrame(psi.time, rho_a, j_tr)
+def subsystem_frame(frame: FieldFrame, part: SubsystemPartition) -> FieldFrame:
+    """FieldFrame of (rho_A, j_tr_A): the full frame's density and current
+    marginalised over the B axes (the integral route)."""
+    return FieldFrame(frame.time, marginal_density(frame.rho, part),
+                      truncated_current_integral(frame.currents, part))
 
 
 # .rdm files (format in `codec`)

@@ -15,7 +15,7 @@ import pytest
 from bohmstat import statmech as sm
 from bohmstat.configio import (build_grid, build_hamiltonian,
                                build_initial_state, load_config)
-from bohmstat.currents import continuity_residual
+from bohmstat.currents import FieldFrame, continuity_residual
 from bohmstat.experiments import RUNNERS
 from bohmstat.schrodinger import evolve
 from bohmstat.subsystem import (SubsystemPartition, reduced_density_matrix,
@@ -52,8 +52,6 @@ def evolved_frames(cfg):
 
 
 def test_criterion_01_closed_system_continuity():
-    from bohmstat.currents import FieldFrame
-
     cfg = load_config(os.path.join(CONFIG_DIR, "continuity.json"))
     worst_rel, worst_ratio = 0.0, np.inf
     centers = (100, 200, 300, 400)
@@ -84,7 +82,8 @@ def entangled_subsystem():
     grid, h, frames = evolved_frames(cfg)
     part = SubsystemPartition(tuple(cfg["partition"]["a_particles"]),
                               grid.spec.particle_count)
-    sfs = [subsystem_frame(f, h, part) for f in frames[-5:]]
+    sfs = [subsystem_frame(FieldFrame.from_wavefield(f, h), part)
+           for f in frames[-5:]]
     return grid, h, frames, part, sfs
 
 

@@ -119,7 +119,10 @@ class TestValidationFailures:
         {"p_cutoff": 0},
         {"edges": [-12.0, 1.5, -1.5, 4.0, 12.0]},
         {"edges": [12.0, 4.0, 1.5, -1.5, -4.0, -12.0]},
-    ], ids=["zero_cutoff", "inverted_cells", "reversed_edges"])
+        {"delta_z": -1.0},
+        {"delta_z": 0},
+    ], ids=["zero_cutoff", "inverted_cells", "reversed_edges",
+            "negative_delta_z", "zero_delta_z"])
     def test_bad_macrostates_exit_two(self, tmp_path, capsys, macrostates):
         with open(os.path.join(CONFIG_DIR, "entropy_series.json")) as f:
             cfg = json.load(f)

@@ -1,5 +1,7 @@
 """The one binary format behind .fld, .rdm, .trj and .ens files."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,23 @@ def test_reader_rejects_malformed_file(tmp_path, ext, damage):
     read(path)  # the undamaged file reads back
     path.write_bytes(DAMAGES[damage](path.read_bytes()))
     with pytest.raises(errors.MalformedFile):
+        read(path)
+
+
+HEADER_KEYS = [("trj", key) for key in ("flavor", "seed", "times")] + [
+    ("ens", key) for key in ("masses", "omegas", "kappa", "times", "seed")]
+
+
+@pytest.mark.parametrize("ext,key", HEADER_KEYS)
+def test_reader_rejects_header_without_key(tmp_path, ext, key):
+    write, read = FORMATS[ext]
+    path = tmp_path / f"x.{ext}"
+    write(path)
+    first, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(first)
+    del header[key]
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(errors.MalformedFile, match=key):
         read(path)
 
 

@@ -159,14 +159,13 @@ def loop_verlet(x, p, m, omega, kappa, dt, steps, store_stride):
 
 
 def random_rk4_inputs(seed, d_dims=1, n=32, nframes=6, nsamples=50,
-                      periodic=True, speed=0.3):
+                      periodic=True, speed=0.3, margin=0.2):
     rng = np.random.default_rng(seed)
     lo, hi = -2.0, 2.0
     dx = (hi - lo) / n if periodic else (hi - lo) / (n + 1)
     x_first = lo if periodic else lo + dx
     times = np.linspace(0.0, 0.5, nframes)
     vflat = speed * rng.standard_normal((nframes, d_dims, n**d_dims))
-    margin = 0.2
     x0 = rng.uniform(lo + margin, hi - margin, (nsamples, d_dims))
     return x0, times, vflat, x_first, dx, n, periodic, 2, lo, hi
 
@@ -196,6 +195,39 @@ class TestRk4Agreement:
 
     def test_2d_bit_identical(self):
         args = random_rk4_inputs(4, d_dims=2, n=16, nsamples=20)
+        p1, _ = loop_rk4_paths(*args)
+        p2, _ = kernels.rk4_paths(*args)
+        np.testing.assert_array_equal(p1, p2)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_periodic_wrap_bit_identical(self, seed):
+        # samples start anywhere, including the last cell, whose upper
+        # corner is grid point n == 0, and drift across the wrap at hi
+        x0, times, vflat, *rest = random_rk4_inputs(seed, nsamples=200,
+                                                    speed=1.0, margin=0.0)
+        args = (x0, times, vflat + 3.0, *rest)
+        hi, dx = args[-1], args[4]
+        p1, _ = loop_rk4_paths(*args)
+        p2, _ = kernels.rk4_paths(*args)
+        np.testing.assert_array_equal(p1, p2)
+        assert np.any(p1[:, :, 0] >= hi - dx)
+        moved = p1[:, 1:, 0] - p1[:, :-1, 0]
+        assert np.any(np.abs(moved) > 2.0)  # a jump of half the period: a wrap
+
+    def test_2d_dirichlet_bit_identical(self):
+        # fast enough that a few samples escape, mostly through one wall only
+        args = random_rk4_inputs(5, d_dims=2, n=16, nsamples=60, periodic=False,
+                                 speed=6.0)
+        p1, e1 = loop_rk4_paths(*args)
+        p2, e2 = kernels.rk4_paths(*args)
+        np.testing.assert_array_equal(e1, e2)
+        kept = e1 == 0
+        assert 0 < e1.sum() < 20
+        np.testing.assert_array_equal(p1[kept], p2[kept])
+
+    def test_3d_periodic_bit_identical(self):
+        args = random_rk4_inputs(6, d_dims=3, n=8, nframes=4, nsamples=30,
+                                 speed=1.0, margin=0.0)
         p1, _ = loop_rk4_paths(*args)
         p2, _ = kernels.rk4_paths(*args)
         np.testing.assert_array_equal(p1, p2)

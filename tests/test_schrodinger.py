@@ -4,7 +4,7 @@ import pytest
 from bohmstat.errors import StepperBoundaryMismatch
 from bohmstat.lattice import GridSpec, WaveField, integrate, make_grid
 from bohmstat.schrodinger import (HamiltonianSpec, eigenstates, energy, evolve,
-                                  potential_grid)
+                                  make_stepper, potential_grid)
 
 
 def gaussian_packet(grid, center, width, momentum):
@@ -92,6 +92,112 @@ class TestCrankNicolson:
         h = HamiltonianSpec((1.0,), [{"kind": "box"}], stepper="crank_nicolson")
         with pytest.raises(StepperBoundaryMismatch):
             evolve(WaveField(grid, np.ones(64)).normalized(), h, 0.01)
+
+
+def oracle_split_step(stepper, grid, h, amp):
+    """The allocating Strang step: a new array from every operation."""
+    amp = amp * stepper.half_v
+    amp = np.fft.fftn(amp, axes=stepper.pos_axes)
+    amp *= stepper.kin_phase
+    amp = np.fft.ifftn(amp, axes=stepper.pos_axes)
+    amp *= stepper.half_v
+    return amp
+
+
+def oracle_cn_step(stepper, grid, h, amp):
+    """The Crank-Nicolson step through scipy's validating solve_banded; it
+    builds its own Cayley factors and bands and ignores `stepper`."""
+    from scipy.linalg import solve_banded
+
+    dt = h.time_step
+    v = potential_grid(grid, h)
+    half_v = (1.0 - 0.25j * dt * v) / (1.0 + 0.25j * dt * v)
+    n = grid.spec.points_per_axis
+    amp = amp * half_v
+    for pos_axis in range(grid.n_pos_axes):
+        m = h.mass_of_axis(grid, pos_axis)
+        off = -1.0 / (2 * m * grid.dx**2)
+        diag = 1.0 / (m * grid.dx**2)
+        z = 0.5j * dt
+        ab = np.zeros((3, n), dtype=np.complex128)
+        ab[0, 1:] = z * off
+        ab[1, :] = 1.0 + z * diag
+        ab[2, :-1] = z * off
+        ax = grid.pos_axis(pos_axis)
+        moved = np.moveaxis(amp, ax, 0)
+        shp = moved.shape
+        flat = moved.reshape(shp[0], -1)
+        rhs = (1.0 - z * diag) * flat
+        rhs[:-1] -= z * off * flat[1:]
+        rhs[1:] -= z * off * flat[:-1]
+        sol = solve_banded((1, 1), ab, rhs)
+        amp = np.moveaxis(sol.reshape(shp), 0, ax)
+    return amp * half_v
+
+
+def _random_state(grid, seed):
+    rng = np.random.default_rng(seed)
+    shape = grid.full_shape
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+STEPPER_CASES = {
+    "split_1d": (GridSpec(1, 1, 64, (-6.0, 6.0)), "split_step_spectral",
+                 [{"kind": "harmonic", "omega": 1.0}], oracle_split_step),
+    "split_2d": (GridSpec(2, 1, 24, (-6.0, 6.0)), "split_step_spectral",
+                 [{"kind": "pair_coupling", "lam": 0.3}], oracle_split_step),
+    "cn_1d": (GridSpec(1, 1, 48, (0.0, 4.0), boundary="dirichlet"),
+              "crank_nicolson", [{"kind": "harmonic", "omega": 2.0}],
+              oracle_cn_step),
+    "cn_2d": (GridSpec(2, 1, 20, (-3.0, 3.0), boundary="dirichlet"),
+              "crank_nicolson", [{"kind": "pair_coupling", "lam": 0.5}],
+              oracle_cn_step),
+}
+
+
+class TestStepperOracles:
+    """The in-place steppers must match the allocating step and the
+    solve_banded step bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(STEPPER_CASES))
+    def test_200_steps_bit_identical(self, case):
+        spec, kind, potential, oracle = STEPPER_CASES[case]
+        grid = make_grid(spec)
+        masses = (1.0,) * spec.particle_count
+        h = HamiltonianSpec(masses, potential, time_step=1e-3, stepper=kind)
+        stepper = make_stepper(grid, h)
+        amp = _random_state(grid, 3)
+        want = amp.copy()
+        for _ in range(200):
+            stepper.step(amp)
+            want = oracle(stepper, grid, h, want)
+        np.testing.assert_array_equal(amp, want)
+
+    def test_evolve_frames_match_oracle(self):
+        grid = make_grid(GridSpec(1, 1, 64, (0.0, 4.0), boundary="dirichlet"))
+        h = HamiltonianSpec((1.0,), [{"kind": "box"}], time_step=1e-3,
+                            stepper="crank_nicolson")
+        psi = WaveField(grid, _random_state(grid, 5))
+        frames = evolve(psi, h, 0.05, frame_stride=10)
+        stepper = make_stepper(grid, h)
+        amp = psi.amplitudes.copy()
+        for i in range(1, 51):
+            amp = oracle_cn_step(stepper, grid, h, amp)
+            if i % 10 == 0:
+                np.testing.assert_array_equal(frames[i // 10].amplitudes, amp)
+        np.testing.assert_array_equal(psi.amplitudes, frames[0].amplitudes)
+
+    def test_cn_rejects_nan_amplitude(self):
+        grid = make_grid(GridSpec(1, 1, 32, (0.0, 4.0), boundary="dirichlet"))
+        h = HamiltonianSpec((1.0,), [{"kind": "box"}], time_step=1e-3,
+                            stepper="crank_nicolson")
+        stepper = make_stepper(grid, h)
+        amp = _random_state(grid, 1)
+        amp[7] = np.nan
+        with pytest.raises(ValueError):
+            oracle_cn_step(stepper, grid, h, amp)
+        with pytest.raises(ValueError):
+            stepper.step(amp)
 
 
 class TestEigenstates:

@@ -76,6 +76,14 @@ class TestReducedDensityMatrix:
         assert p[0] >= p[-1]          # descending
         assert np.all(p > -1e-10)
 
+    def test_purity_is_sum_of_squared_eigenvalues(self):
+        grid = two_particle_grid()
+        rdm = reduced_density_matrix(entangled_state(grid),
+                                     SubsystemPartition((0,), 2))
+        want = float(np.sum(rdm.eigenvalues() ** 2))
+        assert 0.1 < want < 0.9
+        assert rdm.purity() == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_diagonal_matches_marginal(self):
         grid = two_particle_grid()
         part = SubsystemPartition((0,), 2)
@@ -133,7 +141,8 @@ class TestTruncatedCurrents:
         grid = two_particle_grid(96)
         part = SubsystemPartition((0,), 2)
         frames = evolve(entangled_state(grid), H2, 0.03, frame_stride=10)
-        sfs = [subsystem_frame(f, H2, part) for f in frames]
+        sfs = [subsystem_frame(FieldFrame.from_wavefield(f, H2), part)
+               for f in frames]
         _, rel = continuity_residual(sfs[:3])
         assert rel < 1e-3
 
