@@ -146,5 +146,11 @@ def write_trajectories(path, ens: TrajectoryEnsemble):
 def read_trajectories(path):
     header, (paths,) = codec.read(path, lambda h: [(h["shape"], False)],
                                   required=("flavor", "seed", "times"))
+    frames = paths.shape[1] if paths.ndim == 3 else -1
+    codec.require(path, header["flavor"] in ("full", "truncated"),
+                  "flavor must be 'full' or 'truncated'")
+    codec.require(path, type(header["seed"]) is int, "seed must be an integer")
+    codec.require(path, codec.are_numbers(header["times"], frames),
+                  "times must hold one number per stored frame")
     return TrajectoryEnsemble(header["flavor"], header["seed"],
                               np.array(header["times"]), paths)

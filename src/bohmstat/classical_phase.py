@@ -308,6 +308,13 @@ def read_ensemble(path) -> PhaseEnsemble:
     header, (xs, ps) = codec.read(
         path, lambda h: [(h["shape"], False), (h["shape"], False)],
         required=("masses", "omegas", "kappa", "times", "seed"))
+    frames, _, particles = xs.shape if xs.ndim == 3 else (-1, -1, -1)
+    codec.require(path, codec.are_numbers(header["times"], frames),
+                  "times must hold one number per stored frame")
+    for key in ("masses", "omegas"):
+        codec.require(path, codec.are_numbers(header[key], particles),
+                      f"{key} must hold one number per particle")
+    codec.require(path, type(header["seed"]) is int, "seed must be an integer")
     h = ClassicalHSpec(tuple(header["masses"]), tuple(header["omegas"]),
                        header["kappa"])
     return PhaseEnsemble(h, xs, ps, np.array(header["times"]), header["seed"])

@@ -1,6 +1,11 @@
 """Command-line runner: `bohmstat run <config.json>` and
 `bohmstat list-experiments`.
 
+`run` checks the config against `configio.SCHEMA`, which gives every key a
+type, a default and a range; `--seed` follows the config's `seed` rule (an
+integer >= 0).  A config defect prints one line, `config error:
+<section>.<key>: <what is wrong>`, and exits 2.
+
 Exit codes: 0 success; 2 invalid or unsupported input (a config error, or a
 package error such as StepperBoundaryMismatch, MemoryBudgetExceeded,
 DenseBudgetExceeded or MalformedFile); 3 a built-in numerical check failed,
@@ -25,7 +30,7 @@ import sys
 import time
 
 from . import __version__
-from .configio import EXPERIMENTS_META, load_config, validate_config
+from .configio import EXPERIMENTS_META, TOP_LEVEL, load_config, validate_config
 from .errors import BohmstatError, ConfigError
 from .experiments import RUNNERS
 
@@ -56,12 +61,14 @@ def _report_error(exc: BohmstatError) -> int:
 
 def cmd_run(args) -> int:
     try:
-        cfg = load_config(args.config)
-        name = validate_config(cfg)
+        raw = load_config(args.config)
+        cfg = validate_config(raw)
+        seed = (cfg["seed"] if args.seed is None
+                else TOP_LEVEL["seed"].check("seed", args.seed))
     except BohmstatError as exc:
         return _report_error(exc)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    outdir = args.output or cfg.get("output_dir") or "."
+    name = cfg["experiment"]
+    outdir = args.output or cfg["output_dir"]
     os.makedirs(outdir, exist_ok=True)
     start = time.perf_counter()
     try:
@@ -73,7 +80,7 @@ def cmd_run(args) -> int:
         "experiment": name,
         "version": __version__,
         "seed": seed,
-        "config": cfg,
+        "config": raw,
         "wall_time_s": wall,
         "files": {f: _sha256(os.path.join(outdir, f)) for f in result.files},
         "metrics": result.metrics,

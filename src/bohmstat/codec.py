@@ -70,3 +70,16 @@ def read(path, layout, required=()):
         arrays.append(np.frombuffer(payload, dt, count, offset).reshape(shape))
         offset += count * dt.itemsize
     return header, arrays
+
+
+def require(path, ok: bool, what: str) -> None:
+    """Raises MalformedFile(`path: what`) unless `ok`: for header values that
+    do not fit the payload or each other."""
+    if not ok:
+        raise MalformedFile(f"{path}: {what}")
+
+
+def are_numbers(value, count: int) -> bool:
+    """True when `value` is a list of `count` numbers (a bool is not one)."""
+    return (isinstance(value, list) and len(value) == count
+            and all(type(v) in (int, float) for v in value))

@@ -1,39 +1,217 @@
-"""Strict JSON experiment configuration: schema tables and builders.
+"""Strict JSON experiment configuration: the schema table and the builders.
 
-Unknown keys are errors, never warnings; every error message carries the
-dotted path of the offending entry.
+`SCHEMA` states each section key's type, default and range once.
+`validate_config` checks a config against it and returns the resolved config,
+with every default filled in; runners and builders index that without
+defaults or casts of their own.  Unknown keys are errors, never warnings;
+every error message carries the dotted path of the offending entry.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
-from .lattice import GridSpec, make_grid, WaveField
-from .schrodinger import HamiltonianSpec
+from .lattice import DEFAULT_MEMORY_BUDGET, GridSpec, make_grid, WaveField
+from .schrodinger import POTENTIAL_PARAMS, HamiltonianSpec, eigenstates
 
-# allowed keys per section (None = free-form validated by the builder)
-SECTION_KEYS = {
-    "grid": {"particles", "dims", "n", "extent", "boundary", "spin_dims",
-             "memory_budget"},
-    "hamiltonian": {"masses", "potential", "time_step", "stepper"},
-    "initial_state": {"kind", "center", "width", "momentum", "centers",
-                      "momenta", "index"},
-    "evolution": {"t_final", "frame_stride"},
-    "partition": {"a_particles"},
-    "ensemble": {"samples", "substeps", "bins"},
-    "classical": {"masses", "omegas", "kappa", "beta", "dt", "steps",
-                  "store_stride", "samples", "damping"},
-    "scaling": {"sizes", "samples", "beta", "omega"},
-    "thermo": {"family", "mass", "omega", "gap", "levels", "v_lo", "v_hi",
-               "v_count", "t_lo", "t_hi", "t_count", "refine"},
-    "typicality": {"sizes", "n_a", "j", "g", "ab_coupling", "trials",
-                   "center_quantile", "min_levels"},
-    "macrostates": {"edges", "p_cutoff", "delta_z"},
-    "cat": {"omega", "beta_cold", "beta_warm", "levels"},
+REQUIRED = object()  # the default of a key that has none
+
+
+class Type(NamedTuple):
+    """A JSON value type: `convert` returns the value in its resolved form,
+    or None when the value is not of this type."""
+
+    what: str
+    convert: Callable
+
+
+class Range(NamedTuple):
+    """A condition every number (or string) of a resolved value must meet."""
+
+    what: str
+    test: Callable
+
+
+class Key(NamedTuple):
+    """One config key: its type, its default (REQUIRED if it has none) and the
+    range its values must fall in (None when the object built from it, such as
+    GridSpec or HamiltonianSpec, checks the range itself)."""
+
+    type: Type
+    default: object = REQUIRED
+    range: Range | None = None
+
+    def check(self, path: str, value):
+        """`value` converted to this key's type; ConfigError(path) when it is
+        not of the type or not in the range."""
+        resolved = self.type.convert(value)
+        if resolved is None:
+            raise ConfigError(path, f"must be {self.type.what}, got {value!r}")
+        if self.range is not None:
+            each = isinstance(resolved, list)
+            if not all(map(self.range.test, resolved if each else [resolved])):
+                raise ConfigError(path, f"{'every entry ' if each else ''}must be "
+                                        f"{self.range.what}, got {value!r}")
+        return resolved
+
+
+def _float(v):
+    if type(v) not in (int, float):  # a bool is not a number
+        return None
+    try:
+        v = float(v)
+    except OverflowError:
+        return None
+    return v if math.isfinite(v) else None
+
+
+INT = Type("an integer", lambda v: v if type(v) is int else None)
+FLOAT = Type("a finite number", _float)  # an integer is accepted and converted
+STR = Type("a string", lambda v: v if isinstance(v, str) else None)
+OBJECT = Type("an object", lambda v: v if isinstance(v, dict) else None)
+
+
+def list_of(item: Type, items: str, size=None, empty=False) -> Type:
+    """A JSON list whose every element is of type `item`; of exactly `size`
+    elements if given, else non-empty unless `empty`."""
+
+    def convert(v):
+        if not isinstance(v, list) or (size and len(v) != size) or not (v or empty):
+            return None
+        out = [item.convert(x) for x in v]
+        return None if any(x is None for x in out) else out
+
+    what = (f"a list of {size} {items}" if size
+            else f"a {'' if empty else 'non-empty '}list of {items}")
+    return Type(what, convert)
+
+
+def at_least(lo):
+    return Range(f">= {lo}", lambda v: v >= lo)
+
+
+def one_of(*names):
+    return Range(f"one of {', '.join(map(repr, names))}", lambda v: v in names)
+
+
+INTS = list_of(INT, "integers")
+NUMBERS = list_of(FLOAT, "numbers")
+# one value, or one per axis or particle
+NUMBER_OR_LIST = Type(f"{FLOAT.what} or {NUMBERS.what}", lambda v: (
+    NUMBERS.convert(v) if isinstance(v, list) else FLOAT.convert(v)))
+PAIRS = list_of(list_of(FLOAT, "numbers", size=2), "pairs of numbers")
+POSITIVE, COUNT = Range("> 0", lambda v: v > 0), at_least(1)
+
+TOP_LEVEL = {
+    "seed": Key(INT, 0, at_least(0)),
+    "output_dir": Key(STR, ".", Range("non-empty", bool)),
 }
+
+# Every key of every section.  A trailing comment names what checks the
+# range instead of the table (or, after "+", what else checks the value).
+SCHEMA = {
+    "grid": {
+        "particles": Key(INT, 1, COUNT),
+        "dims": Key(INT, 1),                                   # GridSpec
+        "n": Key(INT, 0),                                      # GridSpec
+        "extent": Key(list_of(FLOAT, "numbers", size=2), [0.0, 1.0]),  # GridSpec
+        "boundary": Key(STR, "periodic"),                      # GridSpec
+        "spin_dims": Key(list_of(INT, "integers", empty=True), []),  # GridSpec
+        "memory_budget": Key(INT, DEFAULT_MEMORY_BUDGET),      # Grid
+    },
+    "hamiltonian": {
+        "masses": Key(NUMBERS, [1.0]),              # HamiltonianSpec + builder
+        "potential": Key(list_of(OBJECT, "objects", empty=True),
+                         [{"kind": "free"}]),        # build_hamiltonian
+        "time_step": Key(FLOAT, 1e-3, POSITIVE),
+        "stepper": Key(STR, "split_step_spectral"),            # HamiltonianSpec
+    },
+    "initial_state": {
+        "kind": Key(STR, "gaussian",
+                    one_of("gaussian", "entangled_pair", "eigenstate")),
+        "center": Key(NUMBER_OR_LIST, 0.0),                    # + builder
+        "width": Key(NUMBER_OR_LIST, 1.0, POSITIVE),           # + builder
+        "momentum": Key(NUMBER_OR_LIST, 0.0),                  # + builder
+        "centers": Key(PAIRS, [[-2.0, 2.0], [2.0, -2.0]]),
+        "momenta": Key(PAIRS, [[1.5, -1.0], [-0.5, 0.7]]),     # + builder
+        "index": Key(INT, 0, at_least(0)),
+    },
+    "evolution": {
+        "t_final": Key(FLOAT, 1.0, POSITIVE),
+        "frame_stride": Key(INT, 1, COUNT),
+    },
+    "partition": {
+        "a_particles": Key(list_of(INT, "integers", empty=True),
+                           [0]),                    # SubsystemPartition
+    },
+    "ensemble": {
+        "samples": Key(INT, 10_000, COUNT),
+        "substeps": Key(INT, 2, COUNT),
+        "bins": Key(INT, 32, COUNT),
+    },
+    "classical": {
+        "masses": Key(NUMBERS, [1.0], POSITIVE),
+        "omegas": Key(NUMBER_OR_LIST, 1.0, POSITIVE),          # + builder
+        "kappa": Key(FLOAT, 0.0),
+        "beta": Key(FLOAT, 1.0, POSITIVE),
+        "dt": Key(FLOAT, 2e-4, POSITIVE),
+        "steps": Key(INT, 10_000, COUNT),
+        "store_stride": Key(INT, 1000, COUNT),
+        "samples": Key(INT, REQUIRED, COUNT),
+        "damping": Key(FLOAT, 0.1),
+    },
+    "scaling": {
+        "sizes": Key(INTS, [16, 32, 64, 128, 256, 512, 1024], COUNT),
+        "samples": Key(INT, 800, at_least(2)),
+        "beta": Key(FLOAT, 1.0, POSITIVE),
+        "omega": Key(FLOAT, 1.0, POSITIVE),
+    },
+    "thermo": {
+        "family": Key(STR, "box", one_of("box", "harmonic", "two_level")),
+        "mass": Key(FLOAT, 50.0, POSITIVE),
+        "omega": Key(FLOAT, 1.0, POSITIVE),
+        "gap": Key(FLOAT, 1.0, at_least(0)),
+        "levels": Key(INT, 800, COUNT),
+        "v_lo": Key(FLOAT, 0.8, POSITIVE),
+        "v_hi": Key(FLOAT, 1.2, POSITIVE),
+        "v_count": Key(INT, 61, COUNT),            # + thermo_table (>= 5)
+        "t_lo": Key(FLOAT, 0.5, POSITIVE),
+        "t_hi": Key(FLOAT, 2.0, POSITIVE),
+        "t_count": Key(INT, 241, COUNT),           # + thermo_table (>= 5)
+        "refine": Key(INT, 2, COUNT),
+    },
+    "typicality": {
+        "sizes": Key(INTS, [6, 8, 10, 12], at_least(2)),
+        "n_a": Key(INT, 1, COUNT),
+        "j": Key(FLOAT, 1.0),
+        "g": Key(FLOAT, 1.0),
+        "ab_coupling": Key(FLOAT, 0.2),
+        "trials": Key(INT, 20, COUNT),
+        "center_quantile": Key(FLOAT, 0.2,
+                               Range("in [0, 1]", lambda v: 0 <= v <= 1)),
+        "min_levels": Key(INT, 30, COUNT),
+    },
+    "macrostates": {
+        "edges": Key(NUMBERS),                     # MacrostateDecomposition
+        "p_cutoff": Key(FLOAT, 4 * math.pi),       # MacrostateDecomposition
+        "delta_z": Key(FLOAT, 2 * math.pi, POSITIVE),
+    },
+    "cat": {
+        "omega": Key(FLOAT, 1.0, POSITIVE),
+        "beta_cold": Key(FLOAT, 2.0, POSITIVE),
+        "beta_warm": Key(FLOAT, 0.5, POSITIVE),
+        "levels": Key(INT, 400, COUNT),
+    },
+}
+
+# the `kind` of a hamiltonian.potential term; build_hamiltonian checks the
+# parameters each kind requires
+TERM_KIND = {"kind": Key(STR, REQUIRED, one_of(*POTENTIAL_PARAMS))}
 
 # experiment -> (description, required sections)
 EXPERIMENTS_META = {
@@ -70,9 +248,6 @@ EXPERIMENTS_META = {
     "cat_mixture": ("entropy of a two-branch thermal mixture", ["cat"]),
 }
 
-TOP_LEVEL_KEYS = {"experiment", "seed", "output_dir"} | set(SECTION_KEYS)
-
-
 def load_config(path) -> dict:
     try:
         with open(path) as f:
@@ -83,21 +258,35 @@ def load_config(path) -> dict:
         raise ConfigError(str(path), exc.strerror.lower()) from exc
 
 
-def validate_config(cfg: dict) -> str:
-    """Returns the experiment name; raises ConfigError on any defect."""
+def _resolve(keys: dict, body: dict, prefix: str = "") -> dict:
+    resolved = {}
+    for name, key in keys.items():
+        value = body.get(name, key.default)
+        if value is REQUIRED:
+            raise ConfigError(prefix + name, "missing")
+        resolved[name] = key.check(prefix + name, value)
+    return resolved
+
+
+def validate_config(cfg: dict) -> dict:
+    """Returns the resolved config: the experiment name, every top-level key
+    and every key of the experiment's sections, defaults filled in and numbers
+    converted to their type.  Raises ConfigError on the first defect."""
     if not isinstance(cfg, dict):
         raise ConfigError("config", "top level must be a JSON object")
     if "experiment" not in cfg:
         raise ConfigError("experiment", "missing")
     name = cfg["experiment"]
-    if name not in EXPERIMENTS_META:
+    if not isinstance(name, str) or name not in EXPERIMENTS_META:
         raise ConfigError("experiment", f"unknown experiment {name!r}")
     _, required = EXPERIMENTS_META[name]
     for key in cfg:
-        if key not in TOP_LEVEL_KEYS:
+        if key in SCHEMA:
+            if key not in required:
+                raise ConfigError(key, f"section not used by experiment {name!r}")
+        elif key != "experiment" and key not in TOP_LEVEL:
             raise ConfigError(key, "unknown top-level key")
-        if key in SECTION_KEYS and key not in required:
-            raise ConfigError(key, f"section not used by experiment {name!r}")
+    resolved = {"experiment": name, **_resolve(TOP_LEVEL, cfg)}
     for section in required:
         if section not in cfg:
             raise ConfigError(section, f"required by experiment {name!r}")
@@ -105,22 +294,23 @@ def validate_config(cfg: dict) -> str:
         if not isinstance(body, dict):
             raise ConfigError(section, "must be an object")
         for k in body:
-            if k not in SECTION_KEYS[section]:
+            if k not in SCHEMA[section]:
                 raise ConfigError(f"{section}.{k}", "unknown key")
-    return name
+        resolved[section] = _resolve(SCHEMA[section], body, f"{section}.")
+    return resolved
 
 
 def build_grid(cfg: dict):
     g = cfg["grid"]
     try:
         spec = GridSpec(
-            particle_count=int(g.get("particles", 1)),
-            dims_per_particle=int(g.get("dims", 1)),
-            points_per_axis=int(g.get("n", 0)),
-            axis_extent=tuple(g.get("extent", (0.0, 1.0))),
-            boundary=g.get("boundary", "periodic"),
-            spin_dims=tuple(g.get("spin_dims", ())),
-            memory_budget=int(g.get("memory_budget", 2 * 1024**3)),
+            particle_count=g["particles"],
+            dims_per_particle=g["dims"],
+            points_per_axis=g["n"],
+            axis_extent=g["extent"],
+            boundary=g["boundary"],
+            spin_dims=g["spin_dims"],
+            memory_budget=g["memory_budget"],
         )
         return make_grid(spec)
     except Exception as exc:
@@ -130,14 +320,19 @@ def build_grid(cfg: dict):
 
 def build_hamiltonian(cfg: dict) -> HamiltonianSpec:
     h = cfg["hamiltonian"]
+    particles = cfg["grid"]["particles"]
+    if len(h["masses"]) != particles:
+        raise ConfigError("hamiltonian.masses", f"needs one mass per particle "
+                          f"({particles}), got {len(h['masses'])}")
+    for i, term in enumerate(h["potential"]):
+        where = f"hamiltonian.potential[{i}]."
+        kind = _resolve(TERM_KIND, term, where)["kind"]
+        _resolve({p: Key(NUMBER_OR_LIST) for p in POTENTIAL_PARAMS[kind]},
+                 term, where)
     try:
-        return HamiltonianSpec(
-            masses=tuple(h.get("masses", (1.0,))),
-            potential=h.get("potential", [{"kind": "free"}]),
-            time_step=float(h.get("time_step", 1e-3)),
-            stepper=h.get("stepper", "split_step_spectral"),
-        )
-    except Exception as exc:
+        return HamiltonianSpec(masses=h["masses"], potential=h["potential"],
+                               time_step=h["time_step"], stepper=h["stepper"])
+    except ValueError as exc:
         raise ConfigError("hamiltonian", str(exc)) from exc
 
 
@@ -146,17 +341,25 @@ def _packet(x, center, width, momentum):
             * np.exp(-(x - center) ** 2 / (4 * width**2) + 1j * momentum * x))
 
 
+def _per_axis(grid, value, key: str) -> list:
+    """A number repeated on every position axis, or a list with one entry
+    per axis."""
+    if not isinstance(value, list):
+        return [value] * grid.n_pos_axes
+    if len(value) != grid.n_pos_axes:
+        raise ConfigError(f"initial_state.{key}", f"needs one entry per position "
+                          f"axis ({grid.n_pos_axes}), got {len(value)}")
+    return value
+
+
 def build_initial_state(grid, h: HamiltonianSpec, cfg: dict) -> WaveField:
     s = cfg["initial_state"]
-    kind = s.get("kind", "gaussian")
+    kind = s["kind"]
     coords = grid.meshgrid()
     if kind == "gaussian":
-        center = s.get("center", 0.0)
-        width = s.get("width", 1.0)
-        momentum = s.get("momentum", 0.0)
-        centers = [center] * grid.n_pos_axes if np.isscalar(center) else center
-        widths = [width] * grid.n_pos_axes if np.isscalar(width) else width
-        moms = [momentum] * grid.n_pos_axes if np.isscalar(momentum) else momentum
+        centers = _per_axis(grid, s["center"], "center")
+        widths = _per_axis(grid, s["width"], "width")
+        moms = _per_axis(grid, s["momentum"], "momentum")
         amp = np.ones(grid.pos_shape, dtype=np.complex128)
         for ax in range(grid.n_pos_axes):
             amp = amp * _packet(coords[ax], centers[ax], widths[ax], moms[ax])
@@ -168,18 +371,17 @@ def build_initial_state(grid, h: HamiltonianSpec, cfg: dict) -> WaveField:
         if grid.n_pos_axes != 2:
             raise ConfigError("initial_state.kind",
                               "entangled_pair needs a 2-axis grid")
-        centers = s.get("centers", [[-2.0, 2.0], [2.0, -2.0]])
-        momenta = s.get("momenta", [[1.5, -1.0], [-0.5, 0.7]])
-        width = float(s.get("width", 1.0))
+        width = s["width"]
+        if isinstance(width, list):
+            raise ConfigError("initial_state.width",
+                              "entangled_pair takes one width for both packets")
+        if len(s["momenta"]) != len(s["centers"]):
+            raise ConfigError("initial_state.momenta",
+                              "needs one pair per pair of centers")
         x1, x2 = coords
         amp = np.zeros(grid.pos_shape, dtype=np.complex128)
-        for (c1, c2), (k1, k2) in zip(centers, momenta):
+        for (c1, c2), (k1, k2) in zip(s["centers"], s["momenta"]):
             amp += _packet(x1, c1, width, k1) * _packet(x2, c2, width, k2)
         return WaveField(grid, amp.reshape(grid.full_shape)).normalized()
-    if kind == "eigenstate":
-        from .schrodinger import eigenstates
-
-        index = int(s.get("index", 0))
-        _, fields = eigenstates(grid, h, index + 1)
-        return fields[index]
-    raise ConfigError("initial_state.kind", f"unknown kind {kind!r}")
+    _, fields = eigenstates(grid, h, s["index"] + 1)  # kind "eigenstate"
+    return fields[s["index"]]

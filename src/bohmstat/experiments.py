@@ -52,8 +52,7 @@ def _evolved(cfg):
     h = build_hamiltonian(cfg)
     psi0 = build_initial_state(grid, h, cfg)
     ev = cfg["evolution"]
-    frames = evolve(psi0, h, float(ev.get("t_final", 1.0)),
-                    int(ev.get("frame_stride", 1)))
+    frames = evolve(psi0, h, ev["t_final"], ev["frame_stride"])
     return grid, h, frames
 
 
@@ -63,7 +62,7 @@ def _field_frames(frames, h):
 
 def _partition(cfg, grid) -> SubsystemPartition:
     try:
-        return SubsystemPartition(tuple(cfg["partition"].get("a_particles", (0,))),
+        return SubsystemPartition(cfg["partition"]["a_particles"],
                                   grid.spec.particle_count)
     except Exception as exc:
         raise ConfigError("partition.a_particles", str(exc)) from exc
@@ -164,12 +163,9 @@ def _bohm_setup(cfg, seed):
     grid, h, frames = _evolved(cfg)
     ffs = _field_frames(frames, h)
     vels = [velocity(f) for f in ffs]
-    ens_cfg = cfg["ensemble"]
-    count = int(ens_cfg.get("samples", 10_000))
-    substeps = int(ens_cfg.get("substeps", 2))
-    bins = int(ens_cfg.get("bins", 32))
-    x0 = bm.sample_initial(ffs[0].rho, count, seed)
-    return grid, h, frames, ffs, vels, x0, substeps, bins
+    e = cfg["ensemble"]
+    x0 = bm.sample_initial(ffs[0].rho, e["samples"], seed)
+    return grid, h, frames, ffs, vels, x0, e["substeps"], e["bins"]
 
 
 def run_bohm_full(cfg, outdir, seed):
@@ -238,12 +234,10 @@ def run_equivariance(cfg, outdir, seed):
 
 def _classical_spec(cfg) -> cp.ClassicalHSpec:
     c = cfg["classical"]
-    try:
-        return cp.ClassicalHSpec(tuple(c.get("masses", (1.0,))),
-                                 c.get("omegas", 1.0),
-                                 float(c.get("kappa", 0.0)))
-    except Exception as exc:
-        raise ConfigError("classical", str(exc)) from exc
+    if isinstance(c["omegas"], list) and len(c["omegas"]) != len(c["masses"]):
+        raise ConfigError("classical.omegas", f"needs one entry per mass "
+                          f"({len(c['masses'])}), got {len(c['omegas'])}")
+    return cp.ClassicalHSpec(c["masses"], c["omegas"], c["kappa"])
 
 
 def run_classical_liouville(cfg, outdir, seed):
@@ -252,18 +246,16 @@ def run_classical_liouville(cfg, outdir, seed):
     if h.kappa != 0.0:
         raise ConfigError("classical.kappa",
                           "the analytic backflow needs uncoupled oscillators")
-    beta = float(c.get("beta", 1.0))
-    x, p = cp.sample_thermal(h, beta, int(c.get("samples", 2000)), seed)
-    ens = cp.evolve_ensemble(h, x, p, float(c.get("dt", 2e-4)),
-                             int(c.get("steps", 10_000)),
-                             int(c.get("store_stride", 1000)), seed)
+    beta = c["beta"]
+    x, p = cp.sample_thermal(h, beta, c["samples"], seed)
+    ens = cp.evolve_ensemble(h, x, p, c["dt"], c["steps"], c["store_stride"],
+                             seed)
     m, om = np.asarray(h.masses), np.asarray(h.omegas)
     rho0 = cp.gaussian_phase_density(1.0 / np.sqrt(beta * m * om**2),
                                      np.sqrt(m / beta))
     dev = cp.liouville_constancy(ens, rho0, cp.harmonic_backflow)
     incomp = cp.incompressibility_check(h, x, p)
-    damping = float(c.get("damping", 0.1))
-    ctrl = cp.incompressibility_check(h, x, p, damping=damping)
+    ctrl = cp.incompressibility_check(h, x, p, damping=c["damping"])
     cp.write_ensemble(os.path.join(outdir, "ensemble.ens"), ens)
     metrics = {"max_density_deviation": dev, "incompressibility": incomp,
                "incompressibility_damped_control": ctrl,
@@ -280,9 +272,8 @@ def run_classical_truncated(cfg, outdir, seed):
     if h.kappa == 0.0:
         raise ConfigError("classical.kappa",
                           "truncated-velocity check needs a coupled pair")
-    beta = float(c.get("beta", 1.0))
     uncoupled = cp.ClassicalHSpec(h.masses, h.omegas, 0.0)
-    x, p = cp.sample_thermal(uncoupled, beta, int(c.get("samples", 200_000)), seed)
+    x, p = cp.sample_thermal(uncoupled, c["beta"], c["samples"], seed)
     binned = cp.truncated_phase_velocity(h, x, p, a_particle=0)
     # closed-form conditional mean: with independent Gaussian sampling the
     # environment coordinate averages to zero, leaving
@@ -321,17 +312,13 @@ def run_classical_truncated(cfg, outdir, seed):
 
 def run_scaling(cfg, outdir, seed):
     s = cfg["scaling"]
-    sizes = s.get("sizes", [16, 32, 64, 128, 256, 512, 1024])
-    nsamples = int(s.get("samples", 800))
-    beta = float(s.get("beta", 1.0))
-    omega = float(s.get("omega", 1.0))
     rows, slope = cp.ensemble_average_scaling(
-        cp.total_energy_observable(omega=omega),
-        cp.thermal_oscillator_sampler(beta, omega=omega),
-        sizes, nsamples, seed)
+        cp.total_energy_observable(omega=s["omega"]),
+        cp.thermal_oscillator_sampler(s["beta"], omega=s["omega"]),
+        s["sizes"], s["samples"], seed)
     _write_csv(os.path.join(outdir, "scaling.csv"),
                ["size", "mean", "relative_std"], rows)
-    metrics = {"slope": slope, "sizes": list(int(v) for v in sizes)}
+    metrics = {"slope": slope, "sizes": s["sizes"]}
     checks = {"slope_is_minus_half": abs(slope + 0.5) <= 0.05}
     return ExperimentResult(metrics, checks, ["scaling.csv"])
 
@@ -341,18 +328,14 @@ def run_scaling(cfg, outdir, seed):
 
 def _entropy_run(cfg, outdir, seed):
     mc = cfg["macrostates"]
+    p_cut = mc["p_cutoff"]
     try:
-        p_cut = float(mc.get("p_cutoff", 4 * np.pi))
-        decomp = sm.MacrostateDecomposition.from_intervals_1d(mc.get("edges"),
-                                                              p_cut)
-        delta_z = float(mc.get("delta_z", 2 * np.pi))
-        if not 0.0 < delta_z < np.inf:
-            raise ValueError(f"delta_z must be positive and finite, got {delta_z}")
-    except (TypeError, ValueError) as exc:
+        decomp = sm.MacrostateDecomposition.from_intervals_1d(mc["edges"], p_cut)
+    except ValueError as exc:
         raise ConfigError("macrostates", str(exc)) from exc
     grid, h, frames, ffs, vels, x0, substeps, bins = _bohm_setup(cfg, seed)
     ens = bm.integrate_trajectories(vels, x0, substeps, "full", seed)
-    s_b_of_cell = np.log(np.diff(decomp.edges) * 2 * p_cut / delta_z)
+    s_b_of_cell = np.log(np.diff(decomp.edges) * 2 * p_cut / mc["delta_z"])
     nt = len(ens.times)
     cell_idx = sm.macrostate_of(ens.paths[:, :, 0], decomp)
     s_qb = np.log(np.asarray(decomp.dims, dtype=float))[cell_idx]
@@ -398,20 +381,15 @@ def run_free_expansion(cfg, outdir, seed):
 # canonical thermodynamics
 
 def _spectrum_family(t):
-    family = t.get("family", "box")
-    mass = float(t.get("mass", 50.0))
-    levels = int(t.get("levels", 800))
-    omega = float(t.get("omega", 1.0))
-    gap = float(t.get("gap", 1.0))
-    if family == "box":
-        return lambda v: sm.box_spectrum(v, mass=mass, count=levels)
-    if family == "harmonic":
-        return lambda v: sm.Spectrum(sm.harmonic_spectrum(omega, levels).levels,
-                                     volume=v, truncated=True, source="harmonic")
-    if family == "two_level":
-        return lambda v: sm.Spectrum([0.0, gap / v**2], volume=v,
-                                     truncated=False, source="two_level")
-    raise ConfigError("thermo.family", f"unknown family {family!r}")
+    mass, levels, omega, gap = t["mass"], t["levels"], t["omega"], t["gap"]
+    return {
+        "box": lambda v: sm.box_spectrum(v, mass=mass, count=levels),
+        "harmonic": lambda v: sm.Spectrum(
+            sm.harmonic_spectrum(omega, levels).levels, volume=v,
+            truncated=True, source="harmonic"),
+        "two_level": lambda v: sm.Spectrum([0.0, gap / v**2], volume=v,
+                                           truncated=False, source="two_level"),
+    }[t["family"]]
 
 
 def _table_grids(t, refine=1):
@@ -419,11 +397,8 @@ def _table_grids(t, refine=1):
         count = refine * (count - 1) + 1
         return np.linspace(lo, hi, count)
 
-    v = axis(float(t.get("v_lo", 0.8)), float(t.get("v_hi", 1.2)),
-             int(t.get("v_count", 61)))
-    tt = axis(float(t.get("t_lo", 0.5)), float(t.get("t_hi", 2.0)),
-              int(t.get("t_count", 241)))
-    return v, tt
+    return (axis(t["v_lo"], t["v_hi"], t["v_count"]),
+            axis(t["t_lo"], t["t_hi"], t["t_count"]))
 
 
 def _table_csv(path, tab):
@@ -451,10 +426,10 @@ def run_thermo(cfg, outdir, seed):
     s_rel = float(np.nanmax(np.abs(
         (tab.entropy - tab.entropy_direct) / tab.entropy_direct)[inner]))
     metrics = {"max_energy_rel_error": e_rel, "max_entropy_rel_error": s_rel,
-               "family": t.get("family", "box"),
+               "family": t["family"],
                "grid": [len(v_grid), len(t_grid)]}
     checks = {}
-    if t.get("family", "box") == "box":
+    if t["family"] == "box":
         checks = {"energy_dual_route_below_1e-4": e_rel < 1e-4,
                   "entropy_dual_route_below_1e-4": s_rel < 1e-4}
     return ExperimentResult(metrics, checks, ["thermo.csv"])
@@ -463,7 +438,7 @@ def run_thermo(cfg, outdir, seed):
 def run_first_law(cfg, outdir, seed):
     t = cfg["thermo"]
     spec_of_v = _spectrum_family(t)
-    refine = int(t.get("refine", 2))
+    refine = t["refine"]
     base = sm.thermo_table(spec_of_v, *_table_grids(t))
     res, stats = sm.first_law_residual(base)
     fine = sm.thermo_table(spec_of_v, *_table_grids(t, refine))
@@ -486,17 +461,14 @@ def run_first_law(cfg, outdir, seed):
 
 def run_typicality(cfg, outdir, seed):
     t = cfg["typicality"]
-    sizes = [int(v) for v in t.get("sizes", [6, 8, 10, 12])]
+    sizes = t["sizes"]
     reports = []
     for n in sizes:
         reports.append(sc.canonical_typicality(
-            n, n_a=int(t.get("n_a", 1)),
-            j_coupling=float(t.get("j", 1.0)),
-            g_field=float(t.get("g", 1.0)),
-            ab_coupling=float(t.get("ab_coupling", 0.2)),
-            center_quantile=float(t.get("center_quantile", 0.2)),
-            min_levels=int(t.get("min_levels", 30)),
-            trials=int(t.get("trials", 20)), seed=seed))
+            n, n_a=t["n_a"], j_coupling=t["j"], g_field=t["g"],
+            ab_coupling=t["ab_coupling"],
+            center_quantile=t["center_quantile"],
+            min_levels=t["min_levels"], trials=t["trials"], seed=seed))
     rows = [(r["n"], r["window_dim"], r["beta_entropy"], r["beta_fit_median"],
              r["median_distance_fit"], r["median_distance_entropy_beta"])
             for r in reports]
@@ -529,11 +501,8 @@ def run_typicality(cfg, outdir, seed):
 
 def run_cat_mixture(cfg, outdir, seed):
     c = cfg["cat"]
-    omega = float(c.get("omega", 1.0))
-    beta_cold = float(c.get("beta_cold", 2.0))
-    beta_warm = float(c.get("beta_warm", 0.5))
-    levels = int(c.get("levels", 400))
-    spec = sm.harmonic_spectrum(omega, levels)
+    omega, beta_cold, beta_warm = c["omega"], c["beta_cold"], c["beta_warm"]
+    spec = sm.harmonic_spectrum(omega, c["levels"])
     _, p_cold, _ = sm.partition_function(spec, beta_cold)
     _, p_warm, _ = sm.partition_function(spec, beta_warm)
     s_cold = sm.von_neumann_entropy(p_cold)

@@ -29,6 +29,14 @@ from .lattice import Grid, WaveField, integrate, laplacian_axis
 DENSE_EIG_BUDGET = 4096
 
 
+# the parameters each kind of potential term requires (see HamiltonianSpec)
+POTENTIAL_PARAMS = {
+    "free": (), "box": (), "harmonic": ("omega",),
+    "gaussian_barrier": ("height", "width", "center"),
+    "pair_coupling": ("lam",), "spin_coupling": ("mu",),
+}
+
+
 @dataclass
 class HamiltonianSpec:
     """Masses plus a list of named analytic potential terms.

@@ -14,7 +14,8 @@ import pytest
 
 from bohmstat import statmech as sm
 from bohmstat.configio import (build_grid, build_hamiltonian,
-                               build_initial_state, load_config)
+                               build_initial_state, load_config,
+                               validate_config)
 from bohmstat.currents import FieldFrame, continuity_residual
 from bohmstat.experiments import RUNNERS
 from bohmstat.schrodinger import evolve
@@ -29,11 +30,12 @@ _cache = {}
 def run_shipped(name):
     """Execute a shipped experiment config once, caching across criteria."""
     if name not in _cache:
-        cfg = load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
+        cfg = validate_config(load_config(os.path.join(CONFIG_DIR,
+                                                       f"{name}.json")))
         outdir = os.path.join(os.environ.get("PYTEST_ACCEPT_TMP", "/tmp"),
                               f"accept_{name}")
         os.makedirs(outdir, exist_ok=True)
-        _cache[name] = RUNNERS[name](cfg, outdir, int(cfg.get("seed", 0)))
+        _cache[name] = RUNNERS[name](cfg, outdir, cfg["seed"])
     return _cache[name]
 
 
@@ -44,11 +46,11 @@ def report(num, ok, detail):
 
 
 def evolved_frames(cfg):
+    cfg = validate_config(cfg)
     grid, h = build_grid(cfg), build_hamiltonian(cfg)
     psi0 = build_initial_state(grid, h, cfg)
     ev = cfg["evolution"]
-    return grid, h, evolve(psi0, h, float(ev["t_final"]),
-                           int(ev.get("frame_stride", 1)))
+    return grid, h, evolve(psi0, h, ev["t_final"], ev["frame_stride"])
 
 
 def test_criterion_01_closed_system_continuity():

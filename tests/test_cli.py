@@ -142,6 +142,77 @@ class TestValidationFailures:
         assert "scaling.turbo" in capsys.readouterr().err
 
 
+# bad values, each on a shipped config: (config, {dotted key: value}, extra
+# arguments, the dotted path the one stderr line must name)
+BAD_VALUES = {
+    "sizes_not_a_list": ("scaling", {"scaling.sizes": "abc"}, [], "scaling.sizes"),
+    "seed_string": ("scaling", {"seed": "abc"}, [], "seed"),
+    "negative_samples": ("scaling", {"scaling.samples": -5}, [], "scaling.samples"),
+    "beta_string": ("scaling", {"scaling.beta": "hot"}, [], "scaling.beta"),
+    "zero_levels": ("cat_mixture", {"cat.levels": 0}, [], "cat.levels"),
+    "negative_t_lo": ("thermo", {"thermo.t_lo": -1}, [], "thermo.t_lo"),
+    "zero_store_stride": ("classical_liouville", {"classical.store_stride": 0},
+                          [], "classical.store_stride"),
+    "size_not_an_int": ("typicality", {"typicality.sizes": [4, "x"]}, [],
+                        "typicality.sizes"),
+    "zero_frame_stride": ("evolve", {"evolution.frame_stride": 0}, [],
+                          "evolution.frame_stride"),
+    "zero_width": ("evolve", {"initial_state.width": 0}, [],
+                   "initial_state.width"),
+    "unknown_potential": ("evolve", {"hamiltonian.potential": [{"kind": "warp"}]},
+                          [], "hamiltonian.potential"),
+    "harmonic_without_omega": ("evolve",
+                               {"hamiltonian.potential": [{"kind": "harmonic"}]},
+                               [], "hamiltonian.potential"),
+    "two_particles_one_mass": ("subsystem_currents", {"hamiltonian.masses": [1.0]},
+                               [], "hamiltonian.masses"),
+    "negative_index": ("free_expansion", {"initial_state.kind": "eigenstate",
+                                          "initial_state.index": -1},
+                       [], "initial_state.index"),
+    "negative_seed_flag": ("scaling", {}, ["--seed", "-1"], "seed"),
+    "negative_time_step": ("evolve", {"hamiltonian.time_step": -0.001}, [],
+                           "hamiltonian.time_step"),
+    "zero_ensemble": ("bohm_full", {"ensemble.samples": 0}, [], "ensemble.samples"),
+    "zero_substeps": ("bohm_full", {"ensemble.substeps": 0}, [],
+                      "ensemble.substeps"),
+    "negative_classical_beta": ("classical_liouville", {"classical.beta": -1}, [],
+                                "classical.beta"),
+    "n_string": ("evolve", {"grid.n": "64"}, [], "grid.n"),
+    "fractional_levels": ("cat_mixture", {"cat.levels": 2.7}, [], "cat.levels"),
+    "fractional_seed": ("scaling", {"seed": 1.9}, [], "seed"),
+    "bool_seed": ("scaling", {"seed": True}, [], "seed"),
+    "one_particle_two_masses": ("evolve", {"hamiltonian.masses": [1, 2]}, [],
+                                "hamiltonian.masses"),
+    "center_per_axis_mismatch": ("evolve", {"initial_state.center": [1, 2]}, [],
+                                 "initial_state.center"),
+    "more_omegas_than_masses": ("classical_liouville",
+                                {"classical.omegas": [1.0, 0.7, 0.5]}, [],
+                                "classical.omegas"),
+    "output_dir_number": ("scaling", {"output_dir": 5}, [], "output_dir"),
+    "pair_width_per_axis": ("bohm_truncated", {"initial_state.width": [1.0, 1.0]},
+                            [], "initial_state.width"),
+    "fewer_momenta_than_centers": ("subsystem_currents",
+                                   {"initial_state.momenta": [[2.0, -0.5]]}, [],
+                                   "initial_state.momenta"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_bad_value_exits_two_naming_its_path(tmp_path, capsys, case):
+    name, edits, extra, where = BAD_VALUES[case]
+    with open(os.path.join(CONFIG_DIR, f"{name}.json")) as f:
+        cfg = json.load(f)
+    for dotted, value in edits.items():
+        *section, key = dotted.split(".")
+        (cfg[section[0]] if section else cfg)[key] = value
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert main(["run", path, "--output", str(out)] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"config error: {where}")
+    assert not (out / "manifest.json").exists()
+
+
 class TestCheckFailures:
     def test_failed_check_exit_three(self, tmp_path, capsys):
         # a grossly unstable step breaks the density-constancy tolerance

@@ -87,6 +87,33 @@ def test_reader_rejects_header_without_key(tmp_path, ext, key):
         read(path)
 
 
+# header values that do not fit the payload (5 samples x 3 frames for .trj;
+# 3 frames x 4 samples x 2 particles for .ens) or each other
+BAD_HEADER_VALUES = {
+    "trj_times_per_frame": ("trj", "times", [0.0]),
+    "trj_flavor": ("trj", "flavor", 7),
+    "trj_seed": ("trj", "seed", 1.5),
+    "ens_times_per_frame": ("ens", "times", [0.0]),
+    "ens_masses_per_particle": ("ens", "masses", [1.0]),
+    "ens_omegas_per_particle": ("ens", "omegas", [1.0, 1.0, 1.0]),
+    "ens_seed": ("ens", "seed", "2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_HEADER_VALUES))
+def test_reader_rejects_header_value(tmp_path, case):
+    ext, key, value = BAD_HEADER_VALUES[case]
+    write, read = FORMATS[ext]
+    path = tmp_path / f"x.{ext}"
+    write(path)
+    first, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(first)
+    header[key] = value
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(errors.MalformedFile, match=key):
+        read(path)
+
+
 def test_complex_payload_is_interleaved_re_im(tmp_path):
     # a non-contiguous complex view is stored as re, im, re, im, ... in C order
     z = (RNG.standard_normal((6, 4)) + 1j * RNG.standard_normal((6, 4)))[::2, ::-1]

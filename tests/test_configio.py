@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bohmstat import experiments
-from bohmstat.configio import (EXPERIMENTS_META, SECTION_KEYS,
+from bohmstat.configio import (EXPERIMENTS_META, REQUIRED, SCHEMA, TOP_LEVEL,
                                build_grid, build_hamiltonian,
                                build_initial_state, load_config,
                                validate_config)
@@ -20,6 +20,14 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 def minimal_scaling():
     return {"experiment": "scaling", "scaling": {"sizes": [16, 32],
                                                  "samples": 10}}
+
+
+def resolved(**sections):
+    """A field config resolved by the schema: `sections` over empty grid,
+    hamiltonian, initial_state and evolution sections."""
+    cfg = {"experiment": "evolve", "grid": {}, "hamiltonian": {},
+           "initial_state": {}, "evolution": {}}
+    return validate_config(dict(cfg, **sections))
 
 
 class TestValidation:
@@ -58,7 +66,50 @@ class TestValidation:
             validate_config({"experiment": "scaling", "scaling": [1, 2]})
 
     def test_returns_experiment_name(self):
-        assert validate_config(minimal_scaling()) == "scaling"
+        assert validate_config(minimal_scaling())["experiment"] == "scaling"
+
+    def test_fills_defaults_and_converts_numbers(self):
+        cfg = minimal_scaling()
+        cfg["scaling"]["beta"] = 2
+        out = validate_config(cfg)
+        assert out["seed"] == 0 and out["output_dir"] == "."
+        assert out["scaling"] == {"sizes": [16, 32], "samples": 10,
+                                  "beta": 2.0, "omega": 1.0}
+        assert isinstance(out["scaling"]["beta"], float)
+        assert cfg["scaling"] == {"sizes": [16, 32], "samples": 10, "beta": 2}
+
+    def test_resolved_config_validates_to_itself(self):
+        out = validate_config(minimal_scaling())
+        assert validate_config(out) == out
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("scaling", "samples", True),    # a bool is never an int
+        ("scaling", "samples", 10.0),    # a float is never an int
+        ("scaling", "beta", False),
+        ("scaling", "beta", float("nan")),
+        ("scaling", "sizes", [16, 32.5]),
+        ("scaling", "sizes", []),
+    ])
+    def test_type_is_checked(self, section, key, value):
+        cfg = minimal_scaling()
+        cfg[section][key] = value
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: must be"):
+            validate_config(cfg)
+
+    def test_required_key_without_default(self):
+        cfg = {"experiment": "classical_liouville", "classical": {}}
+        with pytest.raises(ConfigError, match=r"^classical\.samples: missing"):
+            validate_config(cfg)
+
+    def test_every_default_passes_its_own_check(self):
+        keys = list(TOP_LEVEL.items()) + [
+            (f"{section}.{name}", key)
+            for section, keys in SCHEMA.items() for name, key in keys.items()]
+        for path, key in keys:
+            if key.default is not REQUIRED:
+                key.check(path, key.default)
+        required = sorted(path for path, key in keys if key.default is REQUIRED)
+        assert required == ["classical.samples", "macrostates.edges"]
 
     def test_invalid_json_file(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -69,27 +120,20 @@ class TestValidation:
     def test_every_section_key_table_consistent(self):
         for name, (_, required) in EXPERIMENTS_META.items():
             for section in required:
-                assert section in SECTION_KEYS, (name, section)
+                assert section in SCHEMA, (name, section)
 
     def test_every_section_key_is_read(self):
         # a key counts as read when a runner or a builder looks it up by
-        # name, as `section.get("key", ...)` or `section["key"]`
+        # name, as `section["key"]`
         read = set()
         for fn in (experiments, build_grid, build_hamiltonian,
                    build_initial_state):
             for node in ast.walk(ast.parse(inspect.getsource(fn))):
-                if (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "get" and node.args):
-                    name = node.args[0]
-                elif isinstance(node, ast.Subscript):
-                    name = node.slice
-                else:
-                    continue
-                if isinstance(name, ast.Constant):
-                    read.add(name.value)
+                if (isinstance(node, ast.Subscript)
+                        and isinstance(node.slice, ast.Constant)):
+                    read.add(node.slice.value)
         unread = sorted(f"{section}.{key}"
-                        for section, keys in SECTION_KEYS.items()
+                        for section, keys in SCHEMA.items()
                         for key in keys if key not in read)
         assert unread == []
 
@@ -98,72 +142,71 @@ class TestValidation:
         ids=lambda p: os.path.basename(p))
     def test_shipped_configs_validate(self, path):
         cfg = load_config(path)
-        assert validate_config(cfg) == os.path.basename(path)[:-5]
+        assert validate_config(cfg)["experiment"] == os.path.basename(path)[:-5]
 
 
 class TestBuilders:
     def test_grid_small_axis_names_config_path(self):
         with pytest.raises(ConfigError, match=r"grid\.points_per_axis"):
-            build_grid({"grid": {"n": 7, "extent": [0.0, 1.0]}})
+            build_grid(resolved(grid={"n": 7, "extent": [0.0, 1.0]}))
 
     def test_grid_round_trip(self):
-        grid = build_grid({"grid": {"particles": 2, "n": 16,
-                                    "extent": [-3.0, 3.0]}})
+        grid = build_grid(resolved(grid={"particles": 2, "n": 16,
+                                         "extent": [-3.0, 3.0]}))
         assert grid.pos_shape == (16, 16)
         assert grid.spec.boundary == "periodic"
 
     def test_hamiltonian_defaults(self):
-        h = build_hamiltonian({"hamiltonian": {}})
+        h = build_hamiltonian(resolved(hamiltonian={}))
         assert h.masses == (1.0,)
         assert h.stepper == "split_step_spectral"
 
     def test_gaussian_state_normalized(self):
-        grid = build_grid({"grid": {"n": 64, "extent": [-8.0, 8.0]}})
-        h = build_hamiltonian({"hamiltonian": {}})
-        psi = build_initial_state(grid, h, {"initial_state":
-                                            {"kind": "gaussian",
-                                             "center": 1.0, "width": 0.7}})
+        cfg = resolved(grid={"n": 64, "extent": [-8.0, 8.0]},
+                       initial_state={"kind": "gaussian", "center": 1.0,
+                                      "width": 0.7})
+        grid = build_grid(cfg)
+        psi = build_initial_state(grid, build_hamiltonian(cfg), cfg)
         assert psi.norm_sq() == pytest.approx(1.0, abs=1e-12)
         rho = np.abs(psi.amplitudes) ** 2
         peak = grid.axis_coords[np.argmax(rho)]
         assert peak == pytest.approx(1.0, abs=grid.dx)
 
     def test_entangled_pair_needs_two_axes(self):
-        grid = build_grid({"grid": {"n": 32, "extent": [-4.0, 4.0]}})
-        h = build_hamiltonian({"hamiltonian": {}})
+        cfg = resolved(grid={"n": 32, "extent": [-4.0, 4.0]},
+                       initial_state={"kind": "entangled_pair"})
+        grid = build_grid(cfg)
         with pytest.raises(ConfigError, match="entangled_pair"):
-            build_initial_state(grid, h,
-                                {"initial_state": {"kind": "entangled_pair"}})
+            build_initial_state(grid, build_hamiltonian(cfg), cfg)
 
     def test_entangled_pair_is_mixed_marginal(self):
-        grid = build_grid({"grid": {"particles": 2, "n": 32,
-                                    "extent": [-6.0, 6.0]}})
-        h = build_hamiltonian({"hamiltonian": {"masses": [1.0, 1.0]}})
-        psi = build_initial_state(
-            grid, h, {"initial_state": {
-                "kind": "entangled_pair",
-                "centers": [[-2.0, 2.0], [2.0, -2.0]],
-                "momenta": [[0.0, 0.0], [0.0, 0.0]], "width": 0.5}})
+        cfg = resolved(
+            grid={"particles": 2, "n": 32, "extent": [-6.0, 6.0]},
+            hamiltonian={"masses": [1.0, 1.0]},
+            initial_state={"kind": "entangled_pair",
+                           "centers": [[-2.0, 2.0], [2.0, -2.0]],
+                           "momenta": [[0.0, 0.0], [0.0, 0.0]], "width": 0.5})
+        psi = build_initial_state(build_grid(cfg), build_hamiltonian(cfg), cfg)
         assert psi.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
     def test_eigenstate_kind(self):
-        grid = build_grid({"grid": {"n": 64, "extent": [0.0, 1.0],
-                                    "boundary": "dirichlet"}})
-        h = build_hamiltonian({"hamiltonian": {
-            "potential": [{"kind": "box"}], "stepper": "crank_nicolson"}})
-        psi = build_initial_state(grid, h,
-                                  {"initial_state": {"kind": "eigenstate",
-                                                     "index": 1}})
+        cfg = resolved(grid={"n": 64, "extent": [0.0, 1.0],
+                             "boundary": "dirichlet"},
+                       hamiltonian={"potential": [{"kind": "box"}],
+                                    "stepper": "crank_nicolson"},
+                       initial_state={"kind": "eigenstate", "index": 1})
+        grid = build_grid(cfg)
+        psi = build_initial_state(grid, build_hamiltonian(cfg), cfg)
         x = grid.axis_coords
         expect = np.sqrt(2.0) * np.sin(2 * np.pi * x)
         overlap = abs(np.vdot(psi.amplitudes, expect) * grid.weight)
         assert overlap == pytest.approx(1.0, abs=1e-3)
 
     def test_unknown_state_kind(self):
-        grid = build_grid({"grid": {"n": 16, "extent": [0.0, 1.0]}})
-        h = build_hamiltonian({"hamiltonian": {}})
+        # the schema rejects the kind before any builder runs
         with pytest.raises(ConfigError, match="soliton"):
-            build_initial_state(grid, h, {"initial_state": {"kind": "soliton"}})
+            resolved(grid={"n": 16, "extent": [0.0, 1.0]},
+                     initial_state={"kind": "soliton"})
 
 
 def test_every_config_has_a_readme_note():
