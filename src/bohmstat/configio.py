@@ -327,13 +327,37 @@ def build_hamiltonian(cfg: dict) -> HamiltonianSpec:
     for i, term in enumerate(h["potential"]):
         where = f"hamiltonian.potential[{i}]."
         kind = _resolve(TERM_KIND, term, where)["kind"]
-        _resolve({p: Key(NUMBER_OR_LIST) for p in POTENTIAL_PARAMS[kind]},
-                 term, where)
+        params = _resolve({p: Key(NUMBER_OR_LIST) for p in POTENTIAL_PARAMS[kind]},
+                          term, where)
+        _check_term_fits_grid(cfg["grid"], kind, params, term, where)
     try:
         return HamiltonianSpec(masses=h["masses"], potential=h["potential"],
                                time_step=h["time_step"], stepper=h["stepper"])
     except ValueError as exc:
         raise ConfigError("hamiltonian", str(exc)) from exc
+
+
+def _check_term_fits_grid(g: dict, kind: str, params: dict, term: dict,
+                          where: str):
+    """What potential_grid needs of the grid beyond the term's own keys."""
+    particles = g["particles"]
+    if kind == "harmonic" and isinstance(params["omega"], list) \
+            and len(params["omega"]) != particles:
+        raise ConfigError(where + "omega", f"needs one omega per particle "
+                          f"({particles}), got {len(params['omega'])}")
+    if kind == "pair_coupling" and particles < 2:
+        raise ConfigError(where + "kind", "pair_coupling needs two particles, "
+                          f"grid.particles is {particles}")
+    if kind == "spin_coupling":
+        index = Range(f"a particle index below {particles}",
+                      lambda a: 0 <= a < particles)
+        a = _resolve({"particle": Key(INT, 0, index)}, term, where)["particle"]
+        spins = g["spin_dims"]
+        dim = spins[a] if a < len(spins) else 1
+        if dim != 2:
+            raise ConfigError(where + "particle", f"spin_coupling needs a spin-1/2 "
+                              f"particle, grid.spin_dims gives particle {a} "
+                              f"spin dimension {dim}")
 
 
 def _packet(x, center, width, momentum):
@@ -383,5 +407,8 @@ def build_initial_state(grid, h: HamiltonianSpec, cfg: dict) -> WaveField:
         for (c1, c2), (k1, k2) in zip(s["centers"], s["momenta"]):
             amp += _packet(x1, c1, width, k1) * _packet(x2, c2, width, k2)
         return WaveField(grid, amp.reshape(grid.full_shape)).normalized()
-    _, fields = eigenstates(grid, h, s["index"] + 1)  # kind "eigenstate"
+    if s["index"] >= grid.spec.total_points:  # kind "eigenstate"
+        raise ConfigError("initial_state.index", f"must be below the number of "
+                          f"grid states ({grid.spec.total_points}), got {s['index']}")
+    _, fields = eigenstates(grid, h, s["index"] + 1)
     return fields[s["index"]]

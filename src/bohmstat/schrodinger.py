@@ -11,9 +11,18 @@ Two steppers:
   error is O(dt^2).  Each axis factor is one LAPACK ?gtsv call over all the
   grid lines along that axis.
 
-A stepper's step(amp) advances the complex128 array amp in place (FFTs with
-out=amp, Cayley solves written back into it); evolve owns that working
-array and copies each stored frame out of it.
+When V == 0 on the grid (free, or box on a dirichlet grid) each stepper's
+step is one constant operator, diagonal in the kinetic eigenbasis: Fourier
+modes for the split step, the orthonormal DST-I of each axis (the eigenvectors
+of the (1,-2,1) stencil) for Crank-Nicolson, where the Cayley factor of mode k
+is c_k = (1 - i dt lambda_k/2) / (1 + i dt lambda_k/2).  n steps are then one
+transform pair and one factor (c_k^n, or exp(-i n dt K)); that path builds no
+potential factors or bands and imports no scipy.
+
+A stepper's step(amp) advances the complex128 array amp in place by one time
+step, and advance(amp, n) by n steps (FFTs with out=amp, Cayley solves and
+inverse transforms written back into it).  evolve owns that working array,
+calls advance once per stored frame and copies each frame out of it.
 """
 
 from __future__ import annotations
@@ -123,39 +132,71 @@ def _check_stepper(grid: Grid, h: HamiltonianSpec):
         )
 
 
-class _SplitStepper:
-    def __init__(self, grid: Grid, h: HamiltonianSpec):
+def _kinetic_k2(grid: Grid, h: HamiltonianSpec) -> np.ndarray:
+    """sum_a k_a^2 / (2 m_a) on the wavenumber grid, shape pos_shape."""
+    k2_total = np.zeros(grid.pos_shape)
+    for ax in range(grid.n_pos_axes):
+        shape = [1] * grid.n_pos_axes
+        shape[ax] = len(grid.wavenumbers)
+        k2_total = k2_total + grid.wavenumbers.reshape(shape) ** 2 / (
+            2.0 * h.mass_of_axis(grid, ax)
+        )
+    return k2_total
+
+
+def _dst1(amp, axis):
+    """Orthonormal DST-I of `amp` along `axis` (its own inverse), from the FFT
+    of the odd extension [0, x, 0, -reversed(x)] of length 2(n+1)."""
+    n = amp.shape[axis]
+    x = np.moveaxis(amp, axis, -1)
+    ext = np.zeros(x.shape[:-1] + (2 * n + 2,), dtype=np.complex128)
+    ext[..., 1:n + 1] = x
+    ext[..., n + 2:] = -x[..., ::-1]
+    y = np.fft.fft(ext, axis=-1)[..., 1:n + 1]
+    y *= 0.5j * np.sqrt(2.0 / (n + 1))
+    return np.moveaxis(y, -1, axis)
+
+
+def _fft_axes(grid: Grid) -> tuple:
+    """The position axes in fftn's own order of 1-D transforms, last first."""
+    return tuple(reversed([grid.pos_axis(i) for i in range(grid.n_pos_axes)]))
+
+
+class _PerStep:
+    """A stepper whose n steps are n calls of its step."""
+
+    def advance(self, amp, n):
+        """Advance `amp` by n time steps, in place."""
+        for _ in range(n):
+            self.step(amp)
+
+
+class _SplitStepper(_PerStep):
+    def __init__(self, grid: Grid, h: HamiltonianSpec, v: np.ndarray):
         dt = h.time_step
-        v = potential_grid(grid, h)
         self.half_v = np.exp(-0.5j * dt * v)
-        k2_total = np.zeros(grid.pos_shape)
-        for ax in range(grid.n_pos_axes):
-            shape = [1] * grid.n_pos_axes
-            shape[ax] = len(grid.wavenumbers)
-            k2_total = k2_total + grid.wavenumbers.reshape(shape) ** 2 / (
-                2.0 * h.mass_of_axis(grid, ax)
-            )
-        self.kin_phase = np.exp(-1j * dt * k2_total)
-        self.pos_axes = tuple(grid.pos_axis(i) for i in range(grid.n_pos_axes))
+        self.kin_phase = np.exp(-1j * dt * _kinetic_k2(grid, h))
+        self.fft_axes = _fft_axes(grid)
 
     def step(self, amp):
         """Advance the complex128 array `amp` by one time step, in place."""
         amp *= self.half_v
-        np.fft.fftn(amp, axes=self.pos_axes, out=amp)
+        for ax in self.fft_axes:
+            np.fft.fft(amp, axis=ax, out=amp)
         amp *= self.kin_phase
-        np.fft.ifftn(amp, axes=self.pos_axes, out=amp)
+        for ax in self.fft_axes:
+            np.fft.ifft(amp, axis=ax, out=amp)
         amp *= self.half_v
 
 
-class _CrankNicolsonStepper:
+class _CrankNicolsonStepper(_PerStep):
     """Cayley factors: exp(-iV dt/2) ~ (1-iVdt/4)/(1+iVdt/4), and per-axis
     tridiagonal (1+i dt T_ax/2)^-1 (1-i dt T_ax/2), solved by LAPACK ?gtsv."""
 
-    def __init__(self, grid: Grid, h: HamiltonianSpec):
+    def __init__(self, grid: Grid, h: HamiltonianSpec, v: np.ndarray):
         from scipy.linalg import get_lapack_funcs
 
         dt = h.time_step
-        v = potential_grid(grid, h)
         self.half_v = (1.0 - 0.25j * dt * v) / (1.0 + 0.25j * dt * v)
         self.grid = grid
         n = grid.spec.points_per_axis
@@ -196,30 +237,89 @@ class _CrankNicolsonStepper:
         amp *= self.half_v
 
 
+class _KineticStepper:
+    """Either stepper when V == 0: one step multiplies kinetic eigenmode k by
+    exp(-i theta_k), so n steps are one transform to the eigenbasis, one
+    factor exp(-i n theta_k) and one transform back.
+
+    * periodic (split step): Fourier modes, theta_k = dt sum_a k_a^2 / (2 m_a).
+    * dirichlet (Crank-Nicolson): DST-I modes of each axis's (1,-2,1) stencil,
+      eigenvalue lambda_k = 2 / (m dx^2) sin^2(pi k / (2(N+1))); the Cayley
+      factor c_k = (1 - i dt lambda_k/2) / (1 + i dt lambda_k/2) is
+      exp(-2i arctan(dt lambda_k / 2)), and the axis angles add.
+    """
+
+    def __init__(self, grid: Grid, h: HamiltonianSpec):
+        dt = h.time_step
+        self.axes = _fft_axes(grid)
+        self.periodic = grid.spec.boundary == "periodic"
+        if self.periodic:
+            self.theta = dt * _kinetic_k2(grid, h)
+        else:
+            n = grid.spec.points_per_axis
+            s2 = np.sin(np.pi * np.arange(1, n + 1) / (2 * (n + 1))) ** 2
+            self.theta = np.zeros(grid.pos_shape)
+            for ax in range(grid.n_pos_axes):
+                lam = 2.0 / (h.mass_of_axis(grid, ax) * grid.dx**2) * s2
+                shape = [1] * grid.n_pos_axes
+                shape[ax] = n
+                self.theta = self.theta + 2.0 * np.arctan(0.5 * dt * lam).reshape(shape)
+        self._factors = {}
+
+    def advance(self, amp, n):
+        """Advance `amp` by n time steps, in place."""
+        if n not in self._factors:
+            self._factors[n] = np.exp(-1j * n * self.theta)
+        if self.periodic:
+            for ax in self.axes:
+                np.fft.fft(amp, axis=ax, out=amp)
+            amp *= self._factors[n]
+            for ax in self.axes:
+                np.fft.ifft(amp, axis=ax, out=amp)
+            return
+        if not np.isfinite(amp).all():
+            raise ValueError("Crank-Nicolson amplitude holds infs or NaNs")
+        modes = amp
+        for ax in self.axes:
+            modes = _dst1(modes, ax)
+        modes *= self._factors[n]
+        for ax in self.axes:
+            modes = _dst1(modes, ax)
+        amp[...] = modes
+
+    def step(self, amp):
+        """Advance the complex128 array `amp` by one time step, in place."""
+        self.advance(amp, 1)
+
+
 def make_stepper(grid: Grid, h: HamiltonianSpec):
     _check_stepper(grid, h)
+    v = potential_grid(grid, h)
+    if not v.any():
+        return _KineticStepper(grid, h)
     if h.stepper == "split_step_spectral":
-        return _SplitStepper(grid, h)
-    return _CrankNicolsonStepper(grid, h)
+        return _SplitStepper(grid, h, v)
+    return _CrankNicolsonStepper(grid, h, v)
 
 
 def evolve(psi: WaveField, h: HamiltonianSpec, t_final: float, frame_stride: int = 1):
     """Evolve to t_final, returning frames every `frame_stride` steps.
 
-    The initial state is frame 0.  Steps are fixed at h.time_step; t_final is
-    rounded to the nearest whole number of steps.
+    The initial state is frame 0; the last frame is at t_final even when the
+    step count is not a multiple of `frame_stride`.  Steps are fixed at
+    h.time_step; t_final is rounded to the nearest whole number of steps.
     """
     stepper = make_stepper(psi.grid, h)
     dt = h.time_step
     n_steps = int(round((t_final - psi.time) / dt))
     frames = [WaveField(psi.grid, psi.amplitudes.copy(), psi.time)]
     amp = psi.amplitudes.copy()
-    t = psi.time
-    for i in range(1, n_steps + 1):
-        stepper.step(amp)
-        t = psi.time + i * dt
-        if i % frame_stride == 0 or i == n_steps:
-            frames.append(WaveField(psi.grid, amp.copy(), t))
+    done = 0
+    while done < n_steps:
+        n = min(frame_stride, n_steps - done)
+        stepper.advance(amp, n)
+        done += n
+        frames.append(WaveField(psi.grid, amp.copy(), psi.time + done * dt))
     return frames
 
 
@@ -300,14 +400,7 @@ def _eigenstates_imaginary_time(grid: Grid, h: HamiltonianSpec, count: int,
     v = potential_grid(grid, h)
     if tau is None:
         tau = 0.1 * grid.dx**2 * min(h.masses)
-    k2_total = np.zeros(grid.pos_shape)
-    for ax in range(grid.n_pos_axes):
-        shape = [1] * grid.n_pos_axes
-        shape[ax] = len(grid.wavenumbers)
-        k2_total = k2_total + grid.wavenumbers.reshape(shape) ** 2 / (
-            2.0 * h.mass_of_axis(grid, ax)
-        )
-    kin = np.exp(-tau * k2_total)
+    kin = np.exp(-tau * _kinetic_k2(grid, h))
     pot_half = np.exp(-0.5 * tau * v)
     pos_axes = tuple(grid.pos_axis(i) for i in range(grid.n_pos_axes))
     states = [

@@ -194,6 +194,18 @@ BAD_VALUES = {
     "fewer_momenta_than_centers": ("subsystem_currents",
                                    {"initial_state.momenta": [[2.0, -0.5]]}, [],
                                    "initial_state.momenta"),
+    "pair_coupling_one_particle": ("evolve", {"hamiltonian.potential": [
+        {"kind": "pair_coupling", "lam": 1.0}]}, [],
+        "hamiltonian.potential[0].kind"),
+    "spin_coupling_without_spin": ("subsystem_currents", {"hamiltonian.potential": [
+        {"kind": "spin_coupling", "mu": 1.0}]}, [],
+        "hamiltonian.potential[0].particle"),
+    "fewer_omegas_than_particles": ("subsystem_currents", {"hamiltonian.potential": [
+        {"kind": "harmonic", "omega": [1.0]}]}, [],
+        "hamiltonian.potential[0].omega"),
+    "index_beyond_grid_states": ("free_expansion", {"initial_state.kind": "eigenstate",
+                                                    "initial_state.index": 300},
+                                 [], "initial_state.index"),
 }
 
 
@@ -292,7 +304,7 @@ def test_runs_without_scipy_reach_no_scipy_import(tmp_path):
         import contextlib, io, os, sys
         from bohmstat.cli import main
         configs, out = sys.argv[1], sys.argv[2]
-        for name in ("evolve", "thermo"):
+        for name in ("evolve", "thermo", "free_expansion"):
             with contextlib.redirect_stdout(io.StringIO()):
                 rc = main(["run", os.path.join(configs, name + ".json"),
                            "--output", os.path.join(out, name)])

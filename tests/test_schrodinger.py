@@ -95,12 +95,23 @@ class TestCrankNicolson:
 
 
 def oracle_split_step(stepper, grid, h, amp):
-    """The allocating Strang step: a new array from every operation."""
-    amp = amp * stepper.half_v
-    amp = np.fft.fftn(amp, axes=stepper.pos_axes)
-    amp *= stepper.kin_phase
-    amp = np.fft.ifftn(amp, axes=stepper.pos_axes)
-    amp *= stepper.half_v
+    """The allocating Strang step through fftn: a new array from every
+    operation; it builds its own phases and ignores `stepper`."""
+    dt = h.time_step
+    half_v = np.exp(-0.5j * dt * potential_grid(grid, h))
+    k2_total = np.zeros(grid.pos_shape)
+    for ax in range(grid.n_pos_axes):
+        shape = [1] * grid.n_pos_axes
+        shape[ax] = len(grid.wavenumbers)
+        k2_total = k2_total + grid.wavenumbers.reshape(shape) ** 2 / (
+            2.0 * h.mass_of_axis(grid, ax)
+        )
+    pos_axes = tuple(grid.pos_axis(i) for i in range(grid.n_pos_axes))
+    amp = amp * half_v
+    amp = np.fft.fftn(amp, axes=pos_axes)
+    amp *= np.exp(-1j * dt * k2_total)
+    amp = np.fft.ifftn(amp, axes=pos_axes)
+    amp *= half_v
     return amp
 
 
@@ -155,9 +166,31 @@ STEPPER_CASES = {
 }
 
 
+# V == 0 on the grid: the steppers propagate in the kinetic eigenbasis
+ZERO_POTENTIAL_CASES = {
+    "split_1d": (GridSpec(1, 1, 64, (-6.0, 6.0)), "split_step_spectral",
+                 (1.0,), oracle_split_step),
+    "split_2d": (GridSpec(2, 1, 24, (-6.0, 6.0)), "split_step_spectral",
+                 (1.0, 2.5), oracle_split_step),
+    "split_spin": (GridSpec(1, 1, 32, (-6.0, 6.0), spin_dims=(2,)),
+                   "split_step_spectral", (1.0,), oracle_split_step),
+    "cn_1d": (GridSpec(1, 1, 48, (0.0, 4.0), boundary="dirichlet"),
+              "crank_nicolson", (1.0,), oracle_cn_step),
+    "cn_2d": (GridSpec(2, 1, 20, (-3.0, 3.0), boundary="dirichlet"),
+              "crank_nicolson", (1.0, 0.4), oracle_cn_step),
+}
+
+
+def assert_close_to_norm(got, want, tol=1e-12):
+    """Every entry within tol times the 2-norm of `want`."""
+    assert np.abs(got - want).max() <= tol * np.linalg.norm(want)
+
+
 class TestStepperOracles:
     """The in-place steppers must match the allocating step and the
-    solve_banded step bit for bit."""
+    solve_banded step bit for bit when V != 0, and to round-off when V == 0
+    (one factor per stored frame is a different floating-point product of
+    the same operator)."""
 
     @pytest.mark.parametrize("case", sorted(STEPPER_CASES))
     def test_200_steps_bit_identical(self, case):
@@ -173,19 +206,46 @@ class TestStepperOracles:
             want = oracle(stepper, grid, h, want)
         np.testing.assert_array_equal(amp, want)
 
-    def test_evolve_frames_match_oracle(self):
-        grid = make_grid(GridSpec(1, 1, 64, (0.0, 4.0), boundary="dirichlet"))
-        h = HamiltonianSpec((1.0,), [{"kind": "box"}], time_step=1e-3,
-                            stepper="crank_nicolson")
-        psi = WaveField(grid, _random_state(grid, 5))
-        frames = evolve(psi, h, 0.05, frame_stride=10)
+    @pytest.mark.parametrize("case", sorted(ZERO_POTENTIAL_CASES))
+    def test_zero_potential_advance_matches_steps(self, case):
+        spec, kind, masses, oracle = ZERO_POTENTIAL_CASES[case]
+        grid = make_grid(spec)
+        h = HamiltonianSpec(masses, [{"kind": "free"}], time_step=1e-3,
+                            stepper=kind)
         stepper = make_stepper(grid, h)
-        amp = psi.amplitudes.copy()
-        for i in range(1, 51):
-            amp = oracle_cn_step(stepper, grid, h, amp)
-            if i % 10 == 0:
-                np.testing.assert_array_equal(frames[i // 10].amplitudes, amp)
-        np.testing.assert_array_equal(psi.amplitudes, frames[0].amplitudes)
+        amp = _random_state(grid, 4)
+        want = amp.copy()
+        for _ in range(200):
+            want = oracle(stepper, grid, h, want)
+        # two calls, so two distinct factors
+        stepper.advance(amp, 137)
+        stepper.advance(amp, 63)
+        assert_close_to_norm(amp, want)
+
+    def test_evolve_frames_match_oracle(self):
+        # 50 steps at stride 15: frames after 15, 30 and 45 steps, then the
+        # remaining 5; bit for bit under a harmonic well, to round-off in
+        # the box (V == 0)
+        grid = make_grid(GridSpec(1, 1, 64, (0.0, 4.0), boundary="dirichlet"))
+        psi = WaveField(grid, _random_state(grid, 5))
+        for potential, tol in (([{"kind": "harmonic", "omega": 2.0}], 0.0),
+                               ([{"kind": "box"}], 1e-12)):
+            h = HamiltonianSpec((1.0,), potential, time_step=1e-3,
+                                stepper="crank_nicolson")
+            frames = evolve(psi, h, 0.05, frame_stride=15)
+            stored = (0, 15, 30, 45, 50)
+            assert [f.time for f in frames] == [i * h.time_step for i in stored]
+            stepper = make_stepper(grid, h)
+            amp = psi.amplitudes.copy()
+            for i in range(1, 51):
+                amp = oracle_cn_step(stepper, grid, h, amp)
+                if i in stored:
+                    got = frames[stored.index(i)].amplitudes
+                    if tol:
+                        assert_close_to_norm(got, amp, tol)
+                    else:
+                        np.testing.assert_array_equal(got, amp)
+            np.testing.assert_array_equal(psi.amplitudes, frames[0].amplitudes)
 
     def test_cn_rejects_nan_amplitude(self):
         grid = make_grid(GridSpec(1, 1, 32, (0.0, 4.0), boundary="dirichlet"))
