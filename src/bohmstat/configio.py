@@ -327,9 +327,9 @@ def build_hamiltonian(cfg: dict) -> HamiltonianSpec:
     for i, term in enumerate(h["potential"]):
         where = f"hamiltonian.potential[{i}]."
         kind = _resolve(TERM_KIND, term, where)["kind"]
-        params = _resolve({p: Key(NUMBER_OR_LIST) for p in POTENTIAL_PARAMS[kind]},
-                          term, where)
-        _check_term_fits_grid(cfg["grid"], kind, params, term, where)
+        _resolve({p: Key(NUMBER_OR_LIST) for p in POTENTIAL_PARAMS[kind]},
+                 term, where)
+        _check_term_fits_grid(cfg["grid"], kind, term, where)
     try:
         return HamiltonianSpec(masses=h["masses"], potential=h["potential"],
                                time_step=h["time_step"], stepper=h["stepper"])
@@ -337,14 +337,13 @@ def build_hamiltonian(cfg: dict) -> HamiltonianSpec:
         raise ConfigError("hamiltonian", str(exc)) from exc
 
 
-def _check_term_fits_grid(g: dict, kind: str, params: dict, term: dict,
-                          where: str):
+def _check_term_fits_grid(g: dict, kind: str, term: dict, where: str):
     """What potential_grid needs of the grid beyond the term's own keys."""
     particles = g["particles"]
-    if kind == "harmonic" and isinstance(params["omega"], list) \
-            and len(params["omega"]) != particles:
+    if kind == "harmonic" and isinstance(term["omega"], list) \
+            and len(term["omega"]) != particles:
         raise ConfigError(where + "omega", f"needs one omega per particle "
-                          f"({particles}), got {len(params['omega'])}")
+                          f"({particles}), got {len(term['omega'])}")
     if kind == "pair_coupling" and particles < 2:
         raise ConfigError(where + "kind", "pair_coupling needs two particles, "
                           f"grid.particles is {particles}")
