@@ -209,9 +209,14 @@ SCHEMA = {
     },
 }
 
-# the `kind` of a hamiltonian.potential term; build_hamiltonian checks the
-# parameters each kind requires
+# the `kind` of a hamiltonian.potential term, and the only other keys a term of
+# each kind may hold; build_hamiltonian checks them.  Only harmonic's omega may
+# be a list (one per particle); potential_grid uses every other as a number.
 TERM_KIND = {"kind": Key(STR, REQUIRED, one_of(*POTENTIAL_PARAMS))}
+TERM_KEYS = {kind: {p: Key(NUMBER_OR_LIST if p == "omega" else FLOAT)
+                    for p in params}
+             for kind, params in POTENTIAL_PARAMS.items()}
+TERM_KEYS["spin_coupling"]["particle"] = Key(INT, 0)   # + _check_term_fits_grid
 
 # experiment -> (description, required sections)
 EXPERIMENTS_META = {
@@ -327,8 +332,10 @@ def build_hamiltonian(cfg: dict) -> HamiltonianSpec:
     for i, term in enumerate(h["potential"]):
         where = f"hamiltonian.potential[{i}]."
         kind = _resolve(TERM_KIND, term, where)["kind"]
-        _resolve({p: Key(NUMBER_OR_LIST) for p in POTENTIAL_PARAMS[kind]},
-                 term, where)
+        for k in term:
+            if k != "kind" and k not in TERM_KEYS[kind]:
+                raise ConfigError(where + k, f"unknown key for kind {kind!r}")
+        _resolve(TERM_KEYS[kind], term, where)
         _check_term_fits_grid(cfg["grid"], kind, term, where)
     try:
         return HamiltonianSpec(masses=h["masses"], potential=h["potential"],

@@ -123,40 +123,62 @@ def rk4_paths(x0, frame_times, vflat, x_first, dx, n, periodic, substeps, lo, hi
 # velocity-Verlet for separable classical Hamiltonians
 # V = sum_a (1/2) m_a w_a^2 x_a^2 + (kappa/2) sum_a (x_{a+1} - x_a)^2
 
+def _forces_into(f, x, stiffness, kappa, diff):
+    """f = -dV/dx for particle-major states x[particle, sample], with
+    stiffness = -m w^2 per particle; diff is scratch of x[1:]'s shape."""
+    np.multiply(stiffness[:, None], x, out=f)
+    if kappa != 0.0 and x.shape[0] > 1:
+        np.subtract(x[1:], x[:-1], out=diff)  # x_{a+1} - x_a
+        diff *= kappa
+        f[:-1] += diff
+        f[1:] -= diff
+    return f
+
+
 def forces(x, m, omega, kappa):
     """-dV/dx for states x of shape (nsamples, nparticles)."""
-    f = -m * omega**2 * x
-    if kappa != 0.0:
-        npart = x.shape[1]
-        if npart > 1:
-            d = np.diff(x, axis=1)  # x_{a+1} - x_a
-            f[:, :-1] += kappa * d
-            f[:, 1:] -= kappa * d
-    return f
+    x = np.asarray(x, dtype=np.float64).T
+    f = _forces_into(np.empty(x.shape), x, -m * omega**2, kappa,
+                     np.empty((max(x.shape[0] - 1, 0), x.shape[1])))
+    return np.ascontiguousarray(f.T)
 
 
 def verlet(x0, p0, masses, omegas, kappa, dt, steps, store_stride=1):
     """Symplectic velocity-Verlet; returns stored (xs, ps) with the initial
-    state first, shapes (nstored, nsamples, nparticles)."""
-    x = np.asarray(x0, dtype=np.float64)
-    p = np.asarray(p0, dtype=np.float64)
+    state first and every store_stride-th step after it, plus the last step
+    when it is off-stride; shapes (nstored, nsamples, nparticles).
+
+    The state is stepped in place, particle-major so that each per-particle
+    constant multiplies a contiguous row.  The half kick that closes one step
+    opens the next, so forces are evaluated once per step; x0 and p0 are not
+    modified."""
+    x = np.asarray(x0, dtype=np.float64).T.copy()
+    p = np.asarray(p0, dtype=np.float64).T.copy()
     m = np.asarray(masses, dtype=np.float64)
     om = np.asarray(omegas, dtype=np.float64)
     kappa, dt = float(kappa), float(dt)
     steps, store_stride = int(steps), int(store_stride)
-    nstore = steps // store_stride + 1
-    nsamples, npart = x.shape
+    nstore = steps // store_stride + 1 + (steps % store_stride != 0)
+    npart, nsamples = x.shape
     xs = np.empty((nstore, nsamples, npart))
     ps = np.empty((nstore, nsamples, npart))
-    xs[0], ps[0] = x, p
-    f = forces(x, m, om, kappa)
+    xs[0], ps[0] = x.T, p.T
+    stiffness = -m * om**2
+    mass = m[:, None]
+    half = 0.5 * dt
+    kick = np.empty_like(x)      # 0.5 dt f, shared by adjacent half kicks
+    drift = np.empty_like(x)
+    diff = np.empty((max(npart - 1, 0), nsamples))
+    np.multiply(half, _forces_into(kick, x, stiffness, kappa, diff), out=kick)
     k = 1
     for step in range(1, steps + 1):
-        p = p + 0.5 * dt * f
-        x = x + dt * p / m
-        f = forces(x, m, om, kappa)
-        p = p + 0.5 * dt * f
-        if step % store_stride == 0:
-            xs[k], ps[k] = x, p
+        p += kick
+        np.multiply(dt, p, out=drift)
+        drift /= mass
+        x += drift
+        np.multiply(half, _forces_into(kick, x, stiffness, kappa, diff), out=kick)
+        p += kick
+        if step % store_stride == 0 or step == steps:
+            xs[k], ps[k] = x.T, p.T
             k += 1
     return xs, ps

@@ -22,6 +22,8 @@ from .errors import (EmptyRegion, GridTooCoarse, NotADensityMatrix,
                      OutsideAllCells, TruncationInsufficient)
 
 PSD_TOL = 1e-10
+# below this exponent np.exp returns exactly 0.0 (its underflow is -745.13)
+EXP_UNDERFLOW = -746.0
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +211,14 @@ def partition_function(spec: Spectrum, beta, tail_tol: float = 1e-12):
         raise ValueError("beta must be positive")
     e = spec.levels
     e0 = e[0]
-    w = np.exp(-beta[..., None] * (e - e0))
+    # exp is evaluated only up to the last level whose exponent at the
+    # smallest beta is not below EXP_UNDERFLOW (gap[0] == 0, so at least the
+    # first); w keeps its full width, so the sums below add the same terms in
+    # the same order as when every level is evaluated
+    gap = e - e0
+    n_live = np.flatnonzero(~(-np.min(beta) * gap < EXP_UNDERFLOW))[-1] + 1
+    w = np.zeros(beta.shape + e.shape)
+    w[..., :n_live] = np.exp(-beta[..., None] * gap[:n_live])
     tail = np.atleast_1d(w[..., -1])
     if spec.truncated and np.any(tail > tail_tol):
         raise TruncationInsufficient(
@@ -249,26 +258,30 @@ class ThermoTable:
     energy: np.ndarray         # differenced
     entropy: np.ndarray        # differenced
     pressure: np.ndarray       # differenced
-    energy_direct: np.ndarray
-    entropy_direct: np.ndarray
+    energy_direct: np.ndarray | None    # None unless built with direct=True
+    entropy_direct: np.ndarray | None
     k: float = 1.0
 
 
-def thermo_table(spectrum_of_volume, v_grid, t_grid, k: float = 1.0) -> ThermoTable:
-    """Build the (V, T) table; `spectrum_of_volume(V) -> Spectrum`."""
+def thermo_table(spectrum_of_volume, v_grid, t_grid, k: float = 1.0, *,
+                 direct: bool = True) -> ThermoTable:
+    """Build the (V, T) table; `spectrum_of_volume(V) -> Spectrum`.  With
+    direct=False the direct E and S columns (sums over p_n) are not computed
+    and are None."""
     v_grid = np.asarray(v_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     if len(v_grid) < 5 or len(t_grid) < 5:
         raise GridTooCoarse("need >= 5 points per axis for central differences")
     n_v, n_t = len(v_grid), len(t_grid)
     log_z = np.empty((n_v, n_t))
-    e_dir = np.empty((n_v, n_t))
-    s_dir = np.empty((n_v, n_t))
+    e_dir = np.empty((n_v, n_t)) if direct else None
+    s_dir = np.empty((n_v, n_t)) if direct else None
     beta = 1.0 / (k * t_grid)
     for i, v in enumerate(v_grid):
         spec = spectrum_of_volume(v)
         _, p, log_z[i] = partition_function(spec, beta)
-        e_dir[i], s_dir[i] = _energy_entropy(spec.levels, p, k)
+        if direct:
+            e_dir[i], s_dir[i] = _energy_entropy(spec.levels, p, k)
     kt_log_z = k * t_grid[None, :] * log_z
     energy = np.full_like(log_z, np.nan)
     entropy = np.full_like(log_z, np.nan)

@@ -37,6 +37,18 @@ class TestHamiltonFlow:
         e1 = cp.hamiltonian(h, ens.xs[-1], ens.ps[-1])
         assert np.max(np.abs(e1 - e0)) < 1e-5
 
+    def test_off_stride_last_frame_at_its_time(self):
+        # 1050 steps with stride 100: the last stored frame is step 1050
+        h = harmonic_pair()
+        rng = np.random.default_rng(2)
+        x0 = rng.standard_normal((50, 2))
+        p0 = rng.standard_normal((50, 2))
+        ens = cp.evolve_ensemble(h, x0, p0, 1e-3, 1050, 100)
+        assert len(ens.times) == 12 and ens.times[-1] == pytest.approx(1.05)
+        xb, pb = cp.harmonic_backflow(h, ens.xs[-1], ens.ps[-1], ens.times[-1])
+        np.testing.assert_allclose(xb, x0, atol=1e-5)
+        np.testing.assert_allclose(pb, p0, atol=1e-5)
+
     def test_incompressibility_exactly_zero(self):
         h = harmonic_pair()
         x = np.random.default_rng(1).standard_normal((10, 2))

@@ -203,6 +203,23 @@ BAD_VALUES = {
     "fewer_omegas_than_particles": ("subsystem_currents", {"hamiltonian.potential": [
         {"kind": "harmonic", "omega": [1.0]}]}, [],
         "hamiltonian.potential[0].omega"),
+    "barrier_height_list": ("evolve", {"hamiltonian.potential": [
+        {"kind": "gaussian_barrier", "height": [1.0, 2.0], "width": 1.0,
+         "center": 0.0}]}, [], "hamiltonian.potential[0].height"),
+    "pair_coupling_lam_list": ("subsystem_currents", {"hamiltonian.potential": [
+        {"kind": "pair_coupling", "lam": [1.0]}]}, [],
+        "hamiltonian.potential[0].lam"),
+    "spin_coupling_mu_list": ("subsystem_currents", {"hamiltonian.potential": [
+        {"kind": "spin_coupling", "mu": [1.0, 2.0]}]}, [],
+        "hamiltonian.potential[0].mu"),
+    "misspelt_potential_key": ("evolve", {"hamiltonian.potential": [
+        {"kind": "harmonic", "omega": 1.0, "omgea": 2}]}, [],
+        "hamiltonian.potential[0].omgea"),
+    "parameter_of_another_kind": ("evolve", {"hamiltonian.potential": [
+        {"kind": "free", "omega": 3.0}]}, [], "hamiltonian.potential[0].omega"),
+    "particle_outside_spin_coupling": ("evolve", {"hamiltonian.potential": [
+        {"kind": "harmonic", "omega": 1.0, "particle": 0}]}, [],
+        "hamiltonian.potential[0].particle"),
     "index_beyond_grid_states": ("free_expansion", {"initial_state.kind": "eigenstate",
                                                     "initial_state.index": 300},
                                  [], "initial_state.index"),

@@ -13,6 +13,7 @@ from bohmstat.configio import (EXPERIMENTS_META, REQUIRED, SCHEMA, TOP_LEVEL,
                                build_initial_state, load_config,
                                validate_config)
 from bohmstat.errors import ConfigError
+from bohmstat.schrodinger import potential_grid
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -160,6 +161,22 @@ class TestBuilders:
         h = build_hamiltonian(resolved(hamiltonian={}))
         assert h.masses == (1.0,)
         assert h.stepper == "split_step_spectral"
+
+    def test_every_potential_kind_with_all_its_keys(self):
+        # each kind with every key it may hold, numbers where a list is not
+        # allowed, builds; spin_coupling's particle is its one extra key
+        terms = [{"kind": "free"}, {"kind": "box"},
+                 {"kind": "harmonic", "omega": [1.0, 0.5]},
+                 {"kind": "gaussian_barrier", "height": 1, "width": 0.5,
+                  "center": 0.0},
+                 {"kind": "pair_coupling", "lam": 0.2},
+                 {"kind": "spin_coupling", "mu": 0.3, "particle": 1}]
+        cfg = resolved(grid={"particles": 2, "n": 16, "extent": [-4.0, 4.0],
+                             "spin_dims": [1, 2]},
+                       hamiltonian={"masses": [1.0, 2.0], "potential": terms})
+        h = build_hamiltonian(cfg)
+        assert h.potential == terms
+        assert np.all(np.isfinite(potential_grid(build_grid(cfg), h)))
 
     def test_gaussian_state_normalized(self):
         cfg = resolved(grid={"n": 64, "extent": [-8.0, 8.0]},

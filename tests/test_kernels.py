@@ -132,9 +132,10 @@ def _loop_forces(x, m, omega, kappa, out):
 
 
 def loop_verlet(x, p, m, omega, kappa, dt, steps, store_stride):
-    """Updates x and p in place; pass copies."""
+    """Updates x and p in place; pass copies.  Stores the initial state, every
+    store_stride-th step and the last step."""
     nsamples, npart = x.shape
-    nstore = steps // store_stride + 1
+    nstore = steps // store_stride + 1 + (steps % store_stride != 0)
     xs = np.empty((nstore, nsamples, npart))
     ps = np.empty((nstore, nsamples, npart))
     xs[0] = x
@@ -151,7 +152,7 @@ def loop_verlet(x, p, m, omega, kappa, dt, steps, store_stride):
         for s in range(nsamples):
             for a in range(npart):
                 p[s, a] += 0.5 * dt * f[s, a]
-        if step % store_stride == 0:
+        if step % store_stride == 0 or step == steps:
             xs[k] = x
             ps[k] = p
             k += 1
@@ -247,6 +248,34 @@ class TestVerletAgreement:
         b = kernels.verlet(x0, p0, m, om, kappa, 1e-3, 50, 10)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize("npart, kappa", [(1, 0.0), (1, 0.8), (3, 0.0),
+                                              (3, 0.8)])
+    @pytest.mark.parametrize("steps", [50, 53])  # on and off the stride
+    def test_bit_identical_coupled_and_off_stride(self, npart, kappa, steps):
+        rng = np.random.default_rng(17 + npart)
+        x0 = rng.standard_normal((40, npart))
+        p0 = rng.standard_normal((40, npart))
+        m = rng.uniform(0.5, 2.0, npart)
+        om = rng.uniform(0.5, 2.0, npart)
+        a = loop_verlet(x0.copy(), p0.copy(), m, om, kappa, 1e-2, steps, 10)
+        b = kernels.verlet(x0, p0, m, om, kappa, 1e-2, steps, 10)
+        assert len(b[0]) == 6 + (steps % 10 != 0)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
+
+    def test_leaves_initial_state_unmodified(self):
+        rng = np.random.default_rng(3)
+        x0 = rng.standard_normal((8, 3))
+        p0 = rng.standard_normal((8, 3))
+        x_keep, p_keep = x0.copy(), p0.copy()
+        xs, ps = kernels.verlet(x0, p0, [1.0, 2.0, 0.5], [1.0, 0.5, 2.0], 0.4,
+                                1e-2, 20, 5)
+        np.testing.assert_array_equal(x0, x_keep)
+        np.testing.assert_array_equal(p0, p_keep)
+        np.testing.assert_array_equal(xs[0], x_keep)
+        np.testing.assert_array_equal(ps[0], p_keep)
+        assert not np.shares_memory(xs, x0) and not np.shares_memory(ps, p0)
 
 
 class TestVerletPhysics:

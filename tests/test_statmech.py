@@ -1,6 +1,8 @@
+import csv
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -53,6 +55,27 @@ def loop_thermo_columns(spectrum_of_volume, v_grid, t_grid, k=1.0):
             mask = p > 0
             s_dir[i, j] = float(-k * np.sum(p[mask] * np.log(p[mask])))
     return log_z, e_dir, s_dir
+
+
+def full_width_partition_function(spec, beta, tail_tol=1e-12):
+    """partition_function evaluating exp on every level, underflowing or not."""
+    beta = np.asarray(beta, dtype=float)
+    if np.any(beta <= 0):
+        raise ValueError("beta must be positive")
+    e = spec.levels
+    e0 = e[0]
+    w = np.exp(-beta[..., None] * (e - e0))
+    tail = np.atleast_1d(w[..., -1])
+    if spec.truncated and np.any(tail > tail_tol):
+        raise TruncationInsufficient(
+            f"tail weight {tail[tail > tail_tol][0]:.3g} exceeds {tail_tol}; "
+            "add levels")
+    z_shifted = w.sum(axis=-1)
+    p = w / z_shifted[..., None]
+    log_z = np.log(z_shifted) - beta * e0
+    if beta.ndim == 0:
+        return float(np.exp(log_z)), p, float(log_z)
+    return np.exp(log_z), p, log_z
 
 
 def loop_first_law_residual(table):
@@ -314,6 +337,77 @@ class TestPartitionFunction:
             assert (z[i], log_z[i]) == (z_i, log_z_i)
             np.testing.assert_array_equal(p[i], p_i)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_full_width_oracle(self, data):
+        # spectra ascending or with the <= 1e-12 descents Spectrum accepts;
+        # the exponent at the smallest beta puts no level, some levels or
+        # every level but the first below the underflow of exp.  A cluster
+        # of close levels before a wide gap gives many live weights of
+        # similar size, whose sum depends on the width the sum runs over.
+        n = data.draw(st.integers(1, 300))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        steps = rng.exponential(1.0, n - 1) * data.draw(st.sampled_from(
+            [1e-3, 1.0, 30.0]))
+        if n > 2 and data.draw(st.booleans()):
+            steps[data.draw(st.integers(0, n - 2))] += 1e4
+        descents = rng.random(n - 1) < data.draw(st.sampled_from([0.0, 0.2]))
+        steps[descents] = -rng.uniform(0.0, 1e-12, descents.sum())
+        e0 = data.draw(st.floats(-5.0, 5.0))
+        levels = e0 + np.concatenate([[0.0], np.cumsum(steps)])
+        assume(not np.any(np.diff(levels) < -1e-12))
+        spread = levels.max() - e0
+        regime = data.draw(st.sampled_from(["none", "partial", "all_but_first",
+                                            "edge"]))
+        if regime == "none" or spread <= 0:
+            beta_min = data.draw(st.floats(1e-3, 700.0)) / max(spread, 1e-300)
+        elif regime == "partial":
+            beta_min = 746.0 / (spread * data.draw(st.floats(0.05, 0.95)))
+        elif regime == "all_but_first":
+            gaps = levels[1:] - e0
+            beta_min = 800.0 / max(gaps[gaps > 0].min(initial=spread), 1e-300)
+        else:  # an exponent within a few ulps of -745.13 or -746
+            target = data.draw(st.sampled_from([745.0, 745.13, 745.1332191019,
+                                                745.1332191020, 745.2, 746.0,
+                                                746.0000001]))
+            k = data.draw(st.integers(0, n - 1))
+            gap = levels[k] - e0
+            assume(gap > 0)
+            beta_min = target / gap
+        assume(np.isfinite(beta_min) and beta_min > 0)
+        if data.draw(st.booleans()):
+            beta = beta_min
+        else:
+            factors = data.draw(st.lists(st.floats(1.0, 3.0), min_size=1,
+                                         max_size=5))
+            beta = beta_min * np.array(factors)
+            beta[data.draw(st.integers(0, len(factors) - 1))] = beta_min
+        spec = sm.Spectrum(levels, truncated=data.draw(st.booleans()))
+        try:
+            # a descent below E_0 at a large beta can overflow Z (and give
+            # inf / inf in p) on both sides alike
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = full_width_partition_function(spec, beta)
+        except TruncationInsufficient as exc:
+            with pytest.raises(TruncationInsufficient) as got:
+                sm.partition_function(spec, beta)
+            assert str(got.value) == str(exc)
+            return
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = sm.partition_function(spec, beta)
+        for a, b in zip(got, want):
+            assert type(a) is type(b)
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0, 20.0, np.array([0.5, 1.0, 4.0]),
+                                      np.array([30.0, 25.0])])
+    def test_shipped_box_matches_full_width_oracle(self, beta):
+        # at beta = 20 every level but the first underflows
+        spec = sm.box_spectrum(1.0, mass=50.0, count=800)
+        for a, b in zip(sm.partition_function(spec, beta),
+                        full_width_partition_function(spec, beta)):
+            np.testing.assert_array_equal(a, b)
+
     def test_two_level_direct_energy(self):
         gap, beta = 2.0, 0.9
         e, s = sm.direct_energy_entropy(sm.Spectrum([0.0, gap]), beta)
@@ -407,6 +501,38 @@ class TestThermoTable:
                          "median": float(np.median(loop_res)),
                          "median_isochoric": float(np.median(loop_iso)),
                          "n_edges": len(loop_res)}
+
+    def test_direct_columns_only_when_asked(self):
+        args = (FAMILIES["box"], np.linspace(0.8, 1.2, 7),
+                np.linspace(0.5, 2.0, 9))
+        full = sm.thermo_table(*args, direct=True)
+        lean = sm.thermo_table(*args, direct=False)
+        assert lean.energy_direct is None and lean.entropy_direct is None
+        for name in ("log_z", "free_energy", "energy", "entropy", "pressure"):
+            np.testing.assert_array_equal(getattr(lean, name),
+                                          getattr(full, name))
+
+    def test_table_csv_matches_per_cell_rows(self, tmp_path):
+        # the file written from whole columns equals the one written from
+        # numpy scalars cell by cell, NaN boundary cells included
+        from bohmstat.experiments import _table_csv
+
+        tab = sm.thermo_table(FAMILIES["box"], np.linspace(0.8, 1.2, 7),
+                              np.linspace(0.5, 2.0, 9), direct=True)
+        rows = [(v, t, tab.log_z[i, j], tab.free_energy[i, j],
+                 tab.energy[i, j], tab.entropy[i, j], tab.pressure[i, j],
+                 tab.energy_direct[i, j], tab.entropy_direct[i, j])
+                for i, v in enumerate(tab.v_grid)
+                for j, t in enumerate(tab.t_grid)]
+        with open(tmp_path / "loop.csv", "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(["volume", "temperature", "log_z", "free_energy",
+                        "energy", "entropy", "pressure", "energy_direct",
+                        "entropy_direct"])
+            w.writerows(rows)
+        _table_csv(tmp_path / "table.csv", tab)
+        assert (tmp_path / "table.csv").read_bytes() \
+            == (tmp_path / "loop.csv").read_bytes()
 
     def test_free_energy_sign(self):
         t = self.make(nv=5, nt=5)
