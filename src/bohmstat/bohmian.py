@@ -1,9 +1,10 @@
 """Bohmian trajectory ensembles: sampling, advection, equivariance metrics.
 
 Initial configurations are drawn from a grid density (categorical over cells,
-uniform jitter inside a cell), then advected through precomputed velocity
-frames with fixed-step RK4.  The `truncated` flavor uses the subsystem's
-traced velocity field on the A grid; paths then carry only A coordinates.
+uniform jitter inside a cell), then advected with fixed-step RK4 through
+velocity frames that arrive one at a time (`Advection`).  The `truncated`
+flavor uses the subsystem's traced velocity field on the A grid; paths then
+carry only A coordinates.
 """
 
 from __future__ import annotations
@@ -55,39 +56,93 @@ class TrajectoryEnsemble:
         return self.paths[:, frame_index, :]
 
 
-def integrate_trajectories(velocity_frames, x0: np.ndarray, substeps: int = 1,
-                           flavor: str = "full", seed: int = 0) -> TrajectoryEnsemble:
-    """RK4 advection of x0 through (time-ordered) velocity VectorField frames.
+class Advection:
+    """RK4 advection of one sample ensemble, fed one velocity frame at a time.
+
+    The first frame pushed fixes the grid and the start time; each later
+    push advances the samples to that frame's time by one kernels.rk4_paths
+    call over the pair (previous frame, this frame), which is the arithmetic
+    of one call over every frame, in the same order.  Only those two
+    velocity frames are held, in a (2, D, npts) buffer; the positions go into
+    a (nsamples, nframes, D) path array allocated up front.
 
     Velocities are interpolated multilinearly in space and linearly in time.
     Periodic positions wrap; dirichlet positions reflect off the wall when
-    the overshoot is below one grid spacing and raise beyond that.
+    the overshoot is below one grid spacing, and ensemble() raises beyond
+    that.
     """
-    grid = velocity_frames[0].grid
-    times = np.array([f.time for f in velocity_frames], dtype=np.float64)
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("velocity frames must have strictly increasing times")
-    d_dims = grid.n_pos_axes
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.ndim == 1:
-        x0 = x0[:, None]
-    if x0.shape[1] != d_dims:
-        raise AxisMismatch(f"x0 has {x0.shape[1]} coords, grid has {d_dims}")
-    npts = int(np.prod(grid.pos_shape))
-    vflat = np.empty((len(velocity_frames), d_dims, npts))
-    for i, f in enumerate(velocity_frames):
-        vflat[i] = f.components.reshape(d_dims, npts)
-    lo, hi = grid.spec.axis_extent
-    paths, escaped = kernels.rk4_paths(
-        x0, times, vflat, grid.axis_coords[0], grid.dx,
-        grid.spec.points_per_axis, grid.spec.boundary == "periodic",
-        substeps, lo, hi,
-    )
-    if grid.spec.boundary == "dirichlet" and escaped.any():
-        raise TrajectoryEscapedDomain(
-            f"{int(escaped.sum())} trajectories left the domain by more than dx"
-        )
-    return TrajectoryEnsemble(flavor, seed, times, paths, grid)
+
+    def __init__(self, x0: np.ndarray, nframes: int, substeps: int = 1,
+                 flavor: str = "full", seed: int = 0):
+        x0 = np.asarray(x0, dtype=np.float64)
+        if x0.ndim == 1:
+            x0 = x0[:, None]
+        self.paths = np.empty((x0.shape[0], nframes, x0.shape[1]))
+        self.paths[:, 0, :] = self._x = x0
+        self.times = np.empty(nframes)
+        self.escaped = np.zeros(x0.shape[0], np.uint8)
+        self.substeps, self.flavor, self.seed = substeps, flavor, seed
+        self.count = 0
+        self.grid = None
+
+    def push(self, frame: VectorField) -> np.ndarray:
+        """Advance to frame.time; returns the positions there, (nsamples, D)."""
+        k = self.count
+        grid = frame.grid
+        if k == len(self.times):
+            raise ValueError(f"more than the {k} velocity frames allotted")
+        if k == 0:
+            d_dims = grid.n_pos_axes
+            if self.paths.shape[2] != d_dims:
+                raise AxisMismatch(f"x0 has {self.paths.shape[2]} coords, "
+                                   f"grid has {d_dims}")
+            self.grid = grid
+            self._v = np.empty((2, d_dims, int(np.prod(grid.pos_shape))))
+        elif not frame.time > self.times[k - 1]:
+            raise ValueError("velocity frames must have strictly increasing times")
+        else:
+            self._v[0] = self._v[1]
+        self._v[1] = frame.components.reshape(self._v.shape[1:])
+        self.times[k] = frame.time
+        if k > 0:
+            lo, hi = grid.spec.axis_extent
+            pair, escaped = kernels.rk4_paths(
+                self._x, self.times[k - 1:k + 1], self._v,
+                grid.axis_coords[0], grid.dx, grid.spec.points_per_axis,
+                grid.spec.boundary == "periodic", self.substeps, lo, hi,
+            )
+            # the next pair starts from this one's end, read from `pair`
+            # rather than from the strided column of `paths`
+            self._x = pair[:, 1, :]
+            self.paths[:, k, :] = self._x
+            self.escaped |= escaped
+        self.count = k + 1
+        return self._x
+
+    def ensemble(self) -> TrajectoryEnsemble:
+        """The frames pushed so far as a TrajectoryEnsemble."""
+        if self.grid.spec.boundary == "dirichlet" and self.escaped.any():
+            raise TrajectoryEscapedDomain(
+                f"{int(self.escaped.sum())} trajectories left the domain by "
+                f"more than dx")
+        k = self.count
+        return TrajectoryEnsemble(self.flavor, self.seed, self.times[:k],
+                                  self.paths[:, :k, :], self.grid)
+
+
+def integrate_trajectories(velocity_frames, x0: np.ndarray, substeps: int = 1,
+                           flavor: str = "full", seed: int = 0,
+                           nframes: int = None) -> TrajectoryEnsemble:
+    """RK4 advection of x0 through time-ordered velocity VectorField frames
+    (see Advection).  `velocity_frames` may be any iterable, a generator
+    included, when `nframes` gives its length; each frame is used as it
+    arrives and may be dropped after."""
+    if nframes is None:
+        nframes = len(velocity_frames)
+    adv = Advection(x0, nframes, substeps, flavor, seed)
+    for frame in velocity_frames:
+        adv.push(frame)
+    return adv.ensemble()
 
 
 def binned_density_mass(rho: ScalarField, bins: int) -> np.ndarray:

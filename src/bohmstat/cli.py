@@ -15,9 +15,10 @@ OutsideAllCells, WindowEmpty).  Each error class names its code in `errors`;
 a package error prints one line to stderr and leaves no manifest.
 
 Every successful or check-failed run leaves a manifest.json next to its
-outputs with the config echo, seed, wall time, sha256 of every emitted file,
-and the headline metrics; re-running the same config and seed reproduces
-everything but the wall time bit-identically.
+outputs with the config echo, seed, wall time, peak resident set size of the
+process (`peak_rss_bytes`), sha256 of every emitted file, and the headline
+metrics; re-running the same config and seed reproduces everything but the
+wall time and the peak RSS bit-identically.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 
@@ -82,6 +84,8 @@ def cmd_run(args) -> int:
         "seed": seed,
         "config": raw,
         "wall_time_s": wall,
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_bytes": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024,
         "files": {f: _sha256(os.path.join(outdir, f)) for f in result.files},
         "metrics": result.metrics,
         "checks": result.checks,

@@ -9,7 +9,8 @@ Velocity grids are passed flattened: vflat[frame, component, point] with
 C-order point index over the D position axes.  rk4_paths holds positions
 component-major, x[component, sample], so each of the 2^D interpolation
 corners gathers contiguous velocity rows with one np.take for all
-components, and the corner weight multiplies whole rows.
+components, and the corner weight multiplies whole rows; the RK4 state,
+stages and interpolation scratch are updated in place.
 """
 
 from __future__ import annotations
@@ -30,26 +31,36 @@ def _wrap(y, period):
     y[outside] = np.mod(y[outside], period)
 
 
-def _interp_batch(vcomp, x, x_first, dx, n, periodic):
-    """vcomp: (D, npts) flat velocity; x: (D, nsamples) -> (D, nsamples)."""
-    d_dims, nsamples = x.shape
-    strides = np.array([n**k for k in range(d_dims - 1, -1, -1)], dtype=np.int64)
-    u = (x - x_first) / dx
+def _interp_batch(vcomp, x, x_first, dx, n, periodic, out, scratch, index):
+    """Interpolate vcomp (D, npts) at x (D, nsamples) into out (D, nsamples).
+
+    scratch is (3, D, nsamples) float64 and index (2, D, nsamples) int64
+    work space, overwritten."""
+    d_dims = x.shape[0]
+    frac, rest, term = scratch
+    i0, i1 = index
+    np.subtract(x, x_first, out=frac)
+    frac /= dx                              # u
+    if not periodic:
+        np.clip(frac, 0.0, n - 1.0, out=frac)
+    np.floor(frac, out=rest)
+    i0[...] = rest                          # floor(u) as an integer
     if periodic:
-        i0 = np.floor(u).astype(np.int64)
-        frac = u - i0
+        frac -= i0
         _wrap(i0, n)
-        i1 = i0 + 1
+        np.add(i0, 1, out=i1)
         i1[i1 == n] = 0
     else:
-        u = np.clip(u, 0.0, n - 1.0)
-        i0 = np.minimum(np.floor(u).astype(np.int64), n - 2)
-        frac = u - i0
-        i1 = i0 + 1
-    rest = 1.0 - frac
-    i0 *= strides[:, None]
-    i1 *= strides[:, None]
-    out = np.zeros((d_dims, nsamples))
+        np.minimum(i0, n - 2, out=i0)
+        frac -= i0
+        np.add(i0, 1, out=i1)
+    np.subtract(1.0, frac, out=rest)
+    if d_dims > 1:
+        strides = np.array([n**k for k in range(d_dims - 1, -1, -1)],
+                           dtype=np.int64)
+        i0 *= strides[:, None]
+        i1 *= strides[:, None]
+    out[...] = 0.0
     for corner in range(1 << d_dims):
         # the weight is the product over axes in axis order, as in the oracle
         upper = corner & 1
@@ -62,7 +73,9 @@ def _interp_batch(vcomp, x, x_first, dx, n, periodic):
             else:
                 w = w * rest[d]
                 flat = flat + i0[d]
-        out += w * np.take(vcomp, flat, axis=1)
+        np.take(vcomp, flat, axis=1, out=term)
+        term *= w
+        out += term
     return out
 
 
@@ -70,14 +83,27 @@ def rk4_paths(x0, frame_times, vflat, x_first, dx, n, periodic, substeps, lo, hi
     """Advect samples through interpolated velocity frames with fixed-step RK4.
 
     Returns (paths[nsamples, nframes, D], escaped[nsamples]).
+
+    The state, the four stages and the interpolation scratch live in one
+    float64 block (and the corner indices in one int64 block) allocated per
+    call and updated in place, in the operation order of the oracle.  A
+    streamed run calls this once per pair of frames; with a fresh array per
+    operation, the heap grew and shrank on every call and refaulted its
+    pages (twice the minor page faults of one call over every frame, in
+    the bohm_full config).
     """
-    x = np.ascontiguousarray(np.asarray(x0, dtype=np.float64).T)
     frame_times = np.ascontiguousarray(frame_times, dtype=np.float64)
     vflat = np.ascontiguousarray(vflat, dtype=np.float64)
     x_first, dx, lo, hi = float(x_first), float(dx), float(lo), float(hi)
     n, periodic, substeps = int(n), bool(periodic), int(substeps)
-    d_dims, nsamples = x.shape
+    x0 = np.asarray(x0, dtype=np.float64)
+    nsamples, d_dims = x0.shape
     nf = frame_times.shape[0]
+    work = np.empty((9, d_dims, nsamples))
+    x, k1, k2, k3, k4, stage = work[:6]
+    scratch = work[6:]
+    index = np.empty((2, d_dims, nsamples), dtype=np.int64)
+    x[...] = x0.T
     paths = np.empty((nsamples, nf, d_dims))
     escaped = np.zeros(nsamples, np.uint8)
     paths[:, 0, :] = x.T
@@ -93,11 +119,24 @@ def rk4_paths(x0, frame_times, vflat, x_first, dx, n, periodic, substeps, lo, hi
             v0 = (1 - a0) * vflat[f] + a0 * vflat[f + 1]
             vm = (1 - am) * vflat[f] + am * vflat[f + 1]
             v1 = (1 - a1) * vflat[f] + a1 * vflat[f + 1]
-            k1 = _interp_batch(v0, x, x_first, dx, n, periodic)
-            k2 = _interp_batch(vm, x + 0.5 * h * k1, x_first, dx, n, periodic)
-            k3 = _interp_batch(vm, x + 0.5 * h * k2, x_first, dx, n, periodic)
-            k4 = _interp_batch(v1, x + h * k3, x_first, dx, n, periodic)
-            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            _interp_batch(v0, x, x_first, dx, n, periodic, k1, scratch, index)
+            np.multiply(0.5 * h, k1, out=stage)     # x + 0.5 h k1
+            stage += x
+            _interp_batch(vm, stage, x_first, dx, n, periodic, k2, scratch, index)
+            np.multiply(0.5 * h, k2, out=stage)
+            stage += x
+            _interp_batch(vm, stage, x_first, dx, n, periodic, k3, scratch, index)
+            np.multiply(h, k3, out=stage)
+            stage += x
+            _interp_batch(v1, stage, x_first, dx, n, periodic, k4, scratch, index)
+            # x + (h / 6) (k1 + 2 k2 + 2 k3 + k4), summed left to right
+            k2 *= 2
+            k1 += k2
+            k3 *= 2
+            k1 += k3
+            k1 += k4
+            k1 *= h / 6.0
+            x += k1
             if periodic:
                 x -= lo
                 _wrap(x, length)
@@ -107,14 +146,14 @@ def rk4_paths(x0, frame_times, vflat, x_first, dx, n, periodic, substeps, lo, hi
                 over = x > hi
                 small_u = under & (lo - x < dx)
                 small_o = over & (x - hi < dx)
-                x = np.where(small_u, 2 * lo - x, x)
-                x = np.where(small_o, 2 * hi - x, x)
+                np.copyto(x, 2 * lo - x, where=small_u)
+                np.copyto(x, 2 * hi - x, where=small_o)
                 bad = (under & ~small_u) | (over & ~small_o)
                 escaped |= bad.any(axis=0).astype(np.uint8)
                 # escaped samples are put back on the wall and keep moving
                 # from there on later substeps; their paths are not
                 # meaningful, and the caller raises on any escape flag
-                x = np.clip(x, lo, hi)
+                np.clip(x, lo, hi, out=x)
         paths[:, f + 1, :] = x.T
     return paths, escaped
 

@@ -22,7 +22,7 @@ potential factors or bands and imports no scipy.
 A stepper's step(amp) advances the complex128 array amp in place by one time
 step, and advance(amp, n) by n steps (FFTs with out=amp, Cayley solves and
 inverse transforms written back into it).  evolve owns that working array,
-calls advance once per stored frame and copies each frame out of it.
+calls advance once per frame and yields a copy of it, one frame at a time.
 """
 
 from __future__ import annotations
@@ -303,24 +303,38 @@ def make_stepper(grid: Grid, h: HamiltonianSpec):
 
 
 def evolve(psi: WaveField, h: HamiltonianSpec, t_final: float, frame_stride: int = 1):
-    """Evolve to t_final, returning frames every `frame_stride` steps.
+    """A generator of the frames of the evolution to t_final, one every
+    `frame_stride` steps.
 
-    The initial state is frame 0; the last frame is at t_final even when the
-    step count is not a multiple of `frame_stride`.  Steps are fixed at
-    h.time_step; t_final is rounded to the nearest whole number of steps.
+    The stepper is built (and the grid checked against it) here; each frame
+    is stepped only when it is asked for, and the generator keeps no frame
+    it has yielded, so a consumer that drops each frame after use holds
+    O(grid) memory however many frames there are.  The initial state is
+    frame 0; the last frame is at t_final even when the step count is not a
+    multiple of `frame_stride`.  Steps are fixed at h.time_step; t_final is
+    rounded to the nearest whole number of steps.  Callers that want every
+    frame at once call list(evolve(...)).
     """
     stepper = make_stepper(psi.grid, h)
-    dt = h.time_step
-    n_steps = int(round((t_final - psi.time) / dt))
-    frames = [WaveField(psi.grid, psi.amplitudes.copy(), psi.time)]
+    n_steps = int(round((t_final - psi.time) / h.time_step))
+    return _frames(stepper, psi, h.time_step, n_steps, frame_stride)
+
+
+def _frames(stepper, psi: WaveField, dt: float, n_steps: int, frame_stride: int):
+    yield WaveField(psi.grid, psi.amplitudes.copy(), psi.time)
     amp = psi.amplitudes.copy()
     done = 0
     while done < n_steps:
         n = min(frame_stride, n_steps - done)
         stepper.advance(amp, n)
         done += n
-        frames.append(WaveField(psi.grid, amp.copy(), psi.time + done * dt))
-    return frames
+        yield WaveField(psi.grid, amp.copy(), psi.time + done * dt)
+
+
+def frame_count(h: HamiltonianSpec, duration: float, frame_stride: int) -> int:
+    """Number of frames evolve yields over `duration` (t_final - psi.time)."""
+    n_steps = int(round(duration / h.time_step))
+    return 1 + max(0, -(-n_steps // frame_stride))
 
 
 def apply_hamiltonian(amp, grid: Grid, h: HamiltonianSpec, v=None):

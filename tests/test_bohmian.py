@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bohmstat.bohmian import (TrajectoryEnsemble, binned_density_mass,
+from bohmstat import kernels
+from bohmstat.bohmian import (Advection, TrajectoryEnsemble, binned_density_mass,
                               equivariance_distance, integrate_trajectories,
                               order_inversions, read_trajectories,
                               sample_initial, write_trajectories)
@@ -87,6 +88,37 @@ class TestIntegration:
         x0 = np.sort(np.random.default_rng(0).uniform(-4, 4, 200))[:, None]
         ens = integrate_trajectories(frames, x0, substeps=2)
         assert order_inversions(ens) == 0
+
+
+class TestStreamedAdvection:
+    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+    def test_generator_equals_one_kernel_call(self, boundary):
+        # frames handed over one at a time from a generator, each dropped by
+        # the caller, give the multi-frame kernel call's paths bit for bit
+        grid = make_grid(GridSpec(1, 2, 16, (-2.0, 2.0), boundary=boundary))
+        rng = np.random.default_rng(3)
+        times = np.linspace(0.0, 0.4, 6)
+        vflat = 0.5 * rng.standard_normal((6, 2, 256))
+        x0 = rng.uniform(-1.5, 1.5, (40, 2))
+        frames = (VectorField(grid, v.reshape((2,) + grid.pos_shape), t)
+                  for v, t in zip(vflat, times))
+        ens = integrate_trajectories(frames, x0, substeps=3, nframes=6)
+        lo, hi = grid.spec.axis_extent
+        paths, escaped = kernels.rk4_paths(
+            x0, times, vflat, grid.axis_coords[0], grid.dx, 16,
+            boundary == "periodic", 3, lo, hi)
+        assert not escaped.any()
+        np.testing.assert_array_equal(ens.paths, paths)
+        np.testing.assert_array_equal(ens.times, times)
+
+    def test_push_returns_positions_at_each_frame(self):
+        grid = make_grid(GridSpec(1, 1, 64, (0.0, 1.0)))
+        adv = Advection(np.array([[0.25]]), 3, substeps=2)
+        for frame in uniform_velocity_frames(grid, 0.5, [0.0, 0.2, 0.4]):
+            pos = adv.push(frame)
+            assert pos[0, 0] == pytest.approx(0.25 + 0.5 * frame.time)
+        with pytest.raises(ValueError, match="allotted"):
+            adv.push(uniform_velocity_frames(grid, 0.5, [0.6])[0])
 
 
 class TestBinnedMass:

@@ -50,15 +50,24 @@ class TestHamiltonFlow:
         np.testing.assert_allclose(pb, p0, atol=1e-5)
 
     def test_incompressibility_exactly_zero(self):
-        h = harmonic_pair()
-        x = np.random.default_rng(1).standard_normal((10, 2))
-        assert cp.incompressibility_check(h, x, x) == 0.0
+        # |det J - 1| of one Verlet step: exactly 0 at the shipped config's
+        # dt, uncoupled and coupled, and a few ulp per dimension elsewhere
+        eps = np.finfo(float).eps
+        for kappa in (0.0, 0.4):
+            h = cp.ClassicalHSpec((1.0, 1.3), omegas=(1.0, 0.7), kappa=kappa)
+            assert cp.incompressibility_check(h, 2e-4) == 0.0
+            for dt in (1e-3, 1e-2, 0.1):
+                assert cp.incompressibility_check(h, dt) <= 4 * 4 * eps
+        chain = cp.ClassicalHSpec((1.0, 2.0, 0.5), omegas=(0.0, 1.0, 3.0),
+                                  kappa=0.8)
+        assert cp.incompressibility_check(chain, 1e-2) <= 4 * 6 * eps
 
     def test_damped_control_positive(self):
+        # diag(1, exp(-g dt)) on J: det J - 1 = exp(-N g dt) - 1
         h = harmonic_pair()
-        x = np.zeros((1, 2))
-        assert cp.incompressibility_check(h, x, x, damping=0.1) == \
-            pytest.approx(0.2)
+        ctrl = cp.incompressibility_check(h, 1e-3, damping=0.1)
+        assert ctrl == pytest.approx(-np.expm1(-2 * 0.1 * 1e-3), rel=1e-9)
+        assert ctrl > 4 * 4 * np.finfo(float).eps
 
 
 class TestBackflow:

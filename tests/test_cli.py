@@ -48,6 +48,7 @@ class TestRun:
         assert set(m["files"]) == {"scaling.csv"}
         assert len(m["files"]["scaling.csv"]) == 64  # sha256 hex digest
         assert "slope" in m["metrics"]
+        assert type(m["peak_rss_bytes"]) is int and m["peak_rss_bytes"] > 1e6
 
     def test_deterministic_reruns(self, tmp_path):
         cfg = write_cfg(tmp_path, SCALING)
@@ -57,6 +58,7 @@ class TestRun:
             main(["run", cfg, "--output", str(out)])
             m = json.loads((out / "manifest.json").read_text())
             m.pop("wall_time_s")
+            m.pop("peak_rss_bytes")
             manifests.append(m)
         assert manifests[0] == manifests[1]
 
@@ -304,6 +306,20 @@ class TestPackageErrors:
         assert main(["run", path, "--output", str(out)]) == EXIT_CODES[cls.__name__]
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "raised by the test" in err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("name, budget", [
+        ("evolve", 20_000),          # fits the 4 KiB grid, not its working set
+        ("bohm_full", 1_000_000)])   # fits the grids, not 4 MB of paths
+    def test_memory_budget_exceeded(self, tmp_path, capsys, name, budget):
+        with open(os.path.join(CONFIG_DIR, f"{name}.json")) as f:
+            cfg = json.load(f)
+        cfg["grid"]["memory_budget"] = budget
+        path = write_cfg(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["run", path, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("MemoryBudgetExceeded")
         assert not (out / "manifest.json").exists()
 
     def test_stepper_boundary_mismatch(self, tmp_path, capsys):

@@ -1,0 +1,70 @@
+"""The field runners consume the wave-frame stream as it arrives: what they
+hold at once, and the memory guard that estimates it before evolving."""
+
+import os
+import weakref
+
+import pytest
+
+from bohmstat import experiments
+from bohmstat.configio import load_config, validate_config
+from bohmstat.errors import MemoryBudgetExceeded
+from bohmstat.schrodinger import evolve
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+FIELD_RUNNERS = ["evolve", "continuity", "subsystem_currents", "bohm_full",
+                 "bohm_truncated", "equivariance", "entropy_series",
+                 "free_expansion"]
+
+
+def shipped(name, **grid):
+    cfg = load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
+    cfg["grid"].update(grid)
+    if "ensemble" in cfg:
+        cfg["ensemble"]["samples"] = 300  # the frame stream is what is tested
+    return validate_config(cfg)
+
+
+@pytest.mark.parametrize("name", FIELD_RUNNERS)
+def test_runner_holds_at_most_three_wave_fields(name, tmp_path, monkeypatch):
+    # weak references to the initial state and to every frame evolve yields;
+    # each time a frame arrives, count those still alive
+    refs, peak = [], [0]
+
+    def counting_evolve(psi, h, t_final, frame_stride=1):
+        refs.append(weakref.ref(psi))
+        for frame in evolve(psi, h, t_final, frame_stride):
+            refs.append(weakref.ref(frame))
+            peak[0] = max(peak[0], sum(r() is not None for r in refs))
+            yield frame
+
+    monkeypatch.setattr(experiments, "evolve", counting_evolve)
+    experiments.RUNNERS[name](shipped(name), str(tmp_path), 0)
+    assert len(refs) > 10
+    assert peak[0] <= 3
+
+
+@pytest.mark.parametrize("name", FIELD_RUNNERS)
+def test_memory_guard_before_evolving(name, tmp_path, monkeypatch):
+    # a budget that fits the grid itself (16 bytes a point) but not the
+    # streamed working set; the guard raises before any frame is stepped
+    def no_evolve(*args):
+        raise AssertionError("evolve called past the memory guard")
+
+    monkeypatch.setattr(experiments, "evolve", no_evolve)
+    cfg = shipped(name)
+    points = cfg["grid"]["n"] ** cfg["grid"]["particles"]
+    cfg["grid"]["memory_budget"] = 4 * 16 * points
+    with pytest.raises(MemoryBudgetExceeded):
+        experiments.RUNNERS[name](cfg, str(tmp_path), 0)
+
+
+def test_memory_guard_counts_the_trajectory_paths(tmp_path):
+    # bohm_full: 300 samples x 51 frames x 1 axis x 8 bytes = 122 400 bytes
+    # of paths on top of about 6 grids of 4096 bytes
+    cfg = shipped("bohm_full", memory_budget=100_000)
+    with pytest.raises(MemoryBudgetExceeded, match="51 frames"):
+        experiments.RUNNERS["bohm_full"](cfg, str(tmp_path), 0)
+    cfg = shipped("bohm_full", memory_budget=200_000)
+    assert experiments.RUNNERS["bohm_full"](cfg, str(tmp_path), 0).passed

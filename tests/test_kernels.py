@@ -234,6 +234,30 @@ class TestRk4Agreement:
         np.testing.assert_array_equal(p1, p2)
 
 
+class TestFramePairChaining:
+    """The streamed runners advance samples one pair of velocity frames at a
+    time; chained, those calls are the multi-frame call bit for bit."""
+
+    @pytest.mark.parametrize("d_dims, n, periodic, speed", [
+        (1, 32, True, 1.0), (1, 32, False, 0.3), (1, 32, False, 3.0),
+        (2, 16, True, 1.0), (2, 16, False, 6.0)])
+    def test_pairs_equal_one_call(self, d_dims, n, periodic, speed):
+        x0, times, vflat, *rest = random_rk4_inputs(
+            7, d_dims=d_dims, n=n, nsamples=60, periodic=periodic, speed=speed)
+        paths, escaped = kernels.rk4_paths(x0, times, vflat, *rest)
+        chained, flags = [x0], np.zeros_like(escaped)
+        for f in range(len(times) - 1):
+            pair, esc = kernels.rk4_paths(chained[-1], times[f:f + 2],
+                                          vflat[f:f + 2], *rest)
+            np.testing.assert_array_equal(pair[:, 0, :], chained[-1])
+            chained.append(pair[:, 1, :])
+            flags |= esc
+        np.testing.assert_array_equal(np.stack(chained, axis=1), paths)
+        np.testing.assert_array_equal(flags, escaped)
+        if speed >= 3.0:
+            assert escaped.any()
+
+
 class TestVerletAgreement:
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 4),

@@ -4,7 +4,7 @@ import pytest
 from bohmstat.errors import StepperBoundaryMismatch
 from bohmstat.lattice import GridSpec, WaveField, integrate, make_grid
 from bohmstat.schrodinger import (HamiltonianSpec, eigenstates, energy, evolve,
-                                  make_stepper, potential_grid)
+                                  frame_count, make_stepper, potential_grid)
 
 
 def gaussian_packet(grid, center, width, momentum):
@@ -30,7 +30,7 @@ class TestFreePacket:
         grid = make_grid(GridSpec(1, 1, 256, (-16.0, 16.0)))
         h = HamiltonianSpec((1.0,), [{"kind": "free"}], time_step=1e-3)
         psi = gaussian_packet(grid, -4.0, 1.0, 1.0)
-        frames = evolve(psi, h, 1.0, frame_stride=1000)
+        frames = list(evolve(psi, h, 1.0, frame_stride=1000))
         mean, var = packet_moments(frames[-1])
         assert mean == pytest.approx(-3.0, abs=1e-6)
         assert var == pytest.approx(1.0 + 0.25, abs=1e-6)
@@ -40,7 +40,7 @@ class TestFreePacket:
         h = HamiltonianSpec((1.0,), [{"kind": "free"}], time_step=1e-3)
         psi = gaussian_packet(grid, 0.0, 1.0, 2.0)
         e0 = energy(psi, h)
-        frames = evolve(psi, h, 0.5, frame_stride=500)
+        frames = list(evolve(psi, h, 0.5, frame_stride=500))
         assert frames[-1].norm_sq() == pytest.approx(1.0, abs=1e-12)
         assert energy(frames[-1], h) == pytest.approx(e0, abs=1e-10)
 
@@ -52,7 +52,8 @@ class TestHarmonic:
         h = HamiltonianSpec((1.0,), [{"kind": "harmonic", "omega": 1.0}],
                             time_step=1e-3)
         psi = gaussian_packet(grid, 3.0, np.sqrt(0.5), 0.0)
-        frames = evolve(psi, h, 2 * np.pi, frame_stride=int(2 * np.pi / 1e-3))
+        frames = list(evolve(psi, h, 2 * np.pi,
+                             frame_stride=int(2 * np.pi / 1e-3)))
         overlap = abs(np.vdot(frames[0].amplitudes, frames[-1].amplitudes)
                       * grid.weight)
         assert overlap == pytest.approx(1.0, abs=1e-4)
@@ -62,7 +63,7 @@ class TestHarmonic:
         h = HamiltonianSpec((1.0,), [{"kind": "harmonic", "omega": 1.0}],
                             time_step=1e-3)
         psi = gaussian_packet(grid, 3.0, np.sqrt(0.5), 0.0)
-        frames = evolve(psi, h, 1.0, frame_stride=1000)
+        frames = list(evolve(psi, h, 1.0, frame_stride=1000))
         mean, _ = packet_moments(frames[-1])
         assert mean == pytest.approx(3.0 * np.cos(1.0), abs=1e-4)
 
@@ -73,7 +74,7 @@ class TestCrankNicolson:
         h = HamiltonianSpec((1.0,), [{"kind": "box"}], time_step=2e-4,
                             stepper="crank_nicolson")
         psi = gaussian_packet(grid, 2.0, 0.4, 0.0)
-        frames = evolve(psi, h, 0.2, frame_stride=500)
+        frames = list(evolve(psi, h, 0.2, frame_stride=500))
         assert frames[-1].norm_sq() == pytest.approx(frames[0].norm_sq(),
                                                      abs=1e-12)
 
@@ -82,7 +83,7 @@ class TestCrankNicolson:
         h = HamiltonianSpec((1.0,), [{"kind": "box"}], time_step=2e-4,
                             stepper="crank_nicolson")
         _, states = eigenstates(grid, h, 1)
-        frames = evolve(states[0], h, 0.2, frame_stride=1000)
+        frames = list(evolve(states[0], h, 0.2, frame_stride=1000))
         rho0 = np.abs(frames[0].amplitudes) ** 2
         rho1 = np.abs(frames[-1].amplitudes) ** 2
         np.testing.assert_allclose(rho1, rho0, atol=1e-10)
@@ -232,7 +233,7 @@ class TestStepperOracles:
                                ([{"kind": "box"}], 1e-12)):
             h = HamiltonianSpec((1.0,), potential, time_step=1e-3,
                                 stepper="crank_nicolson")
-            frames = evolve(psi, h, 0.05, frame_stride=15)
+            frames = list(evolve(psi, h, 0.05, frame_stride=15))
             stored = (0, 15, 30, 45, 50)
             assert [f.time for f in frames] == [i * h.time_step for i in stored]
             stepper = make_stepper(grid, h)
@@ -303,3 +304,60 @@ class TestPotential:
         h = HamiltonianSpec((1.0,), [{"kind": "quartic"}])
         with pytest.raises(ValueError):
             potential_grid(grid, h)
+
+
+def listed_frames(psi, h, t_final, stride):
+    """Every frame at once, as evolve returned them when it built a list: one
+    working array advanced frame to frame and each frame a copy of it."""
+    stepper = make_stepper(psi.grid, h)
+    n_steps = int(round((t_final - psi.time) / h.time_step))
+    frames = [WaveField(psi.grid, psi.amplitudes.copy(), psi.time)]
+    amp = psi.amplitudes.copy()
+    done = 0
+    while done < n_steps:
+        n = min(stride, n_steps - done)
+        stepper.advance(amp, n)
+        done += n
+        frames.append(WaveField(psi.grid, amp.copy(),
+                                psi.time + done * h.time_step))
+    return frames
+
+
+# one case per stepper path: (boundary, potential, stepper)
+STREAM_CASES = {
+    "split_step_potential": ("periodic", [{"kind": "harmonic", "omega": 2.0}],
+                             "split_step_spectral"),
+    "split_step_free": ("periodic", [{"kind": "free"}], "split_step_spectral"),
+    "crank_nicolson_potential": ("dirichlet",
+                                 [{"kind": "harmonic", "omega": 2.0}],
+                                 "crank_nicolson"),
+    "dirichlet_dst_free": ("dirichlet", [{"kind": "box"}], "crank_nicolson"),
+}
+
+
+class TestFrameStream:
+    @pytest.mark.parametrize("case", STREAM_CASES)
+    def test_stream_equals_list(self, case):
+        boundary, potential, stepper = STREAM_CASES[case]
+        grid = make_grid(GridSpec(1, 1, 64, (-4.0, 4.0), boundary=boundary))
+        h = HamiltonianSpec((1.0,), potential, time_step=1e-3, stepper=stepper)
+        psi = WaveField(grid, _random_state(grid, 3))
+        # 50 steps, stride 7: the last frame is off-stride
+        want = listed_frames(psi, h, 0.05, 7)
+        got = []
+        for frame in evolve(psi, h, 0.05, 7):
+            got.append((frame.time, frame.amplitudes.copy()))
+            frame.amplitudes[...] = np.nan  # a frame is a copy, not the state
+        assert len(got) == len(want) == frame_count(h, 0.05, 7) == 9
+        for (t, amp), f in zip(got, want):
+            assert t == f.time
+            np.testing.assert_array_equal(amp, f.amplitudes)
+
+    @pytest.mark.parametrize("t_final, stride, count", [
+        (0.05, 7, 9), (0.05, 10, 6), (0.05, 50, 2), (0.05, 80, 2), (0.0, 3, 1)])
+    def test_frame_count(self, t_final, stride, count):
+        grid = make_grid(GridSpec(1, 1, 32, (-4.0, 4.0)))
+        h = HamiltonianSpec((1.0,), time_step=1e-3)
+        psi = WaveField(grid, _random_state(grid, 4))
+        assert frame_count(h, t_final, stride) == count
+        assert len(list(evolve(psi, h, t_final, stride))) == count
