@@ -52,9 +52,6 @@ class TrajectoryEnsemble:
     def samples(self) -> int:
         return self.paths.shape[0]
 
-    def positions_at(self, frame_index: int) -> np.ndarray:
-        return self.paths[:, frame_index, :]
-
 
 class Advection:
     """RK4 advection of one sample ensemble, fed one velocity frame at a time.

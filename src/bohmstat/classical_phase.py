@@ -13,7 +13,7 @@ phase-space grids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,17 +54,6 @@ def hamilton_velocity(h: ClassicalHSpec, x: np.ndarray, p: np.ndarray):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     p = np.atleast_2d(np.asarray(p, dtype=float))
     return p / np.asarray(h.masses), forces(h, x)
-
-
-def hamiltonian(h: ClassicalHSpec, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    p = np.atleast_2d(np.asarray(p, dtype=float))
-    m = np.asarray(h.masses)
-    om = np.asarray(h.omegas)
-    e = np.sum(p**2 / (2 * m) + 0.5 * m * om**2 * x**2, axis=1)
-    if h.kappa != 0.0 and h.n > 1:
-        e = e + 0.5 * h.kappa * np.sum(np.diff(x, axis=1) ** 2, axis=1)
-    return e
 
 
 def incompressibility_check(h: ClassicalHSpec, dt: float,
@@ -139,19 +128,14 @@ def harmonic_backflow(h: ClassicalHSpec, x, p, t):
     return x0, p0
 
 
-def free_backflow(h: ClassicalHSpec, x, p, t):
-    if any(w != 0 for w in h.omegas) or h.kappa != 0.0:
-        raise AnalyticDensityUnavailable("free backflow needs V = 0")
-    return x - p * t / np.asarray(h.masses), p
-
-
-def gaussian_phase_density(sig_x, sig_p):
-    """Independent centered Gaussian density over (x, p) per particle."""
+def gaussian_phase_density(sig_x, sig_p, x_center=0.0):
+    """Independent Gaussian density over (x, p) per particle, centred at
+    (x_center, 0)."""
     sig_x = np.atleast_1d(np.asarray(sig_x, dtype=float))
     sig_p = np.atleast_1d(np.asarray(sig_p, dtype=float))
 
     def rho(x, p):
-        z = np.sum((x / sig_x) ** 2 + (p / sig_p) ** 2, axis=1)
+        z = np.sum(((x - x_center) / sig_x) ** 2 + (p / sig_p) ** 2, axis=1)
         norm = np.prod(2 * np.pi * sig_x * sig_p)
         return np.exp(-0.5 * z) / norm
 
@@ -167,17 +151,6 @@ def liouville_constancy(ens: PhaseEnsemble, rho0, backflow) -> float:
         x0, p0 = backflow(ens.h, ens.xs[i], ens.ps[i], t)
         val = rho0(x0, p0)
         worst = max(worst, float(np.max(np.abs(val - base) / base)))
-    return worst
-
-
-def thermal_density_constancy(ens: PhaseEnsemble, beta: float) -> float:
-    """For rho ~ exp(-beta H): constancy along orbits up to integrator energy
-    error; returns max |exp(-beta dH) - 1|."""
-    e0 = hamiltonian(ens.h, ens.xs[0], ens.ps[0])
-    worst = 0.0
-    for i in range(len(ens.times)):
-        e = hamiltonian(ens.h, ens.xs[i], ens.ps[i])
-        worst = max(worst, float(np.max(np.abs(np.exp(-beta * (e - e0)) - 1.0))))
     return worst
 
 

@@ -10,8 +10,8 @@ Exit codes: 0 success; 2 invalid or unsupported input (a config error, or a
 package error such as StepperBoundaryMismatch, MemoryBudgetExceeded,
 DenseBudgetExceeded or MalformedFile); 3 a built-in numerical check failed,
 or the run hit a numerical failure (TrajectoryEscapedDomain,
-ConvergenceFailure, TruncationInsufficient, NotADensityMatrix,
-OutsideAllCells, WindowEmpty).  Each error class names its code in `errors`;
+ConvergenceFailure from an ARPACK eigensolve, TruncationInsufficient,
+NotADensityMatrix, OutsideAllCells, WindowEmpty).  Each error class names its code in `errors`;
 a package error prints one line to stderr and leaves no manifest.
 
 Every successful or check-failed run leaves a manifest.json next to its

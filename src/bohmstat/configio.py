@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidExtent
 from .lattice import DEFAULT_MEMORY_BUDGET, GridSpec, make_grid, WaveField
 from .schrodinger import POTENTIAL_PARAMS, HamiltonianSpec, eigenstates
 
@@ -317,10 +317,10 @@ def build_grid(cfg: dict):
             spin_dims=g["spin_dims"],
             memory_budget=g["memory_budget"],
         )
-        return make_grid(spec)
-    except Exception as exc:
+    except InvalidExtent as exc:
         raise ConfigError("grid.points_per_axis" if "points_per_axis" in str(exc)
                           else "grid", str(exc)) from exc
+    return make_grid(spec)
 
 
 def build_hamiltonian(cfg: dict) -> HamiltonianSpec:

@@ -56,10 +56,6 @@ class OutsideAllCells(BohmstatError):
     exit_code = 3
 
 
-class EmptyRegion(BohmstatError):
-    pass
-
-
 class TruncationInsufficient(BohmstatError):
     exit_code = 3
 

@@ -314,12 +314,15 @@ def run_classical_liouville(cfg, outdir, seed):
         raise ConfigError("classical.kappa",
                           "the analytic backflow needs uncoupled oscillators")
     beta = c["beta"]
-    x, p = cp.sample_thermal(h, beta, c["samples"], seed)
-    ens = cp.evolve_ensemble(h, x, p, c["dt"], c["steps"], c["store_stride"],
-                             seed)
     m, om = np.asarray(h.masses), np.asarray(h.omegas)
-    rho0 = cp.gaussian_phase_density(1.0 / np.sqrt(beta * m * om**2),
-                                     np.sqrt(m / beta))
+    # the thermal Gaussian displaced by one width in x: a function of H alone
+    # would stay constant along orbits at any t, so it could not tell
+    # whether a frame carries its true time
+    sig_x = 1.0 / np.sqrt(beta * m * om**2)
+    x, p = cp.sample_thermal(h, beta, c["samples"], seed)
+    ens = cp.evolve_ensemble(h, x + sig_x, p, c["dt"], c["steps"],
+                             c["store_stride"], seed)
+    rho0 = cp.gaussian_phase_density(sig_x, np.sqrt(m / beta), x_center=sig_x)
     dev = cp.liouville_constancy(ens, rho0, cp.harmonic_backflow)
     incomp = cp.incompressibility_check(h, c["dt"])
     ctrl = cp.incompressibility_check(h, c["dt"], damping=c["damping"])
@@ -563,10 +566,28 @@ def run_thermo(cfg, outdir, seed):
     metrics = {"max_energy_rel_error": e_rel, "max_entropy_rel_error": s_rel,
                "family": t["family"],
                "grid": [len(v_grid), len(t_grid)]}
-    checks = {}
     if t["family"] == "box":
         checks = {"energy_dual_route_below_1e-4": e_rel < 1e-4,
                   "entropy_dual_route_below_1e-4": s_rel < 1e-4}
+    else:
+        # closed forms (w/2) coth(beta w/2), and eps q / (1 + q) = eps /
+        # (e^{beta eps} + 1), q = e^{-beta eps}, eps = gap / V^2.  A ladder cut
+        # at L levels, the last weighing <= TAIL_TOL, loses L x^L / (1 - x^L)
+        # quanta (x = e^{-beta w}): at most 2 L TAIL_TOL of E >= w/2.  Two
+        # levels are not cut; E = 0 cells (gap 0) are exact.
+        beta = 1.0 / t_grid
+        if t["family"] == "harmonic":
+            exact = sm.harmonic_thermal_energy(t["omega"], beta)
+        else:
+            eps = t["gap"] / v_grid[:, None] ** 2
+            q = np.exp(-beta * eps)
+            exact = eps * q / (1.0 + q)
+        err = np.abs(tab.energy_direct - exact)
+        cf_rel = float(np.divide(err, exact, out=np.zeros_like(err),
+                                 where=exact > 0).max())
+        tol = (2 * len(spec_of_v(v_grid[0]).levels) + 1) * sm.TAIL_TOL
+        metrics["max_closed_form_energy_rel_error"] = cf_rel
+        checks = {"energy_closed_form_within_tail_bound": cf_rel <= tol}
     return ExperimentResult(metrics, checks, ["thermo.csv"])
 
 

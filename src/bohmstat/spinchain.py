@@ -16,30 +16,26 @@ from .errors import DiagonalizationBudget, WindowEmpty
 
 MAX_SPINS = 12
 
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
-
-
-def _site_op(op, site, n):
-    out = np.array([[1.0]])
-    for i in range(n):
-        out = np.kron(out, op if i == site else np.eye(2))
-    return out
-
-
 def tfim_hamiltonian(n: int, j_coupling: float = 1.0, g_field: float = 1.0,
                      ab_coupling: float = 1.0, n_a: int = 1) -> np.ndarray:
     """Dense TFIM chain Hamiltonian; the bond between sites n_a-1 and n_a is
-    scaled by ab_coupling."""
+    scaled by ab_coupling.
+
+    Site i is bit n-1-i of the basis index (site 0 leads, as in a Kronecker
+    product) and sz = +1 on a 0 bit.  So sz_i sz_{i+1} = 1 - 2 (parity of
+    bits i, i+1) fills the diagonal, and sx_i couples s with s ^ (1 << (n-1-i)).
+    """
     if n > MAX_SPINS:
         raise DiagonalizationBudget(f"{n} spins exceeds the dense budget ({MAX_SPINS})")
-    dim = 2**n
-    h = np.zeros((dim, dim))
+    s = np.arange(2**n)
+    diag = np.zeros(2**n)
     for i in range(n - 1):
         scale = ab_coupling if i == n_a - 1 else 1.0
-        h -= scale * j_coupling * _site_op(_SZ, i, n) @ _site_op(_SZ, i + 1, n)
+        parity = ((s >> (n - 1 - i)) ^ (s >> (n - 2 - i))) & 1
+        diag -= scale * j_coupling * (1 - 2 * parity)
+    h = np.diag(diag)
     for i in range(n):
-        h -= g_field * _site_op(_SX, i, n)
+        h[s, s ^ (1 << (n - 1 - i))] -= g_field
     return h
 
 

@@ -9,7 +9,6 @@ Entropies:
                      `experiments._entropy_run`)
 * Gibbs             -k sum p_c ln(p_c dz / vol_c)   (histogram plug-in)
 * coarse-grained    -k sum P_M ln(P_M / W_M)
-* classical Boltzmann k ln(volume / dz)
 """
 
 from __future__ import annotations
@@ -18,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (EmptyRegion, GridTooCoarse, NotADensityMatrix,
-                     OutsideAllCells, TruncationInsufficient)
+from .errors import (GridTooCoarse, NotADensityMatrix, OutsideAllCells,
+                     TruncationInsufficient)
 
 PSD_TOL = 1e-10
+TAIL_TOL = 1e-12  # the largest last-level weight a truncated spectrum may keep
 # below this exponent np.exp returns exactly 0.0 (its underflow is -745.13)
 EXP_UNDERFLOW = -746.0
 
@@ -150,24 +150,6 @@ def coarse_grained_gibbs(cell_masses, cell_weights=None, k: float = 1.0) -> floa
     return float(-k * np.sum(p[mask] * np.log(p[mask] / w[mask])))
 
 
-def boltzmann_entropy(volume: float, delta_z: float, k: float = 1.0) -> float:
-    """k ln(phase volume / dz)."""
-    if volume <= 0:
-        raise EmptyRegion(f"region volume {volume} is not positive")
-    return float(k * np.log(volume / delta_z))
-
-
-def one_particle_boltzmann(x: np.ndarray, p: np.ndarray, delta_z1: float,
-                           x_edges, p_edges, k: float = 1.0) -> float:
-    """N times the Gibbs entropy of the pooled single-particle (x, p) marginal."""
-    x = np.atleast_2d(x)
-    p = np.atleast_2d(p)
-    n_part = x.shape[1]
-    pooled = np.column_stack([x.ravel(), p.ravel()])
-    s1 = gibbs_entropy(pooled, delta_z1, [x_edges, p_edges], k=k)
-    return n_part * s1
-
-
 # ---------------------------------------------------------------------------
 # spectra and canonical thermodynamics
 
@@ -198,13 +180,13 @@ def harmonic_spectrum(omega: float, count: int = 200) -> Spectrum:
                     source="harmonic")
 
 
-def partition_function(spec: Spectrum, beta, tail_tol: float = 1e-12):
+def partition_function(spec: Spectrum, beta):
     """Z and occupation weights p_n, evaluated with an E_0 shift for stability.
 
     A scalar beta gives (Z, p, ln Z) as (float, 1-D array, float); an array
     of beta gives arrays of Z and ln Z and p with a leading beta axis.  For
     truncated spectra the tail bound exp(-beta (E_max - E_0)) must be below
-    tail_tol, otherwise TruncationInsufficient.
+    TAIL_TOL, otherwise TruncationInsufficient.
     """
     beta = np.asarray(beta, dtype=float)
     if np.any(beta <= 0):
@@ -220,9 +202,9 @@ def partition_function(spec: Spectrum, beta, tail_tol: float = 1e-12):
     w = np.zeros(beta.shape + e.shape)
     w[..., :n_live] = np.exp(-beta[..., None] * gap[:n_live])
     tail = np.atleast_1d(w[..., -1])
-    if spec.truncated and np.any(tail > tail_tol):
+    if spec.truncated and np.any(tail > TAIL_TOL):
         raise TruncationInsufficient(
-            f"tail weight {tail[tail > tail_tol][0]:.3g} exceeds {tail_tol}; "
+            f"tail weight {tail[tail > TAIL_TOL][0]:.3g} exceeds {TAIL_TOL}; "
             "add levels")
     z_shifted = w.sum(axis=-1)
     p = w / z_shifted[..., None]
@@ -343,7 +325,7 @@ def bohmian_volume_check(length: float, temperature: float, mass: float = 1.0,
     """
     from .bohmian import sample_initial
     from .currents import current
-    from .lattice import GridSpec, ScalarField, WaveField, make_grid
+    from .lattice import GridSpec, ScalarField, make_grid
     from .schrodinger import HamiltonianSpec, eigenstates
 
     grid = make_grid(GridSpec(1, 1, grid_n, (0.0, length), boundary="dirichlet"))
@@ -376,5 +358,5 @@ def harmonic_thermal_entropy(omega: float, beta: float, k: float = 1.0) -> float
     return float(k * (x / (np.exp(x) - 1.0) - np.log(1.0 - np.exp(-x))))
 
 
-def harmonic_thermal_energy(omega: float, beta: float) -> float:
-    return float(0.5 * omega / np.tanh(0.5 * beta * omega))
+def harmonic_thermal_energy(omega: float, beta):
+    return 0.5 * omega / np.tanh(0.5 * beta * omega)

@@ -135,14 +135,6 @@ class ReducedDensityMatrix:
         m = self.matrix
         return float(np.vdot(m, m).real * self.a_grid.weight**2)
 
-    def spin_traced_diagonal(self) -> np.ndarray:
-        """rho_A(x_A) on the A position grid."""
-        g = self.a_grid
-        diag = np.real(np.diagonal(self.matrix)).reshape(g.full_shape)
-        if g.spin_shape:
-            diag = diag.sum(axis=tuple(range(g.n_spin_axes)))
-        return diag
-
 
 def reduced_density_matrix(psi: WaveField, part: SubsystemPartition,
                            dense_budget: int = DENSE_RDM_BUDGET) -> ReducedDensityMatrix:

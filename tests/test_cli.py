@@ -271,7 +271,6 @@ EXIT_CODES = {
     "NonuniformFrames": 2,
     "PartitionMismatch": 2,
     "DenseBudgetExceeded": 2,
-    "EmptyRegion": 2,
     "GridTooCoarse": 2,
     "DiagonalizationBudget": 2,
     "AnalyticDensityUnavailable": 2,
@@ -309,6 +308,7 @@ class TestPackageErrors:
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("name, budget", [
+        ("evolve", 1_000),           # below the 4 KiB grid itself
         ("evolve", 20_000),          # fits the 4 KiB grid, not its working set
         ("bohm_full", 1_000_000)])   # fits the grids, not 4 MB of paths
     def test_memory_budget_exceeded(self, tmp_path, capsys, name, budget):
@@ -320,6 +320,26 @@ class TestPackageErrors:
         assert main(["run", path, "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("MemoryBudgetExceeded")
+        assert not (out / "manifest.json").exists()
+
+    def test_arpack_no_convergence_exits_three(self, tmp_path, capsys,
+                                               monkeypatch):
+        # an eigenstate on a 72 x 72 grid, above DENSE_EIG_BUDGET: ARPACK
+        import scipy.sparse.linalg as spla
+
+        def no_convergence(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(spla, "eigsh", no_convergence)
+        with open(os.path.join(CONFIG_DIR, "evolve.json")) as f:
+            cfg = json.load(f)
+        cfg["grid"].update(dims=2, n=72)
+        cfg["initial_state"] = {"kind": "eigenstate", "index": 0}
+        path = write_cfg(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["run", path, "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("ConvergenceFailure")
         assert not (out / "manifest.json").exists()
 
     def test_stepper_boundary_mismatch(self, tmp_path, capsys):

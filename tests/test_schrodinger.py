@@ -3,8 +3,10 @@ import pytest
 
 from bohmstat.errors import StepperBoundaryMismatch
 from bohmstat.lattice import GridSpec, WaveField, integrate, make_grid
-from bohmstat.schrodinger import (HamiltonianSpec, eigenstates, energy, evolve,
-                                  frame_count, make_stepper, potential_grid)
+from bohmstat.schrodinger import (DENSE_EIG_BUDGET, HamiltonianSpec,
+                                  apply_hamiltonian, eigenstates, energy,
+                                  evolve, frame_count, make_stepper,
+                                  potential_grid)
 
 
 def gaussian_packet(grid, center, width, momentum):
@@ -286,6 +288,83 @@ class TestEigenstates:
         energies, _ = eigenstates(grid, h, 4)
         # 3-point stencil at n=64: O(dx^2) ~ 5e-2 discretization error
         np.testing.assert_allclose(energies, [0.5, 1.5, 2.5, 3.5], atol=5e-2)
+
+
+# grids that are not 1-D dirichlet without spin, each solved twice on the one
+# operator: dense eigh (dense_budget = the grid size) and ARPACK (budget 0)
+ROUTE_CASES = {
+    # non-degenerate lowest levels 1.35, 2.35, 3.05, 3.35
+    "two_particle_periodic": (
+        GridSpec(2, 1, 24, (-6.0, 6.0)),
+        HamiltonianSpec((1.0, 1.0), [{"kind": "harmonic", "omega": [1.0, 1.7]}])),
+    "spin_half": (
+        GridSpec(1, 1, 48, (-8.0, 8.0), spin_dims=(2,)),
+        HamiltonianSpec((1.0,), [{"kind": "harmonic", "omega": 1.0},
+                                 {"kind": "spin_coupling", "mu": 0.5}])),
+    "dirichlet_2d": (
+        GridSpec(1, 2, 16, (-4.0, 4.0), boundary="dirichlet"),
+        HamiltonianSpec((1.0,), [{"kind": "harmonic", "omega": 1.0}],
+                        stepper="crank_nicolson")),
+}
+
+
+def dense_and_arpack(name, count):
+    spec, h = ROUTE_CASES[name]
+    grid = make_grid(spec)
+    dense = eigenstates(grid, h, count, dense_budget=spec.total_points)
+    arpack = eigenstates(grid, h, count, dense_budget=0)
+    return grid, dense, arpack
+
+
+class TestEigensolverRoutes:
+    @pytest.mark.parametrize("name", list(ROUTE_CASES))
+    def test_arpack_energies_match_dense(self, name):
+        _, (e_dense, _), (e_arpack, _) = dense_and_arpack(name, 6)
+        np.testing.assert_allclose(e_arpack, e_dense, rtol=0, atol=1e-10)
+
+    def test_arpack_states_match_dense(self):
+        grid, (_, dense), (_, arpack) = dense_and_arpack(
+            "two_particle_periodic", 4)
+        for a, b in zip(dense, arpack):
+            ov = np.vdot(a.amplitudes, b.amplitudes) * grid.weight
+            assert abs(abs(ov) - 1.0) < 1e-8
+
+    def test_states_are_real_orthonormal_eigenvectors(self):
+        spec, h = ROUTE_CASES["spin_half"]
+        grid = make_grid(spec)
+        for budget in (spec.total_points, 0):
+            energies, states = eigenstates(grid, h, 4, dense_budget=budget)
+            amps = np.array([s.amplitudes.ravel() for s in states])
+            assert not amps.imag.any()
+            np.testing.assert_allclose(amps.conj() @ amps.T * grid.weight,
+                                       np.eye(4), atol=1e-10)
+            for e, s in zip(energies, states):
+                resid = apply_hamiltonian(s.amplitudes, grid, h) - e * s.amplitudes
+                assert np.max(np.abs(resid)) < 1e-8
+
+    def test_dirichlet_2d_above_budget(self):
+        # 72 x 72 = 5184 points > DENSE_EIG_BUDGET: ARPACK, against the
+        # exact spectrum of the (1,-2,1) stencil, sum over both axes of
+        # 2 / (m dx^2) sin^2(pi k / (2 (N + 1)))
+        n = 72
+        grid = make_grid(GridSpec(1, 2, n, (0.0, 1.0), boundary="dirichlet"))
+        assert grid.spec.total_points > DENSE_EIG_BUDGET
+        h = HamiltonianSpec((1.0,), [{"kind": "box"}], stepper="crank_nicolson")
+        energies, states = eigenstates(grid, h, 6)
+        axis = 2.0 / grid.dx**2 * np.sin(np.pi * np.arange(1, 5)
+                                         / (2 * (n + 1))) ** 2
+        exact = np.sort(np.add.outer(axis, axis).ravel())[:6]
+        np.testing.assert_allclose(energies, exact, rtol=1e-12)
+        assert len(states) == 6
+
+    def test_periodic_degenerate_levels_all_found(self):
+        # 72 x 72 periodic oscillator: E = 1, 2, 2, 3, 3, 3 (spectral
+        # kinetic operator, exact to round-off at this extent); single-vector
+        # Lanczos can return fewer copies of a degenerate level than exist
+        grid = make_grid(GridSpec(1, 2, 72, (-8.0, 8.0)))
+        h = HamiltonianSpec((1.0,), [{"kind": "harmonic", "omega": 1.0}])
+        energies, _ = eigenstates(grid, h, 6)
+        np.testing.assert_allclose(energies, [1, 2, 2, 3, 3, 3], atol=1e-10)
 
 
 class TestPotential:

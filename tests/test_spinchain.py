@@ -4,8 +4,38 @@ import pytest
 from bohmstat import spinchain as sc
 from bohmstat.errors import DiagonalizationBudget, WindowEmpty
 
+SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
+
+
+def site_op(op, site, n):
+    out = np.array([[1.0]])
+    for i in range(n):
+        out = np.kron(out, op if i == site else np.eye(2))
+    return out
+
+
+def kron_tfim(n, j_coupling=1.0, g_field=1.0, ab_coupling=1.0, n_a=1):
+    """The TFIM as a sum of Kronecker products of site operators, term by
+    term in tfim_hamiltonian's order: the oracle of its bit-operation build."""
+    h = np.zeros((2**n, 2**n))
+    for i in range(n - 1):
+        scale = ab_coupling if i == n_a - 1 else 1.0
+        h -= scale * j_coupling * site_op(SZ, i, n) @ site_op(SZ, i + 1, n)
+    for i in range(n):
+        h -= g_field * site_op(SX, i, n)
+    return h
+
 
 class TestHamiltonian:
+    @pytest.mark.parametrize("n, g, ab, n_a", [
+        (2, 0.7, 1.0, 1), (5, 0.8, 0.3, 2), (8, 1.0, 0.2, 1),
+        (10, 1.0, 0.2, 1)])
+    def test_bit_build_equals_kronecker_oracle(self, n, g, ab, n_a):
+        np.testing.assert_array_equal(
+            sc.tfim_hamiltonian(n, 1.0, g, ab_coupling=ab, n_a=n_a),
+            kron_tfim(n, 1.0, g, ab_coupling=ab, n_a=n_a))
+
     def test_two_spins_manual(self):
         # H = -J sz sz - g (sx 1 + 1 sx) written out in the product basis
         j, g = 1.3, 0.7

@@ -6,9 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from bohmstat import experiments
 from bohmstat import statmech as sm
-from bohmstat.errors import (EmptyRegion, GridTooCoarse, NotADensityMatrix,
-                             OutsideAllCells, TruncationInsufficient)
+from bohmstat.configio import validate_config
+from bohmstat.errors import (GridTooCoarse, NotADensityMatrix, OutsideAllCells,
+                             TruncationInsufficient)
 
 
 def random_density(dim, seed):
@@ -270,25 +272,6 @@ class TestGibbs:
             pytest.approx(np.log(16), abs=1e-12)
 
 
-class TestBoltzmann:
-    def test_log_ratio(self):
-        assert sm.boltzmann_entropy(8.0, 2.0) == pytest.approx(np.log(4))
-
-    def test_empty_region(self):
-        with pytest.raises(EmptyRegion):
-            sm.boltzmann_entropy(0.0, 1.0)
-
-    def test_one_particle_scales_with_count(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((4000, 3))
-        p = rng.standard_normal((4000, 3))
-        edges = np.linspace(-5, 5, 31)
-        s3 = sm.one_particle_boltzmann(x, p, 1.0, edges, edges)
-        pooled = np.column_stack([x.ravel(), p.ravel()])
-        s1 = sm.gibbs_entropy(pooled, 1.0, [edges, edges])
-        assert s3 == pytest.approx(3 * s1, abs=1e-12)
-
-
 class TestPartitionFunction:
     def test_two_level_exact(self):
         gap, beta = 1.3, 0.8
@@ -547,3 +530,29 @@ class TestBohmianVolume:
         assert rep["max_abs_current"] == 0.0
         assert rep["all_inside"]
         assert rep["spread_fraction"] > 0.5
+
+
+class TestThermoClosedFormCheck:
+    @staticmethod
+    def run(tmp_path, **thermo):
+        cfg = validate_config({"experiment": "thermo", "thermo": {
+            "v_count": 7, "t_count": 9, "levels": 200, **thermo}})
+        return experiments.run_thermo(cfg, str(tmp_path), 0)
+
+    @pytest.mark.parametrize("family", ["harmonic", "two_level"])
+    def test_family_passes_its_closed_form(self, tmp_path, family):
+        res = self.run(tmp_path, family=family, omega=1.3, gap=2.0)
+        assert res.checks == {"energy_closed_form_within_tail_bound": True}
+        assert res.metrics["max_closed_form_energy_rel_error"] < 1e-13
+
+    def test_zero_gap_has_nothing_to_resolve(self, tmp_path):
+        res = self.run(tmp_path, family="two_level", gap=0.0)
+        assert res.passed
+        assert res.metrics["max_closed_form_energy_rel_error"] == 0.0
+
+    def test_wrong_volume_law_fails(self, tmp_path, monkeypatch):
+        # a gap falling as 1/V instead of 1/V^2
+        monkeypatch.setattr(experiments, "_spectrum_family", lambda t: (
+            lambda v: sm.Spectrum([0.0, t["gap"] / v], volume=v)))
+        res = self.run(tmp_path, family="two_level", gap=2.0)
+        assert not res.checks["energy_closed_form_within_tail_bound"]
