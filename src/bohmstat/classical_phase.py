@@ -60,19 +60,15 @@ def incompressibility_check(h: ClassicalHSpec, dt: float,
                             damping: float = 0.0) -> float:
     """|det J - 1| for the Jacobian J of one velocity-Verlet step of size dt.
 
-    The step is linear in (x, p) for this family, so stepping the 2N
-    phase-space unit vectors once through kernels.verlet gives the columns
-    of J.  The step is symplectic, det J = 1, so the result is round-off
+    The step is linear in (x, p) for this family; J is the transpose of
+    kernels.verlet_matrix, the very map that kernels.verlet moves ensembles
+    by.  The step is symplectic, det J = 1, so the result is round-off
     only.  `damping` composes J with diag(1, exp(-damping dt)), one step of
     the non-Hamiltonian decay dp/dt = -damping p; its determinant
     exp(-N damping dt) makes the negative control.
     """
-    n = h.n
-    eye = np.eye(2 * n)
-    xs, ps = kernels.verlet(eye[:, :n], eye[:, n:], h.masses, h.omegas,
-                            h.kappa, dt, 1)
-    jac = np.hstack([xs[1], ps[1]]).T  # column j: the image of unit vector j
-    jac[n:] *= np.exp(-damping * dt)
+    jac = kernels.verlet_matrix(h.masses, h.omegas, h.kappa, dt).T
+    jac[h.n:] *= np.exp(-damping * dt)
     return float(abs(np.linalg.det(jac) - 1.0))
 
 

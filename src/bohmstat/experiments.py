@@ -7,7 +7,6 @@ list of files it wrote.  All randomness flows from the single seed.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import os
@@ -43,10 +42,12 @@ class ExperimentResult:
 
 
 def _write_csv(path, header, rows):
+    """The bytes csv.writer writes for plain header names and rows of Python
+    numbers (repr of a float is its shortest round-trip form, as str is);
+    a numpy scalar would print as np.float64(...), so callers pass floats."""
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)
+        f.write(",".join(header) + "\r\n")
+        f.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 # What each field runner holds at once, in real grid-sized arrays (half a
@@ -370,9 +371,11 @@ def run_classical_truncated(cfg, outdir, seed):
     for i in range(len(xc)):
         for j in range(len(pc)):
             if occ[i, j]:
-                rows.append((xc[i], pc[j], int(binned.counts[i, j]),
-                             binned.mean_vp[i, j], binned.se_vp[i, j],
-                             oracle_vp[i, j]))
+                rows.append((float(xc[i]), float(pc[j]),
+                             int(binned.counts[i, j]),
+                             float(binned.mean_vp[i, j]),
+                             float(binned.se_vp[i, j]),
+                             float(oracle_vp[i, j])))
     _write_csv(os.path.join(outdir, "binned_velocity.csv"),
                ["x_a", "p_a", "count", "mean_dpdt", "se_dpdt", "oracle_dpdt"],
                rows)
@@ -540,8 +543,7 @@ def _table_grids(t, refine=1):
 
 
 def _table_csv(path, tab):
-    """One row per (V, T), V outer; the columns go through Python floats,
-    which the csv writer formats much faster than numpy scalars."""
+    """One row per (V, T), V outer, the columns as Python floats."""
     n_v, n_t = tab.log_z.shape
     columns = [np.repeat(tab.v_grid, n_t), np.tile(tab.t_grid, n_v),
                tab.log_z, tab.free_energy, tab.energy, tab.entropy,
@@ -552,17 +554,22 @@ def _table_csv(path, tab):
                zip(*(c.ravel().tolist() for c in columns)))
 
 
+def _max_rel_error(value, direct):
+    """max |value - direct| / |direct| over the table's inner cells; a cell
+    whose direct value is 0 (E at gap 0) is exact and counts 0."""
+    rel = np.divide(value - direct, direct, out=np.zeros_like(direct),
+                    where=direct != 0)
+    return float(np.abs(rel[1:-1, 1:-1]).max())
+
+
 def run_thermo(cfg, outdir, seed):
     t = cfg["thermo"]
     spec_of_v = _spectrum_family(t)
     v_grid, t_grid = _table_grids(t)
     tab = sm.thermo_table(spec_of_v, v_grid, t_grid, direct=True)
     _table_csv(os.path.join(outdir, "thermo.csv"), tab)
-    inner = np.s_[1:-1, 1:-1]
-    e_rel = float(np.nanmax(np.abs(
-        (tab.energy - tab.energy_direct) / tab.energy_direct)[inner]))
-    s_rel = float(np.nanmax(np.abs(
-        (tab.entropy - tab.entropy_direct) / tab.entropy_direct)[inner]))
+    e_rel = _max_rel_error(tab.energy, tab.energy_direct)
+    s_rel = _max_rel_error(tab.entropy, tab.entropy_direct)
     metrics = {"max_energy_rel_error": e_rel, "max_entropy_rel_error": s_rel,
                "family": t["family"],
                "grid": [len(v_grid), len(t_grid)]}

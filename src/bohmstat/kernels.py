@@ -1,9 +1,13 @@
 """Hot numeric kernels: RK4 trajectory advection and velocity-Verlet.
 
-Both are vectorized numpy, looping over time steps only; every sample moves
-in the same array operations.  tests/test_kernels.py holds per-sample loop
-versions of both as slow reference oracles and requires bit-identical
-results from them.
+RK4 is vectorized numpy, looping over time steps only; every sample moves in
+the same array operations.  A velocity-Verlet step of the classical twin's
+Hamiltonians is a fixed linear map of (x, p), so verlet builds its 2N x 2N
+matrix once and moves the whole ensemble from one stored frame to the next
+by one matrix power.  tests/test_kernels.py holds per-sample loop versions
+of both as slow reference oracles: rk4_paths must match its loop bit for
+bit, verlet's one-step matrix must match one loop step of the unit vectors
+bit for bit, and its frames the loop's frames to round-off.
 
 Velocity grids are passed flattened: vflat[frame, component, point] with
 C-order point index over the D position axes.  rk4_paths holds positions
@@ -182,42 +186,52 @@ def forces(x, m, omega, kappa):
     return np.ascontiguousarray(f.T)
 
 
+def verlet_matrix(masses, omegas, kappa, dt):
+    """The 2N x 2N matrix M of one velocity-Verlet step of size dt: a
+    phase-space row z = (x_1..x_N, p_1..p_N) moves to z @ M.
+
+    The step is linear for this family, so row j of M is the image of unit
+    vector j, and the 2N unit vectors are stepped once, particle-major, with
+    the kick-drift-kick arithmetic p += (dt/2) f(x), x += dt p / m,
+    p += (dt/2) f(x)."""
+    m = np.asarray(masses, dtype=np.float64)
+    stiffness = -m * np.asarray(omegas, dtype=np.float64)**2
+    kappa, dt = float(kappa), float(dt)
+    n = m.shape[0]
+    z = np.eye(2 * n)
+    x, p = z[:n], z[n:]         # x[a, j]: component a of unit vector j
+    f = np.empty_like(x)
+    diff = np.empty((max(n - 1, 0), 2 * n))
+    half = 0.5 * dt
+    p += half * _forces_into(f, x, stiffness, kappa, diff)
+    x += dt * p / m[:, None]
+    p += half * _forces_into(f, x, stiffness, kappa, diff)
+    return z.T.copy()
+
+
 def verlet(x0, p0, masses, omegas, kappa, dt, steps, store_stride=1):
     """Symplectic velocity-Verlet; returns stored (xs, ps) with the initial
     state first and every store_stride-th step after it, plus the last step
     when it is off-stride; shapes (nstored, nsamples, nparticles).
 
-    The state is stepped in place, particle-major so that each per-particle
-    constant multiplies a contiguous row.  The half kick that closes one step
-    opens the next, so forces are evaluated once per step; x0 and p0 are not
-    modified."""
-    x = np.asarray(x0, dtype=np.float64).T.copy()
-    p = np.asarray(p0, dtype=np.float64).T.copy()
-    m = np.asarray(masses, dtype=np.float64)
-    om = np.asarray(omegas, dtype=np.float64)
-    kappa, dt = float(kappa), float(dt)
+    No step is taken one at a time: each stored frame is the one before it
+    times M^store_stride (M from verlet_matrix, powered by repeated
+    squaring), and an off-stride last frame takes M^(steps % store_stride),
+    so the cost is O(log steps + frames x samples).  The frames agree with
+    stepping one step at a time to round-off, not bit for bit; x0 and p0 are
+    not modified."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    p0 = np.asarray(p0, dtype=np.float64)
     steps, store_stride = int(steps), int(store_stride)
-    nstore = steps // store_stride + 1 + (steps % store_stride != 0)
-    npart, nsamples = x.shape
-    xs = np.empty((nstore, nsamples, npart))
-    ps = np.empty((nstore, nsamples, npart))
-    xs[0], ps[0] = x.T, p.T
-    stiffness = -m * om**2
-    mass = m[:, None]
-    half = 0.5 * dt
-    kick = np.empty_like(x)      # 0.5 dt f, shared by adjacent half kicks
-    drift = np.empty_like(x)
-    diff = np.empty((max(npart - 1, 0), nsamples))
-    np.multiply(half, _forces_into(kick, x, stiffness, kappa, diff), out=kick)
-    k = 1
-    for step in range(1, steps + 1):
-        p += kick
-        np.multiply(dt, p, out=drift)
-        drift /= mass
-        x += drift
-        np.multiply(half, _forces_into(kick, x, stiffness, kappa, diff), out=kick)
-        p += kick
-        if step % store_stride == 0 or step == steps:
-            xs[k], ps[k] = x.T, p.T
-            k += 1
-    return xs, ps
+    nsamples, n = x0.shape
+    step = verlet_matrix(masses, omegas, kappa, dt)
+    whole, rest = divmod(steps, store_stride)
+    z = np.empty((whole + 1 + (rest != 0), nsamples, 2 * n))
+    z[0, :, :n], z[0, :, n:] = x0, p0
+    if whole:
+        stride = np.linalg.matrix_power(step, store_stride)
+        for k in range(1, whole + 1):
+            np.matmul(z[k - 1], stride, out=z[k])
+    if rest:
+        np.matmul(z[whole], np.linalg.matrix_power(step, rest), out=z[-1])
+    return z[..., :n].copy(), z[..., n:].copy()

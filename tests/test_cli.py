@@ -73,6 +73,23 @@ class TestRun:
             assert m["seed"] == int(seed)
         assert slopes[0] != slopes[1]
 
+    def test_thermo_gap_zero_manifest_is_strict_json(self, tmp_path):
+        # at gap 0 both levels sit at E = 0: the direct energy is 0 in every
+        # cell, which the dual-route error counts as exact, not 0 / 0
+        with open(os.path.join(CONFIG_DIR, "thermo.json")) as f:
+            cfg = json.load(f)
+        cfg["thermo"].update(family="two_level", gap=0.0)
+        out = tmp_path / "out"
+        assert main(["run", write_cfg(tmp_path, cfg), "--output", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        m = json.loads((out / "manifest.json").read_text(),
+                       parse_constant=reject)
+        assert m["metrics"]["max_energy_rel_error"] == 0.0
+        assert m["status"] == "ok"
+
     def test_output_dir_from_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = dict(SCALING, output_dir="from_config")
@@ -357,7 +374,9 @@ def test_runs_without_scipy_reach_no_scipy_import(tmp_path):
         import contextlib, io, os, sys
         from bohmstat.cli import main
         configs, out = sys.argv[1], sys.argv[2]
-        for name in ("evolve", "thermo", "free_expansion"):
+        for name in ("evolve", "free_expansion", "classical_liouville",
+                     "classical_truncated", "scaling", "thermo", "first_law",
+                     "cat_mixture"):
             with contextlib.redirect_stdout(io.StringIO()):
                 rc = main(["run", os.path.join(configs, name + ".json"),
                            "--output", os.path.join(out, name)])

@@ -1,6 +1,9 @@
 """The field runners consume the wave-frame stream as it arrives: what they
-hold at once, and the memory guard that estimates it before evolving."""
+hold at once, and the memory guard that estimates it before evolving; and
+the CSV writer every runner shares."""
 
+import csv
+import math
 import os
 import weakref
 
@@ -68,3 +71,17 @@ def test_memory_guard_counts_the_trajectory_paths(tmp_path):
         experiments.RUNNERS["bohm_full"](cfg, str(tmp_path), 0)
     cfg = shipped("bohm_full", memory_budget=200_000)
     assert experiments.RUNNERS["bohm_full"](cfg, str(tmp_path), 0).passed
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    header = ["time", "count", "value"]
+    rows = [(0.0, 0, math.nan), (-0.0, -3, math.inf), (5e-324, 10**20, -math.inf),
+            (1e22, 7, 0.1 + 0.2), (-1.5e-300, 1, 1 / 3)]
+    ours = tmp_path / "ours.csv"
+    experiments._write_csv(str(ours), header, iter(rows))
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+    assert ours.read_bytes() == ref.read_bytes()

@@ -1,7 +1,10 @@
-"""The vectorized kernels must reproduce, bit for bit, the per-sample loops
-below.  The loops are slow reference oracles: they spell out the RK4 stage
-blends, the multilinear interpolation and the Verlet force sums one sample
-and one coordinate at a time, in the same floating-point operation order."""
+"""The kernels against the per-sample loops below, slow reference oracles
+that spell out the RK4 stage blends, the multilinear interpolation and the
+Verlet force sums one sample and one coordinate at a time, in the kernels'
+floating-point operation order.  rk4_paths must reproduce its loop bit for
+bit.  verlet moves samples by powers of the one-step matrix instead of step
+by step: the matrix must be loop_verlet's step of the unit vectors bit for
+bit, and the stored frames must agree with loop_verlet to round-off."""
 
 import numpy as np
 import pytest
@@ -258,35 +261,83 @@ class TestFramePairChaining:
             assert escaped.any()
 
 
+def random_chain(rng, npart):
+    return rng.uniform(0.5, 2.0, npart), rng.uniform(0.5, 2.0, npart)
+
+
+def loop_step_matrix(m, om, kappa, dt):
+    """Rows: the 2N phase-space unit vectors after one loop_verlet step."""
+    n = len(m)
+    eye = np.eye(2 * n)
+    xs, ps = loop_verlet(eye[:, :n].copy(), eye[:, n:].copy(), m, om, kappa,
+                         dt, 1, 1)
+    return np.hstack([xs[1], ps[1]])
+
+
+def assert_within_round_off(a, b, steps):
+    """|a - b| <= 4 steps eps max|z|: one step at a time and one matrix
+    power round differently, by well under one ulp of max|z| per step."""
+    scale = max(np.abs(a[0]).max(), np.abs(a[1]).max())
+    tol = 4 * steps * np.finfo(float).eps * scale
+    assert np.abs(a[0] - b[0]).max() <= tol
+    assert np.abs(a[1] - b[1]).max() <= tol
+
+
 class TestVerletAgreement:
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 4),
-           st.floats(0.0, 2.0))
-    def test_bit_identical(self, seed, npart, kappa):
-        rng = np.random.default_rng(seed)
-        x0 = rng.standard_normal((8, npart))
-        p0 = rng.standard_normal((8, npart))
-        m = rng.uniform(0.5, 2.0, npart)
-        om = rng.uniform(0.5, 2.0, npart)
-        a = loop_verlet(x0.copy(), p0.copy(), m, om, kappa, 1e-3, 50, 10)
-        b = kernels.verlet(x0, p0, m, om, kappa, 1e-3, 50, 10)
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
+           st.floats(0.0, 2.0), st.sampled_from([1e-3, 1e-2, 0.1]))
+    def test_bit_identical(self, seed, npart, kappa, dt):
+        # the one-step matrix is the loop's step of the unit vectors
+        m, om = random_chain(np.random.default_rng(seed), npart)
+        np.testing.assert_array_equal(kernels.verlet_matrix(m, om, kappa, dt),
+                                      loop_step_matrix(m, om, kappa, dt))
 
     @pytest.mark.parametrize("npart, kappa", [(1, 0.0), (1, 0.8), (3, 0.0),
                                               (3, 0.8)])
     @pytest.mark.parametrize("steps", [50, 53])  # on and off the stride
     def test_bit_identical_coupled_and_off_stride(self, npart, kappa, steps):
+        # the one-step matrix at this dt bit for bit, the initial state
+        # stored bit for bit, and every later frame to round-off
         rng = np.random.default_rng(17 + npart)
         x0 = rng.standard_normal((40, npart))
         p0 = rng.standard_normal((40, npart))
-        m = rng.uniform(0.5, 2.0, npart)
-        om = rng.uniform(0.5, 2.0, npart)
+        m, om = random_chain(rng, npart)
+        np.testing.assert_array_equal(kernels.verlet_matrix(m, om, kappa, 1e-2),
+                                      loop_step_matrix(m, om, kappa, 1e-2))
         a = loop_verlet(x0.copy(), p0.copy(), m, om, kappa, 1e-2, steps, 10)
         b = kernels.verlet(x0, p0, m, om, kappa, 1e-2, steps, 10)
         assert len(b[0]) == 6 + (steps % 10 != 0)
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
+        np.testing.assert_array_equal(b[0][0], x0)
+        np.testing.assert_array_equal(b[1][0], p0)
+        assert_within_round_off(a, b, steps)
+
+    @pytest.mark.parametrize("npart, kappa", [(1, 0.0), (2, 2.0), (4, 0.8)])
+    @pytest.mark.parametrize("steps, stride", [(37, 5), (7, 20), (20, 20),
+                                               (1, 1), (0, 3)])
+    def test_frames_within_round_off(self, npart, kappa, steps, stride):
+        # an off-stride last frame, store_stride > steps (the initial and
+        # the last state), one stride exactly, one step, and no step
+        rng = np.random.default_rng(5 + npart)
+        x0 = rng.standard_normal((30, npart))
+        p0 = rng.standard_normal((30, npart))
+        m, om = random_chain(rng, npart)
+        a = loop_verlet(x0.copy(), p0.copy(), m, om, kappa, 0.05, steps, stride)
+        b = kernels.verlet(x0, p0, m, om, kappa, 0.05, steps, stride)
+        assert b[0].shape == a[0].shape == b[1].shape
+        assert len(b[0]) == steps // stride + 1 + (steps % stride != 0)
+        assert_within_round_off(a, b, max(steps, 1))
+
+    def test_liouville_setting_within_round_off(self):
+        # classical_liouville's masses, frequencies, dt, steps and stride
+        rng = np.random.default_rng(2)
+        x0 = rng.standard_normal((8, 2))
+        p0 = rng.standard_normal((8, 2))
+        m, om = [1.0, 1.3], [1.0, 0.7]
+        a = loop_verlet(x0.copy(), p0.copy(), np.array(m), np.array(om), 0.0,
+                        2e-4, 10_000, 1000)
+        b = kernels.verlet(x0, p0, m, om, 0.0, 2e-4, 10_000, 1000)
+        assert_within_round_off(a, b, 10_000)
 
     def test_leaves_initial_state_unmodified(self):
         rng = np.random.default_rng(3)
