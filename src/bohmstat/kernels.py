@@ -199,7 +199,7 @@ def verlet_matrix(masses, omegas, kappa, dt):
     kappa, dt = float(kappa), float(dt)
     n = m.shape[0]
     z = np.eye(2 * n)
-    x, p = z[:n], z[n:]         # x[a, j]: component a of unit vector j
+    x, p = z[:n], z[n:]         # column j: unit vector j, stepped in place
     f = np.empty_like(x)
     diff = np.empty((max(n - 1, 0), 2 * n))
     half = 0.5 * dt
