@@ -49,13 +49,6 @@ def forces(h: ClassicalHSpec, x: np.ndarray) -> np.ndarray:
                           m, om, h.kappa)
 
 
-def hamilton_velocity(h: ClassicalHSpec, x: np.ndarray, p: np.ndarray):
-    """(dx/dt, dp/dt) = (dH/dp, -dH/dx), analytic."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    p = np.atleast_2d(np.asarray(p, dtype=float))
-    return p / np.asarray(h.masses), forces(h, x)
-
-
 def incompressibility_check(h: ClassicalHSpec, dt: float,
                             damping: float = 0.0) -> float:
     """|det J - 1| for the Jacobian J of one velocity-Verlet step of size dt.
@@ -85,17 +78,67 @@ class PhaseEnsemble:
         return self.xs.shape[1]
 
 
-def sample_thermal(h: ClassicalHSpec, beta: float, count: int,
-                   seed: int) -> tuple:
-    """Thermal Gaussian for uncoupled oscillators (kappa is ignored here)."""
-    rng = np.random.default_rng(seed)
+# rows per block of a chunked draw: about 1 MiB of float64 each
+CHUNK_BYTES = 1 << 20
+
+
+def thermal_draw(rng, count: int, columns: int, x_scale, p_scale):
+    """The thermal Gaussian x = z / x_scale, p = z' * p_scale of `count` rows
+    and `columns` columns, drawn in row chunks in the generator's stream
+    order: every x row, then every p row.  z and z' are exactly the numbers
+    of two rng.standard_normal((count, columns)) calls, since the generator
+    fills rows in order.
+
+    Yields ("x" or "p", row slice, block).  Every block is a view of one
+    chunk buffer of about CHUNK_BYTES, scaled in place; the consumer may
+    overwrite it and must be done with it before it asks for the next."""
+    chunk_rows = max(1, CHUNK_BYTES // (8 * columns))
+    chunk = np.empty((min(chunk_rows, count), columns))
+    for name in ("x", "p"):
+        for start in range(0, count, chunk_rows):
+            block = rng.standard_normal(
+                out=chunk[:min(chunk_rows, count - start)])
+            if name == "x":
+                block /= x_scale
+            else:
+                block *= p_scale
+            yield name, slice(start, start + len(block)), block
+
+
+def _oscillator_draw(h: ClassicalHSpec, beta: float, count: int, seed: int):
+    """thermal_draw of the uncoupled oscillators of h at beta (kappa does
+    not enter the Gaussian)."""
     m = np.asarray(h.masses)
     om = np.asarray(h.omegas)
     if np.any(om <= 0):
         raise ValueError("thermal sampling needs positive frequencies")
-    x = rng.standard_normal((count, h.n)) / np.sqrt(beta * m * om**2)
-    p = rng.standard_normal((count, h.n)) * np.sqrt(m / beta)
-    return x, p
+    return thermal_draw(np.random.default_rng(seed), count, h.n,
+                        np.sqrt(beta * m * om**2), np.sqrt(m / beta))
+
+
+def sample_thermal(h: ClassicalHSpec, beta: float, count: int,
+                   seed: int) -> tuple:
+    """Thermal Gaussian for uncoupled oscillators (kappa is ignored here)."""
+    drawn = {"x": np.empty((count, h.n)), "p": np.empty((count, h.n))}
+    for name, rows, block in _oscillator_draw(h, beta, count, seed):
+        drawn[name][rows] = block
+    return drawn["x"], drawn["p"]
+
+
+def sample_thermal_particle(h: ClassicalHSpec, beta: float, count: int,
+                            seed: int, a: int) -> tuple:
+    """(x_A, p_A, dp_A/dt) for particle a: column a of sample_thermal(h,
+    beta, count, seed)'s x and p and of forces(h, x), bit for bit, holding
+    the other particles' columns one chunk at a time.  The force feels
+    h.kappa; the sampling does not."""
+    xa, pa, dpa = np.empty(count), np.empty(count), np.empty(count)
+    for name, rows, block in _oscillator_draw(h, beta, count, seed):
+        if name == "x":
+            xa[rows] = block[:, a]
+            dpa[rows] = forces(h, block)[:, a]
+        else:
+            pa[rows] = block[:, a]
+    return xa, pa, dpa
 
 
 def evolve_ensemble(h: ClassicalHSpec, x0: np.ndarray, p0: np.ndarray,
@@ -158,82 +201,93 @@ class BinnedPhaseVelocity:
     x_edges: np.ndarray
     p_edges: np.ndarray
     counts: np.ndarray       # (nx, np)
-    mean_vx: np.ndarray
     mean_vp: np.ndarray
-    se_vx: np.ndarray        # standard error of the mean per bin
-    se_vp: np.ndarray
+    se_vp: np.ndarray        # standard error of the mean per bin
     min_count: int
+    flat: np.ndarray         # each sample's bin, ix * np + ip
 
 
-def scott_edges(values: np.ndarray, lo=None, hi=None) -> np.ndarray:
+def scott_edges(values: np.ndarray) -> np.ndarray:
+    """Bins of Scott's width 3.5 std / n^(1/3) over the range of the values;
+    values with no spread make one bin."""
     n = len(values)
     width = 3.5 * np.std(values) / n ** (1 / 3)
-    lo = np.min(values) if lo is None else lo
-    hi = np.max(values) if hi is None else hi
-    bins = max(1, int(np.ceil((hi - lo) / width)))
+    lo, hi = np.min(values), np.max(values)
+    bins = max(1, int(np.ceil((hi - lo) / width))) if width > 0 else 1
     return np.linspace(lo, hi, bins + 1)
 
 
-def truncated_phase_velocity(h: ClassicalHSpec, x: np.ndarray, p: np.ndarray,
-                             a_particle: int, x_edges=None, p_edges=None,
+def _bin_index(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Each value's bin in edges, the outer edges counted in the end bins."""
+    idx = np.digitize(values, edges)
+    idx -= 1
+    return np.clip(idx, 0, len(edges) - 2, out=idx)
+
+
+def truncated_phase_velocity(xa: np.ndarray, pa: np.ndarray, dpa: np.ndarray,
                              min_count: int = 20) -> BinnedPhaseVelocity:
-    """Binned estimate of the environment-averaged velocity of particle A.
+    """Binned estimate of the environment-averaged dp_A/dt of particle A,
+    from its samples (x_A, p_A, dp_A/dt) (sample_thermal_particle).
 
-    The bin value is the conditional ensemble average of (dx_A/dt, dp_A/dt)
-    given the (x_A, p_A) bin, i.e. the Monte Carlo form of integrating
-    rho * v_A over the B coordinates and dividing by the marginal.  Bins with
-    fewer than `min_count` samples are flagged empty (count kept, means NaN).
+    The bin value is the conditional ensemble average of dp_A/dt given the
+    (x_A, p_A) bin, i.e. the Monte Carlo form of integrating rho * v_A over
+    the B coordinates and dividing by the marginal; the other component,
+    dx_A/dt = p_A / m_A, is a function of the bin itself.  Bins are Scott's
+    on each axis.  Bins with fewer than `min_count` samples are flagged empty
+    (count kept, means NaN).
     """
-    x = np.atleast_2d(x)
-    p = np.atleast_2d(p)
-    vx_all, vp_all = hamilton_velocity(h, x, p)
-    xa, pa = x[:, a_particle], p[:, a_particle]
-    va_x, va_p = vx_all[:, a_particle], vp_all[:, a_particle]
-    if x_edges is None:
-        x_edges = scott_edges(xa)
-    if p_edges is None:
-        p_edges = scott_edges(pa)
-    ix = np.clip(np.digitize(xa, x_edges) - 1, 0, len(x_edges) - 2)
-    ip = np.clip(np.digitize(pa, p_edges) - 1, 0, len(p_edges) - 2)
+    x_edges, p_edges = scott_edges(xa), scott_edges(pa)
     shape = (len(x_edges) - 1, len(p_edges) - 1)
-    flat = ix * shape[1] + ip
+    flat = _bin_index(xa, x_edges)
+    flat *= shape[1]
+    flat += _bin_index(pa, p_edges)
     counts = np.bincount(flat, minlength=shape[0] * shape[1]).astype(float)
-
-    def binned(vals):
-        s = np.bincount(flat, weights=vals, minlength=counts.size)
-        s2 = np.bincount(flat, weights=vals**2, minlength=counts.size)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mean = s / counts
-            var = s2 / counts - mean**2
-            se = np.sqrt(np.maximum(var, 0.0) / counts)
-        mean[counts < min_count] = np.nan
-        se[counts < min_count] = np.nan
-        return mean.reshape(shape), se.reshape(shape)
-
-    mean_vx, se_vx = binned(va_x)
-    mean_vp, se_vp = binned(va_p)
-    return BinnedPhaseVelocity(np.asarray(x_edges), np.asarray(p_edges),
-                               counts.reshape(shape), mean_vx, mean_vp,
-                               se_vx, se_vp, min_count)
+    s = np.bincount(flat, weights=dpa, minlength=counts.size)
+    s2 = np.bincount(flat, weights=dpa**2, minlength=counts.size)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = s / counts
+        var = s2 / counts - mean**2
+        se = np.sqrt(np.maximum(var, 0.0) / counts)
+    mean[counts < min_count] = np.nan
+    se[counts < min_count] = np.nan
+    return BinnedPhaseVelocity(x_edges, p_edges, counts.reshape(shape),
+                               mean.reshape(shape), se.reshape(shape),
+                               min_count, flat)
 
 
 # ---------------------------------------------------------------------------
 # law-of-large-numbers scaling
 
-def ensemble_average_scaling(observable, sampler, sizes, nsamples: int,
+def ensemble_average_scaling(sizes, nsamples: int, beta: float, omega: float,
                              seed: int = 0):
-    """Table of (N, mean, relative std) plus the fitted log-log slope.
+    """Table of (N, mean, relative std) of the total energy
+    H = sum_a p_a^2 / 2 + (1/2) w^2 x_a^2 of N unit-mass oscillators drawn
+    thermal at beta, one ensemble of `nsamples` per N in `sizes`, plus the
+    fitted log-log slope of the relative std against N.
 
-    `sampler(size, nsamples, rng) -> (x, p)` draws an ensemble;
-    `observable(x, p) -> (nsamples,)` evaluates the symmetric observable.
+    Every size draws x then p (thermal_draw) from one generator.  One
+    (nsamples, max N) buffer, allocated once, takes (1/2) w^2 x^2; each p
+    chunk adds p^2 / 2 onto its rows, which are summed right away.
     """
     if nsamples < 2:
         raise ValueError("standard deviation undefined for a single sample")
     rng = np.random.default_rng(seed)
+    x_scale, p_scale = np.sqrt(beta * omega**2), np.sqrt(1.0 / beta)
+    stiffness = 0.5 * omega**2
+    held = np.empty(nsamples * max(sizes))
+    vals = np.empty(nsamples)
     rows = []
     for size in sizes:
-        x, p = sampler(size, nsamples, rng)
-        vals = np.asarray(observable(x, p), dtype=float)
+        potential = held[:nsamples * size].reshape(nsamples, size)
+        for name, chunk, block in thermal_draw(rng, nsamples, size, x_scale,
+                                               p_scale):
+            np.square(block, out=block)
+            if name == "x":
+                np.multiply(block, stiffness, out=potential[chunk])
+            else:
+                block /= 2.0
+                block += potential[chunk]
+                vals[chunk] = block.sum(axis=1)
         mean = float(vals.mean())
         std = float(vals.std(ddof=1))
         ratio = std / abs(mean) if mean != 0 else np.inf
@@ -245,23 +299,6 @@ def ensemble_average_scaling(observable, sampler, sizes, nsamples: int,
         slope = float(np.polyfit(np.log([r[0] for r in rows]),
                                  np.log(ratios), 1)[0])
     return rows, slope
-
-
-def thermal_oscillator_sampler(beta: float, mass: float = 1.0,
-                               omega: float = 1.0):
-    def sampler(size, nsamples, rng):
-        x = rng.standard_normal((nsamples, size)) / np.sqrt(beta * mass * omega**2)
-        p = rng.standard_normal((nsamples, size)) * np.sqrt(mass / beta)
-        return x, p
-
-    return sampler
-
-
-def total_energy_observable(mass: float = 1.0, omega: float = 1.0):
-    def obs(x, p):
-        return np.sum(p**2 / (2 * mass) + 0.5 * mass * omega**2 * x**2, axis=1)
-
-    return obs
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .configio import (EXPERIMENTS_META, build_grid, build_hamiltonian,
                        build_initial_state)
 from .currents import FieldFrame, continuity_residual, velocity
 from .errors import ConfigError, MemoryBudgetExceeded
-from .lattice import VectorField, write_field
+from .lattice import DEFAULT_MEMORY_BUDGET, VectorField, write_field
 from .schrodinger import energy, evolve, frame_count
 from .subsystem import (SubsystemPartition, reduced_density_matrix,
                         subsystem_frame, truncated_current_from_rdm,
@@ -298,6 +298,20 @@ def run_equivariance(cfg, outdir, seed):
 
 
 # ---------------------------------------------------------------------------
+# phase-space and thermodynamics experiments: no grid, so no grid budget;
+# each runner estimates its largest arrays from the config first
+
+
+def _check_phase_memory(cfg, need: int, held: str):
+    """MemoryBudgetExceeded when `need` bytes, what the runner's largest
+    arrays (`held`) take, exceed DEFAULT_MEMORY_BUDGET."""
+    if need > DEFAULT_MEMORY_BUDGET:
+        raise MemoryBudgetExceeded(
+            f"{cfg['experiment']} needs about {need} bytes for {held}, the "
+            f"memory budget is {DEFAULT_MEMORY_BUDGET}")
+
+
+# ---------------------------------------------------------------------------
 # classical phase-space experiments
 
 def _classical_spec(cfg) -> cp.ClassicalHSpec:
@@ -314,6 +328,11 @@ def run_classical_liouville(cfg, outdir, seed):
     if h.kappa != 0.0:
         raise ConfigError("classical.kappa",
                           "the analytic backflow needs uncoupled oscillators")
+    # the drawn and displaced ensembles, and the stored frames twice (the
+    # Verlet block and its x and p copies)
+    frames = 1 + -(-c["steps"] // c["store_stride"])
+    _check_phase_memory(cfg, 8 * c["samples"] * 2 * h.n * (2 * frames + 2),
+                        f"{frames} stored frames of {c['samples']} samples")
     beta = c["beta"]
     m, om = np.asarray(h.masses), np.asarray(h.omegas)
     # the thermal Gaussian displaced by one width in x: a function of H alone
@@ -345,26 +364,25 @@ def run_classical_truncated(cfg, outdir, seed):
     if h.kappa == 0.0:
         raise ConfigError("classical.kappa",
                           "truncated-velocity check needs a coupled pair")
-    uncoupled = cp.ClassicalHSpec(h.masses, h.omegas, 0.0)
-    x, p = cp.sample_thermal(uncoupled, c["beta"], c["samples"], seed)
-    binned = cp.truncated_phase_velocity(h, x, p, a_particle=0)
+    # x_A, p_A, dp_A/dt and the bin index, and two columns in passing
+    _check_phase_memory(cfg, 8 * 6 * c["samples"],
+                        f"6 columns of {c['samples']} samples")
+    xa, pa, dpa = cp.sample_thermal_particle(h, c["beta"], c["samples"], seed,
+                                             a=0)
+    binned = cp.truncated_phase_velocity(xa, pa, dpa)
     # closed-form conditional mean: with independent Gaussian sampling the
     # environment coordinate averages to zero, leaving
     # dp_A/dt = -(m w^2 + kappa) x_A; evaluated with within-bin means of x_A
     # to avoid bin-center bias
     m0, w0 = h.masses[0], h.omegas[0]
-    ix = np.clip(np.digitize(x[:, 0], binned.x_edges) - 1, 0,
-                 len(binned.x_edges) - 2)
-    ip = np.clip(np.digitize(p[:, 0], binned.p_edges) - 1, 0,
-                 len(binned.p_edges) - 2)
-    flat = ix * (len(binned.p_edges) - 1) + ip
-    cnt = np.bincount(flat, minlength=binned.counts.size)
-    oracle_vp = (np.bincount(flat, weights=-(m0 * w0**2 + h.kappa) * x[:, 0],
-                             minlength=cnt.size)
-                 / np.maximum(cnt, 1)).reshape(binned.counts.shape)
+    oracle_vp = (np.bincount(binned.flat, weights=-(m0 * w0**2 + h.kappa) * xa,
+                             minlength=binned.counts.size)
+                 / np.maximum(binned.counts.ravel(), 1)
+                 ).reshape(binned.counts.shape)
     occ = binned.counts >= binned.min_count
     within = np.abs(binned.mean_vp - oracle_vp)[occ] <= 3 * binned.se_vp[occ]
-    frac = float(np.mean(within))
+    # no occupied bin is no evidence: the check fails
+    frac = float(np.mean(within)) if within.size else 0.0
     rows = []
     xc = 0.5 * (binned.x_edges[:-1] + binned.x_edges[1:])
     pc = 0.5 * (binned.p_edges[:-1] + binned.p_edges[1:])
@@ -380,17 +398,18 @@ def run_classical_truncated(cfg, outdir, seed):
                ["x_a", "p_a", "count", "mean_dpdt", "se_dpdt", "oracle_dpdt"],
                rows)
     metrics = {"frac_within_3se": frac, "occupied_bins": int(occ.sum()),
-               "samples": x.shape[0]}
+               "samples": len(xa)}
     checks = {"frac_within_3se_at_least_0.95": frac >= 0.95}
     return ExperimentResult(metrics, checks, ["binned_velocity.csv"])
 
 
 def run_scaling(cfg, outdir, seed):
     s = cfg["scaling"]
-    rows, slope = cp.ensemble_average_scaling(
-        cp.total_energy_observable(omega=s["omega"]),
-        cp.thermal_oscillator_sampler(s["beta"], omega=s["omega"]),
-        s["sizes"], s["samples"], seed)
+    _check_phase_memory(cfg, 8 * s["samples"] * max(s["sizes"]),
+                        f"{s['samples']} samples of {max(s['sizes'])} "
+                        "oscillators")
+    rows, slope = cp.ensemble_average_scaling(s["sizes"], s["samples"],
+                                              s["beta"], s["omega"], seed)
     _write_csv(os.path.join(outdir, "scaling.csv"),
                ["size", "mean", "relative_std"], rows)
     metrics = {"slope": slope, "sizes": s["sizes"]}
@@ -542,6 +561,17 @@ def _table_grids(t, refine=1):
             axis(t["t_lo"], t["t_hi"], t["t_count"]))
 
 
+def _check_table_memory(cfg, refine=1):
+    """The memory guard of a (V, T) table: per volume, four (T, levels)
+    arrays (Boltzmann weights, occupations and two in passing), and the
+    table's nine (V, T) columns."""
+    t = cfg["thermo"]
+    n_v, n_t = (refine * (t[key] - 1) + 1 for key in ("v_count", "t_count"))
+    levels = 2 if t["family"] == "two_level" else t["levels"]
+    _check_phase_memory(cfg, 8 * n_t * (4 * levels + 9 * n_v),
+                        f"a {n_v} x {n_t} table of {levels} levels")
+
+
 def _table_csv(path, tab):
     """One row per (V, T), V outer, the columns as Python floats."""
     n_v, n_t = tab.log_z.shape
@@ -564,6 +594,7 @@ def _max_rel_error(value, direct):
 
 def run_thermo(cfg, outdir, seed):
     t = cfg["thermo"]
+    _check_table_memory(cfg)
     spec_of_v = _spectrum_family(t)
     v_grid, t_grid = _table_grids(t)
     tab = sm.thermo_table(spec_of_v, v_grid, t_grid, direct=True)
@@ -602,6 +633,7 @@ def run_first_law(cfg, outdir, seed):
     t = cfg["thermo"]
     spec_of_v = _spectrum_family(t)
     refine = t["refine"]
+    _check_table_memory(cfg, refine)  # the refined table is the larger
     # the first law reads only the differenced columns
     base = sm.thermo_table(spec_of_v, *_table_grids(t), direct=False)
     res, stats = sm.first_law_residual(base)

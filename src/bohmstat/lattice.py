@@ -238,9 +238,11 @@ def derivative_along(values, grid: Grid, array_axis: int):
 
 
 def laplacian_axis(values, grid: Grid, pos_axis: int):
-    """Second derivative along one position axis (spectral or 3-point stencil)."""
+    """Second derivative along one position axis (spectral or 3-point
+    stencil).  The axis is counted from the end, so `values` may carry
+    leading batch axes before the grid's full_shape."""
     arr = np.asarray(values)
-    ax = grid.pos_axis(pos_axis)
+    ax = grid.pos_axis(pos_axis) - len(grid.full_shape)
     if grid.spec.boundary == "periodic":
         k = grid.wavenumbers
         shape = [1] * arr.ndim

@@ -338,6 +338,7 @@ def frame_count(h: HamiltonianSpec, duration: float, frame_stride: int) -> int:
 
 
 def apply_hamiltonian(amp, grid: Grid, h: HamiltonianSpec, v=None):
+    """H amp; amp may carry leading batch axes before grid.full_shape."""
     if v is None:
         v = potential_grid(grid, h)
     out = v * amp
@@ -364,14 +365,14 @@ def eigenstates(grid: Grid, h: HamiltonianSpec, count: int,
     * 1-D dirichlet without spin: eigh_tridiagonal of the (1,-2,1) stencil
       plus V, at any size;
     * any other grid up to `dense_budget` points: eigh of the matrix one
-      LinearOperator over apply_hamiltonian makes of the identity;
+      LinearOperator over apply_hamiltonian makes of the identity, a block
+      of columns per apply_hamiltonian call (_hamiltonian_operator);
     * larger: ARPACK (eigsh) on that operator, see _lowest_eigsh.
     Lanczos converges slowly on a fine 1-D Laplacian (a 1-D dirichlet grid of
     8192 points took 44 s under eigsh), so a 1-D periodic grid above the
     budget is slow.
     """
     from scipy.linalg import eigh, eigh_tridiagonal
-    from scipy.sparse.linalg import LinearOperator
 
     total = grid.spec.total_points
     v = potential_grid(grid, h)
@@ -384,15 +385,40 @@ def eigenstates(grid: Grid, h: HamiltonianSpec, count: int,
         vals, vecs = eigh_tridiagonal(diag, off, select="i",
                                       select_range=(0, count - 1))
     else:
-        op = LinearOperator((total, total), dtype=np.float64, matvec=lambda x:
-                            apply_hamiltonian(x.reshape(grid.full_shape), grid,
-                                              h, v=v).ravel())
+        op = _hamiltonian_operator(grid, h, v)
         vals, vecs = (eigh(op @ np.eye(total), overwrite_a=True,
                            subset_by_index=(0, count - 1))
                       if total <= dense_budget else _lowest_eigsh(op, count))
     amps = vecs.astype(np.complex128) / np.sqrt(grid.weight)
     return list(vals), [WaveField(grid, amps[:, i].reshape(grid.full_shape))
                         for i in range(count)]
+
+
+# columns of the identity per apply_hamiltonian call when the dense matrix is
+# built: about 4 MiB of complex FFT work at any grid size
+_COLUMN_BLOCK_POINTS = 1 << 18
+
+
+def _hamiltonian_operator(grid: Grid, h: HamiltonianSpec, v):
+    """H on the flattened grid as a real LinearOperator.  A block of columns
+    goes through apply_hamiltonian at once, on a leading batch axis, so
+    building the dense matrix takes total / block calls, not one per
+    column; a matvec is a block of one."""
+    from scipy.sparse.linalg import LinearOperator
+
+    total = grid.spec.total_points
+    block = max(1, _COLUMN_BLOCK_POINTS // total)
+
+    def matmat(cols):
+        out = np.empty((total, cols.shape[1]))
+        for j in range(0, cols.shape[1], block):
+            batch = cols[:, j:j + block].T.reshape((-1,) + grid.full_shape)
+            out[:, j:j + block] = apply_hamiltonian(
+                batch, grid, h, v=v).reshape(-1, total).T
+        return out
+
+    return LinearOperator((total, total), dtype=np.float64, matmat=matmat,
+                          matvec=lambda x: matmat(x.reshape(total, 1)))
 
 
 def _lowest_eigsh(op, count: int):

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,11 @@ def harmonic_pair():
     return cp.ClassicalHSpec((1.0, 1.3), omegas=(1.0, 0.7))
 
 
+def hamilton_velocity(h, x, p):
+    """(dx/dt, dp/dt) = (dH/dp, -dH/dx): p / m and the analytic forces."""
+    return p / np.asarray(h.masses), cp.forces(h, x)
+
+
 def energy(h, x, p):
     """H = sum p^2/2m + m w^2 x^2/2 + (kappa/2) sum (x_{a+1} - x_a)^2 per
     sample, the classical_phase Hamiltonian written out."""
@@ -30,7 +36,7 @@ class TestHamiltonFlow:
         h = harmonic_pair()
         x = np.zeros((5, 2))
         p = np.ones((5, 2))
-        vx, vp = cp.hamilton_velocity(h, x, p)
+        vx, vp = hamilton_velocity(h, x, p)
         np.testing.assert_allclose(vx, p / np.array([1.0, 1.3]))
         np.testing.assert_allclose(vp, 0.0)
 
@@ -140,20 +146,125 @@ class TestLiouville:
         assert res.metrics["max_density_deviation"] > 1e-2
 
 
+# The one-shot arithmetic the scaling and classical_truncated runners used
+# before they drew in row chunks: whole (samples, columns) x and p arrays,
+# every observable evaluated at once.  The runners must match it bit for bit.
+
+def oneshot_thermal(rng, count, columns, x_scale, p_scale):
+    x = rng.standard_normal((count, columns)) / x_scale
+    p = rng.standard_normal((count, columns)) * p_scale
+    return x, p
+
+
+def oneshot_scaling_rows(sizes, nsamples, beta, omega, seed, mass=1.0):
+    rng = np.random.default_rng(seed)
+    rows = []
+    for size in sizes:
+        x, p = oneshot_thermal(rng, nsamples, size,
+                               np.sqrt(beta * mass * omega**2),
+                               np.sqrt(mass / beta))
+        vals = np.sum(p**2 / (2 * mass) + 0.5 * mass * omega**2 * x**2, axis=1)
+        mean = float(vals.mean())
+        rows.append((size, mean, float(vals.std(ddof=1)) / abs(mean)))
+    return rows
+
+
+def oneshot_truncated_rows(h, beta, samples, seed, min_count=20):
+    """binned_velocity.csv's rows: (x_A, p_A) bin centres, count, mean and
+    standard error of dp_A/dt, closed-form conditional mean."""
+    m, om = np.asarray(h.masses), np.asarray(h.omegas)
+    x, p = oneshot_thermal(np.random.default_rng(seed), samples, h.n,
+                           np.sqrt(beta * m * om**2), np.sqrt(m / beta))
+    _, vp_all = hamilton_velocity(h, x, p)
+    xa, pa, va_p = x[:, 0], p[:, 0], vp_all[:, 0]
+
+    def scott(values):
+        width = 3.5 * np.std(values) / len(values) ** (1 / 3)
+        lo, hi = np.min(values), np.max(values)
+        return np.linspace(lo, hi, max(1, int(np.ceil((hi - lo) / width))) + 1)
+
+    x_edges, p_edges = scott(xa), scott(pa)
+    ix = np.clip(np.digitize(xa, x_edges) - 1, 0, len(x_edges) - 2)
+    ip = np.clip(np.digitize(pa, p_edges) - 1, 0, len(p_edges) - 2)
+    shape = (len(x_edges) - 1, len(p_edges) - 1)
+    flat = ix * shape[1] + ip
+    counts = np.bincount(flat, minlength=shape[0] * shape[1]).astype(float)
+    s = np.bincount(flat, weights=va_p, minlength=counts.size)
+    s2 = np.bincount(flat, weights=va_p**2, minlength=counts.size)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = s / counts
+        se = np.sqrt(np.maximum(s2 / counts - mean**2, 0.0) / counts)
+    cnt = np.bincount(flat, minlength=counts.size)
+    oracle = (np.bincount(flat, weights=-(m[0] * om[0]**2 + h.kappa) * xa,
+                          minlength=cnt.size) / np.maximum(cnt, 1))
+    xc = 0.5 * (x_edges[:-1] + x_edges[1:])
+    pc = 0.5 * (p_edges[:-1] + p_edges[1:])
+    return [(xc[k // shape[1]], pc[k % shape[1]], counts[k], mean[k], se[k],
+             oracle[k]) for k in range(counts.size) if counts[k] >= min_count]
+
+
+def shipped(name):
+    return validate_config(load_config(os.path.join(CONFIG_DIR,
+                                                    f"{name}.json")))
+
+
+def read_csv_rows(path):
+    with open(path) as f:
+        next(f)
+        return np.array([[float(v) for v in line.split(",")] for line in f])
+
+
+class TestThermalDraw:
+    @pytest.mark.parametrize("count, chunk_rows", [
+        (12, 4),       # the chunk divides the count
+        (13, 4),       # it does not
+        (3, 8),        # the count is below one chunk
+        (300, None)])  # the shipped chunk
+    @pytest.mark.parametrize("columns", [1, 1024])
+    def test_stream_equals_one_call_per_block(self, count, chunk_rows,
+                                              columns, monkeypatch):
+        if chunk_rows:
+            monkeypatch.setattr(cp, "CHUNK_BYTES", 8 * columns * chunk_rows)
+        draw = {"x": np.full((count, columns), np.nan),
+                "p": np.full((count, columns), np.nan)}
+        for name, rows, block in cp.thermal_draw(
+                np.random.default_rng(5), count, columns, 1.0, 1.0):
+            draw[name][rows] = block
+        rng = np.random.default_rng(5)
+        np.testing.assert_array_equal(draw["x"],
+                                      rng.standard_normal((count, columns)))
+        np.testing.assert_array_equal(draw["p"],
+                                      rng.standard_normal((count, columns)))
+
+    def test_sample_thermal_equals_one_shot(self):
+        h = cp.ClassicalHSpec((1.0, 1.3, 0.4), omegas=(1.0, 0.7, 2.0),
+                              kappa=0.5)
+        m, om = np.asarray(h.masses), np.asarray(h.omegas)
+        x, p = cp.sample_thermal(h, 0.8, 100_001, seed=3)
+        ox, op = oneshot_thermal(np.random.default_rng(3), 100_001, 3,
+                                 np.sqrt(0.8 * m * om**2), np.sqrt(m / 0.8))
+        np.testing.assert_array_equal(x, ox)
+        np.testing.assert_array_equal(p, op)
+
+    @pytest.mark.parametrize("a", [0, 1, 2])
+    def test_particle_columns_equal_whole_draw(self, a):
+        h = cp.ClassicalHSpec((1.0, 1.3, 0.4), omegas=(1.0, 0.7, 2.0),
+                              kappa=0.5)
+        xa, pa, dpa = cp.sample_thermal_particle(h, 0.8, 100_001, 3, a)
+        x, p = cp.sample_thermal(h, 0.8, 100_001, seed=3)
+        np.testing.assert_array_equal(xa, x[:, a])
+        np.testing.assert_array_equal(pa, p[:, a])
+        np.testing.assert_array_equal(dpa, cp.forces(h, x)[:, a])
+
+
 class TestTruncatedVelocity:
     def test_conditional_mean_oracle(self):
         h = cp.ClassicalHSpec((1.0, 1.0), omegas=(1.0, 1.0), kappa=0.5)
-        free = cp.ClassicalHSpec((1.0, 1.0), omegas=(1.0, 1.0))
-        x, p = cp.sample_thermal(free, 1.0, 100_000, seed=6)
-        b = cp.truncated_phase_velocity(h, x, p, a_particle=0)
-        ix = np.clip(np.digitize(x[:, 0], b.x_edges) - 1, 0,
-                     len(b.x_edges) - 2)
-        ip = np.clip(np.digitize(p[:, 0], b.p_edges) - 1, 0,
-                     len(b.p_edges) - 2)
-        flat = ix * (len(b.p_edges) - 1) + ip
-        cnt = np.bincount(flat, minlength=b.counts.size)
-        oracle = (np.bincount(flat, weights=-1.5 * x[:, 0],
-                              minlength=cnt.size)
+        xa, pa, dpa = cp.sample_thermal_particle(h, 1.0, 100_000, 6, 0)
+        b = cp.truncated_phase_velocity(xa, pa, dpa)
+        cnt = np.bincount(b.flat, minlength=b.counts.size)
+        np.testing.assert_array_equal(cnt.reshape(b.counts.shape), b.counts)
+        oracle = (np.bincount(b.flat, weights=-1.5 * xa, minlength=cnt.size)
                   / np.maximum(cnt, 1)).reshape(b.counts.shape)
         occ = b.counts >= b.min_count
         frac = np.mean(np.abs(b.mean_vp - oracle)[occ] <= 3 * b.se_vp[occ])
@@ -161,33 +272,85 @@ class TestTruncatedVelocity:
 
     def test_sparse_bins_are_nan(self):
         h = cp.ClassicalHSpec((1.0, 1.0), omegas=(1.0, 1.0), kappa=0.1)
-        free = cp.ClassicalHSpec((1.0, 1.0), omegas=(1.0, 1.0))
-        x, p = cp.sample_thermal(free, 1.0, 500, seed=7)
-        b = cp.truncated_phase_velocity(h, x, p, 0, min_count=1000)
+        xa, pa, dpa = cp.sample_thermal_particle(h, 1.0, 500, 7, 0)
+        b = cp.truncated_phase_velocity(xa, pa, dpa, min_count=1000)
         assert np.all(np.isnan(b.mean_vp))
         assert b.counts.sum() == 500
+
+    def test_single_sample_is_one_empty_bin(self):
+        b = cp.truncated_phase_velocity(np.array([0.3]), np.array([-1.0]),
+                                        np.array([2.0]))
+        assert b.counts.shape == (1, 1) and b.counts[0, 0] == 1
+        assert np.isnan(b.mean_vp[0, 0])
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_runner_equals_one_shot_oracle(self, seed, tmp_path):
+        cfg = shipped("classical_truncated")
+        c = cfg["classical"]
+        res = RUNNERS["classical_truncated"](cfg, str(tmp_path), seed)
+        h = cp.ClassicalHSpec(c["masses"], c["omegas"], c["kappa"])
+        rows = np.array(oneshot_truncated_rows(h, c["beta"], c["samples"],
+                                               seed))
+        np.testing.assert_array_equal(
+            read_csv_rows(tmp_path / "binned_velocity.csv"), rows)
+        assert res.metrics["occupied_bins"] == len(rows)
 
 
 class TestScaling:
     def test_lln_exponent(self):
-        rows, slope = cp.ensemble_average_scaling(
-            cp.total_energy_observable(), cp.thermal_oscillator_sampler(1.0),
-            [16, 64, 256, 1024], 600, seed=8)
+        rows, slope = cp.ensemble_average_scaling([16, 64, 256, 1024], 600,
+                                                  1.0, 1.0, seed=8)
         assert slope == pytest.approx(-0.5, abs=0.05)
 
     def test_mean_matches_equipartition(self):
         # <H> = N k T for N 1D oscillators (two quadratic dof each)
-        rows, _ = cp.ensemble_average_scaling(
-            cp.total_energy_observable(), cp.thermal_oscillator_sampler(1.0),
-            [256], 2000, seed=9)
+        rows, _ = cp.ensemble_average_scaling([256], 2000, 1.0, 1.0, seed=9)
         size, mean, ratio = rows[0]
         assert mean == pytest.approx(256.0, rel=0.02)
 
     def test_single_sample_rejected(self):
         with pytest.raises(ValueError):
-            cp.ensemble_average_scaling(
-                cp.total_energy_observable(),
-                cp.thermal_oscillator_sampler(1.0), [16], 1)
+            cp.ensemble_average_scaling([16], 1, 1.0, 1.0)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_runner_equals_one_shot_oracle(self, seed, tmp_path):
+        cfg = shipped("scaling")
+        s = cfg["scaling"]
+        res = RUNNERS["scaling"](cfg, str(tmp_path), seed)
+        rows = oneshot_scaling_rows(s["sizes"], s["samples"], s["beta"],
+                                    s["omega"], seed)
+        np.testing.assert_array_equal(read_csv_rows(tmp_path / "scaling.csv"),
+                                      np.array(rows))
+        ratios = [r[2] for r in rows]
+        assert res.metrics["slope"] == float(np.polyfit(
+            np.log(s["sizes"]), np.log(ratios), 1)[0])
+
+
+def traced_peak(run, *args):
+    """Peak bytes of numpy buffers and Python objects allocated by one run."""
+    tracemalloc.start()
+    try:
+        run(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRunnerPeakMemory:
+    def test_scaling_holds_one_ensemble_block(self, tmp_path):
+        # one (samples, max size) block of (1/2) w^2 x^2, plus a chunk
+        cfg = shipped("scaling")
+        s = cfg["scaling"]
+        peak = traced_peak(RUNNERS["scaling"], cfg, str(tmp_path), 0)
+        assert peak < 1.5 * s["samples"] * max(s["sizes"]) * 8
+
+    def test_classical_truncated_holds_particle_a_columns(self, tmp_path):
+        # x_A, p_A, dp_A/dt and the bin index, and two columns in passing;
+        # drawing both particles' x and p at once held 19 MiB here
+        cfg = shipped("classical_truncated")
+        peak = traced_peak(RUNNERS["classical_truncated"], cfg, str(tmp_path),
+                           0)
+        assert peak < 6 * cfg["classical"]["samples"] * 8
 
 
 class TestScottEdges:

@@ -339,6 +339,35 @@ class TestPackageErrors:
         assert err.count("\n") == 1 and err.startswith("MemoryBudgetExceeded")
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("name", ["classical_liouville",
+                                      "classical_truncated", "scaling",
+                                      "thermo", "first_law"])
+    def test_phase_memory_budget_exceeded(self, tmp_path, capsys, monkeypatch,
+                                          name):
+        # the phase configs have no budget key: the default one, lowered
+        from bohmstat import experiments
+
+        monkeypatch.setattr(experiments, "DEFAULT_MEMORY_BUDGET", 1_000)
+        path = os.path.join(CONFIG_DIR, f"{name}.json")
+        out = tmp_path / "o"
+        assert main(["run", path, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("MemoryBudgetExceeded")
+        assert not (out / "manifest.json").exists()
+
+    def test_truncated_single_sample_fails_its_check(self, tmp_path, capsys):
+        # one sample has no spread to bin by: one bin, never occupied
+        with open(os.path.join(CONFIG_DIR, "classical_truncated.json")) as f:
+            cfg = json.load(f)
+        cfg["classical"]["samples"] = 1
+        path = write_cfg(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["run", path, "--output", str(out)]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        m = json.loads((out / "manifest.json").read_text())
+        assert m["status"] == "check_failed"
+        assert m["metrics"]["frac_within_3se"] == 0.0
+
     def test_arpack_no_convergence_exits_three(self, tmp_path, capsys,
                                                monkeypatch):
         # an eigenstate on a 72 x 72 grid, above DENSE_EIG_BUDGET: ARPACK

@@ -1,6 +1,6 @@
 """The field runners consume the wave-frame stream as it arrives: what they
-hold at once, and the memory guard that estimates it before evolving; and
-the CSV writer every runner shares."""
+hold at once, and the memory guard that estimates it before evolving; the
+phase runners' memory guard; and the CSV writer every runner shares."""
 
 import csv
 import math
@@ -9,7 +9,9 @@ import weakref
 
 import pytest
 
+from bohmstat import classical_phase as cp
 from bohmstat import experiments
+from bohmstat import statmech as sm
 from bohmstat.configio import load_config, validate_config
 from bohmstat.errors import MemoryBudgetExceeded
 from bohmstat.schrodinger import evolve
@@ -71,6 +73,44 @@ def test_memory_guard_counts_the_trajectory_paths(tmp_path):
         experiments.RUNNERS["bohm_full"](cfg, str(tmp_path), 0)
     cfg = shipped("bohm_full", memory_budget=200_000)
     assert experiments.RUNNERS["bohm_full"](cfg, str(tmp_path), 0).passed
+
+
+# what each shipped phase config's largest arrays take, by the guard's count
+PHASE_NEEDS = {
+    # 2000 samples x 2 particles x (x, p), over the drawn and displaced
+    # ensembles and 11 stored frames held twice
+    "classical_liouville": 8 * 2000 * 4 * (2 * 11 + 2),
+    # 200 000 samples x 6 columns
+    "classical_truncated": 8 * 200_000 * 6,
+    # 800 samples x 1024 oscillators
+    "scaling": 8 * 800 * 1024,
+    # per volume four (241, 800) arrays, and nine (61, 241) columns; the
+    # refined first_law table has the same 61 x 241 shape
+    "thermo": 8 * 241 * (4 * 800 + 9 * 61),
+    "first_law": 8 * 241 * (4 * 800 + 9 * 61),
+}
+
+
+def no_allocation(*args, **kwargs):
+    raise AssertionError("allocated past the memory guard")
+
+
+@pytest.mark.parametrize("name", list(PHASE_NEEDS))
+def test_phase_memory_guard_before_allocating(name, tmp_path, monkeypatch):
+    # a budget one byte below the estimate raises before any ensemble is
+    # drawn or any table built; the shipped configs never near the default
+    need = PHASE_NEEDS[name]
+    assert need < experiments.DEFAULT_MEMORY_BUDGET
+    for module, attr in [(cp, "sample_thermal"),
+                         (cp, "sample_thermal_particle"),
+                         (cp, "ensemble_average_scaling"),
+                         (sm, "thermo_table")]:
+        monkeypatch.setattr(module, attr, no_allocation)
+    monkeypatch.setattr(experiments, "DEFAULT_MEMORY_BUDGET", need - 1)
+    cfg = validate_config(load_config(os.path.join(CONFIG_DIR,
+                                                   f"{name}.json")))
+    with pytest.raises(MemoryBudgetExceeded, match=f"needs about {need} bytes"):
+        experiments.RUNNERS[name](cfg, str(tmp_path), 0)
 
 
 def test_write_csv_matches_csv_writer(tmp_path):

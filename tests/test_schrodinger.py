@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bohmstat import schrodinger
 from bohmstat.errors import StepperBoundaryMismatch
 from bohmstat.lattice import GridSpec, WaveField, integrate, make_grid
 from bohmstat.schrodinger import (DENSE_EIG_BUDGET, HamiltonianSpec,
@@ -365,6 +366,37 @@ class TestEigensolverRoutes:
         h = HamiltonianSpec((1.0,), [{"kind": "harmonic", "omega": 1.0}])
         energies, _ = eigenstates(grid, h, 6)
         np.testing.assert_allclose(energies, [1, 2, 2, 3, 3, 3], atol=1e-10)
+
+
+# the dense matrix built a block of columns per apply_hamiltonian call, on a
+# leading batch axis, against one call per unit vector
+BLOCK_CASES = {
+    "periodic_1d": (GridSpec(1, 1, 40, (-6.0, 6.0)),
+                    HamiltonianSpec((1.0,), [{"kind": "harmonic",
+                                              "omega": 1.0}])),
+    "periodic_2d": ROUTE_CASES["two_particle_periodic"],
+    "dirichlet_2d": ROUTE_CASES["dirichlet_2d"],
+    "spin_half": ROUTE_CASES["spin_half"],
+}
+
+
+class TestBlockedHamiltonian:
+    @pytest.mark.parametrize("name", list(BLOCK_CASES))
+    def test_blocks_equal_one_column_at_a_time(self, name, monkeypatch):
+        spec, h = BLOCK_CASES[name]
+        grid = make_grid(spec)
+        total = spec.total_points
+        v = potential_grid(grid, h)
+        per_column = np.column_stack([
+            apply_hamiltonian(e.reshape(grid.full_shape), grid, h, v=v).ravel()
+            for e in np.eye(total)])
+        # seven columns a block, so the last block is ragged at every size
+        monkeypatch.setattr(schrodinger, "_COLUMN_BLOCK_POINTS", 7 * total)
+        op = schrodinger._hamiltonian_operator(grid, h, v)
+        np.testing.assert_array_equal(op @ np.eye(total), per_column)
+        x = np.random.default_rng(1).standard_normal(total)
+        np.testing.assert_array_equal(op.matvec(x), apply_hamiltonian(
+            x.reshape(grid.full_shape), grid, h, v=v).ravel())
 
 
 class TestPotential:
