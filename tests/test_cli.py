@@ -339,22 +339,6 @@ class TestPackageErrors:
         assert err.count("\n") == 1 and err.startswith("MemoryBudgetExceeded")
         assert not (out / "manifest.json").exists()
 
-    @pytest.mark.parametrize("name", ["classical_liouville",
-                                      "classical_truncated", "scaling",
-                                      "thermo", "first_law"])
-    def test_phase_memory_budget_exceeded(self, tmp_path, capsys, monkeypatch,
-                                          name):
-        # the phase configs have no budget key: the default one, lowered
-        from bohmstat import experiments
-
-        monkeypatch.setattr(experiments, "DEFAULT_MEMORY_BUDGET", 1_000)
-        path = os.path.join(CONFIG_DIR, f"{name}.json")
-        out = tmp_path / "o"
-        assert main(["run", path, "--output", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("MemoryBudgetExceeded")
-        assert not (out / "manifest.json").exists()
-
     def test_truncated_single_sample_fails_its_check(self, tmp_path, capsys):
         # one sample has no spread to bin by: one bin, never occupied
         with open(os.path.join(CONFIG_DIR, "classical_truncated.json")) as f:

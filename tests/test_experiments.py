@@ -12,6 +12,7 @@ import pytest
 from bohmstat import classical_phase as cp
 from bohmstat import experiments
 from bohmstat import statmech as sm
+from bohmstat.cli import main
 from bohmstat.configio import load_config, validate_config
 from bohmstat.errors import MemoryBudgetExceeded
 from bohmstat.schrodinger import evolve
@@ -96,8 +97,10 @@ def no_allocation(*args, **kwargs):
 
 
 @pytest.mark.parametrize("name", list(PHASE_NEEDS))
-def test_phase_memory_guard_before_allocating(name, tmp_path, monkeypatch):
-    # a budget one byte below the estimate raises before any ensemble is
+def test_phase_memory_guard_before_allocating(name, tmp_path, monkeypatch,
+                                              capsys):
+    # the phase configs have no budget key: the default one, lowered to one
+    # byte below the estimate, stops the run (exit 2) before any ensemble is
     # drawn or any table built; the shipped configs never near the default
     need = PHASE_NEEDS[name]
     assert need < experiments.DEFAULT_MEMORY_BUDGET
@@ -107,10 +110,13 @@ def test_phase_memory_guard_before_allocating(name, tmp_path, monkeypatch):
                          (sm, "thermo_table")]:
         monkeypatch.setattr(module, attr, no_allocation)
     monkeypatch.setattr(experiments, "DEFAULT_MEMORY_BUDGET", need - 1)
-    cfg = validate_config(load_config(os.path.join(CONFIG_DIR,
-                                                   f"{name}.json")))
-    with pytest.raises(MemoryBudgetExceeded, match=f"needs about {need} bytes"):
-        experiments.RUNNERS[name](cfg, str(tmp_path), 0)
+    out = tmp_path / "o"
+    assert main(["run", os.path.join(CONFIG_DIR, f"{name}.json"),
+                 "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("MemoryBudgetExceeded")
+    assert f"needs about {need} bytes" in err
+    assert not (out / "manifest.json").exists()
 
 
 def test_write_csv_matches_csv_writer(tmp_path):
