@@ -7,8 +7,8 @@ integer >= 0).  A config defect prints one line, `config error:
 <section>.<key>: <what is wrong>`, and exits 2.
 
 Exit codes: 0 success; 2 invalid or unsupported input (a config error, or a
-package error such as StepperBoundaryMismatch, MemoryBudgetExceeded,
-DenseBudgetExceeded or MalformedFile); 3 a built-in numerical check failed,
+package error such as MemoryBudgetExceeded, DenseBudgetExceeded or
+MalformedFile); 3 a built-in numerical check failed,
 or the run hit a numerical failure (TrajectoryEscapedDomain,
 ConvergenceFailure from an ARPACK eigensolve, TruncationInsufficient,
 NotADensityMatrix, OutsideAllCells, WindowEmpty).  Each error class names its code in `errors`;

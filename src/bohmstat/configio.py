@@ -118,7 +118,7 @@ SCHEMA = {
     "grid": {
         "particles": Key(INT, 1, COUNT),
         "dims": Key(INT, 1),                                   # GridSpec
-        "n": Key(INT, 0),                                      # GridSpec
+        "n": Key(INT),                                         # GridSpec
         "extent": Key(list_of(FLOAT, "numbers", size=2), [0.0, 1.0]),  # GridSpec
         "boundary": Key(STR, "periodic"),                      # GridSpec
         "spin_dims": Key(list_of(INT, "integers", empty=True), []),  # GridSpec
@@ -129,7 +129,6 @@ SCHEMA = {
         "potential": Key(list_of(OBJECT, "objects", empty=True),
                          [{"kind": "free"}]),        # build_hamiltonian
         "time_step": Key(FLOAT, 1e-3, POSITIVE),
-        "stepper": Key(STR, "split_step_spectral"),            # HamiltonianSpec
     },
     "initial_state": {
         "kind": Key(STR, "gaussian",
@@ -305,7 +304,14 @@ def validate_config(cfg: dict) -> dict:
     return resolved
 
 
+# the grid key of each GridSpec field named otherwise
+GRID_KEY_OF = {"points_per_axis": "n", "dims_per_particle": "dims",
+               "axis_extent": "extent"}
+
+
 def build_grid(cfg: dict):
+    """The grid section's Grid.  GridSpec checks the ranges the schema leaves
+    to it; its InvalidExtent becomes a ConfigError naming the grid key."""
     g = cfg["grid"]
     try:
         spec = GridSpec(
@@ -318,8 +324,8 @@ def build_grid(cfg: dict):
             memory_budget=g["memory_budget"],
         )
     except InvalidExtent as exc:
-        raise ConfigError("grid.points_per_axis" if "points_per_axis" in str(exc)
-                          else "grid", str(exc)) from exc
+        key = GRID_KEY_OF.get(exc.field, exc.field)
+        raise ConfigError(f"grid.{key}", exc.message) from exc
     return make_grid(spec)
 
 
@@ -339,7 +345,7 @@ def build_hamiltonian(cfg: dict) -> HamiltonianSpec:
         _check_term_fits_grid(cfg["grid"], kind, term, where)
     try:
         return HamiltonianSpec(masses=h["masses"], potential=h["potential"],
-                               time_step=h["time_step"], stepper=h["stepper"])
+                               time_step=h["time_step"])
     except ValueError as exc:
         raise ConfigError("hamiltonian", str(exc)) from exc
 

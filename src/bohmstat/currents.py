@@ -55,18 +55,12 @@ class FieldFrame:
         return cls(psi.time, density(psi), current(psi, h))
 
 
-def velocity(frame: FieldFrame, eps_rel: float = DEFAULT_EPS_REL) -> VectorField:
-    """v = j / max(rho, eps_rel * max(rho)); finite everywhere."""
-    return regularized_velocity(frame.rho, frame.currents, eps_rel)
-
-
-def regularized_velocity(rho: ScalarField, j: VectorField,
-                         eps_rel: float = DEFAULT_EPS_REL) -> VectorField:
-    if not 0 < eps_rel <= 1e-3:
-        raise ValueError("eps_rel must be in (0, 1e-3]")
-    floor = eps_rel * float(np.max(rho.values))
+def velocity(frame: FieldFrame) -> VectorField:
+    """v = j / max(rho, DEFAULT_EPS_REL * max(rho)); finite everywhere."""
+    rho = frame.rho
+    floor = DEFAULT_EPS_REL * float(np.max(rho.values))
     denom = np.maximum(rho.values, floor)
-    return VectorField(rho.grid, j.components / denom, rho.time)
+    return VectorField(rho.grid, frame.currents.components / denom, rho.time)
 
 
 def divergence(j: VectorField) -> ScalarField:
@@ -77,7 +71,7 @@ def divergence(j: VectorField) -> ScalarField:
     return ScalarField(grid, div, j.time)
 
 
-def continuity_residual(frames, relative: bool = True):
+def continuity_residual(frames):
     """L2 residual of d_t rho + div j at the middle of three uniform frames.
 
     Returns (abs_residual, rel_residual) where the relative form is scaled by

@@ -17,14 +17,14 @@ class MemoryBudgetExceeded(BohmstatError):
 
 
 class InvalidExtent(BohmstatError):
-    pass
+    """A GridSpec value out of range; carries the name of its field."""
+
+    def __init__(self, field, message):
+        self.field, self.message = field, message
+        super().__init__(f"{field}: {message}")
 
 
 class AxisMismatch(BohmstatError):
-    pass
-
-
-class StepperBoundaryMismatch(BohmstatError):
     pass
 
 

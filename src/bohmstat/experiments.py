@@ -544,11 +544,8 @@ def _spectrum_family(t):
     mass, levels, omega, gap = t["mass"], t["levels"], t["omega"], t["gap"]
     return {
         "box": lambda v: sm.box_spectrum(v, mass=mass, count=levels),
-        "harmonic": lambda v: sm.Spectrum(
-            sm.harmonic_spectrum(omega, levels).levels, volume=v,
-            truncated=True, source="harmonic"),
-        "two_level": lambda v: sm.Spectrum([0.0, gap / v**2], volume=v,
-                                           truncated=False, source="two_level"),
+        "harmonic": lambda v: sm.harmonic_spectrum(omega, levels),
+        "two_level": lambda v: sm.Spectrum([0.0, gap / v**2]),
     }[t["family"]]
 
 
@@ -698,6 +695,9 @@ def run_typicality(cfg, outdir, seed):
 def run_cat_mixture(cfg, outdir, seed):
     c = cfg["cat"]
     omega, beta_cold, beta_warm = c["omega"], c["beta_cold"], c["beta_warm"]
+    # the spectrum, two occupations, the mixture of both, and three copies
+    # of the mixture within von_neumann_entropy
+    _check_phase_memory(cfg, 8 * 11 * c["levels"], f"{c['levels']} levels")
     spec = sm.harmonic_spectrum(omega, c["levels"])
     _, p_cold, _ = sm.partition_function(spec, beta_cold)
     _, p_warm, _ = sm.partition_function(spec, beta_warm)

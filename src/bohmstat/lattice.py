@@ -1,12 +1,14 @@
 """Discretized multi-particle configuration space.
 
 Uniform tensor-product grids for N particles in d spatial dimensions each,
-with optional spinor components.  Two boundary flavors:
+with optional spinor components.  Two boundary flavors, each of which also
+picks the Schroedinger stepper (schrodinger.make_stepper):
 
-* periodic  -- points at lo + k*dx, dx = (hi-lo)/n; derivatives are spectral.
+* periodic  -- points at lo + k*dx, dx = (hi-lo)/n; derivatives are spectral;
+  the split step.
 * dirichlet -- interior points at lo + (k+1)*dx, dx = (hi-lo)/(n+1); the
   boundary values are implicitly zero and derivatives are 2nd-order central
-  differences.
+  differences; Crank-Nicolson.
 
 Quadrature is the midpoint rule with uniform weight dx per axis, so the
 discrete Gauss theorem holds exactly on periodic axes (the sum of a spectral
@@ -40,19 +42,19 @@ class GridSpec:
 
     def __post_init__(self):
         if self.boundary not in ("periodic", "dirichlet"):
-            raise InvalidExtent(f"unknown boundary {self.boundary!r}")
+            raise InvalidExtent("boundary", f"unknown boundary {self.boundary!r}")
         lo, hi = self.axis_extent
         if not hi > lo:
-            raise InvalidExtent(f"axis_extent needs hi > lo, got {self.axis_extent}")
+            raise InvalidExtent("axis_extent", f"needs hi > lo, got {self.axis_extent}")
         if self.points_per_axis < 8:
-            raise InvalidExtent("points_per_axis must be >= 8")
+            raise InvalidExtent("points_per_axis", "must be >= 8")
         if self.dims_per_particle not in (1, 2):
-            raise InvalidExtent("dims_per_particle must be 1 or 2 at desk scale")
+            raise InvalidExtent("dims_per_particle", "must be 1 or 2 at desk scale")
         spins = tuple(int(s) for s in self.spin_dims)
         if not spins:
             spins = (1,) * self.particle_count
         if len(spins) != self.particle_count or any(s < 1 for s in spins):
-            raise InvalidExtent("spin_dims must give one positive entry per particle")
+            raise InvalidExtent("spin_dims", "must give one positive entry per particle")
         object.__setattr__(self, "spin_dims", spins)
         object.__setattr__(self, "axis_extent", (float(lo), float(hi)))
 

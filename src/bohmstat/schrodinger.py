@@ -2,10 +2,10 @@
 
 H = sum_a -laplacian_a / (2 m_a) + V(x), hbar = 1.
 
-Two steppers:
-* split_step_spectral (periodic grids): Strang splitting with exact kinetic
-  phases in k-space; unitary to round-off.
-* crank_nicolson (dirichlet grids): Cayley form per position axis (the kinetic
+The grid's boundary picks the stepper:
+* periodic: the split step, Strang splitting with exact kinetic phases in
+  k-space; unitary to round-off.
+* dirichlet: Crank-Nicolson, Cayley form per position axis (the kinetic
   axis factors commute exactly) plus a Cayley factor for the diagonal
   potential, in Strang order.  Every factor is exactly unitary, the splitting
   error is O(dt^2).  Each axis factor is one LAPACK ?gtsv call over all the
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceFailure, StepperBoundaryMismatch
+from .errors import ConvergenceFailure
 from .lattice import Grid, WaveField, laplacian_axis
 
 DENSE_EIG_BUDGET = 4096
@@ -61,16 +61,11 @@ class HamiltonianSpec:
     masses: tuple
     potential: list = field(default_factory=lambda: [{"kind": "free"}])
     time_step: float = 1e-3
-    stepper: str = "split_step_spectral"
 
     def __post_init__(self):
         self.masses = tuple(float(m) for m in self.masses)
         if any(m <= 0 for m in self.masses):
             raise ValueError("masses must be positive")
-        if self.stepper not in ("split_step_spectral", "crank_nicolson"):
-            raise ValueError(f"unknown stepper {self.stepper!r}")
-        if isinstance(self.potential, dict):
-            self.potential = [self.potential]
 
     def mass_of_axis(self, grid: Grid, pos_axis: int) -> float:
         return self.masses[pos_axis // grid.spec.dims_per_particle]
@@ -117,19 +112,6 @@ def potential_grid(grid: Grid, h: HamiltonianSpec) -> np.ndarray:
     if v_full is None:
         return np.broadcast_to(v_pos, grid.full_shape).copy()
     return v_full + v_pos
-
-
-def _check_stepper(grid: Grid, h: HamiltonianSpec):
-    want = "periodic" if h.stepper == "split_step_spectral" else "dirichlet"
-    if grid.spec.boundary != want:
-        raise StepperBoundaryMismatch(
-            f"{h.stepper} requires {want} boundary, grid is {grid.spec.boundary}"
-        )
-    if h.time_step > grid.dx**2 * min(h.masses) / np.pi:
-        warnings.warn(
-            "time_step exceeds dx^2 * m_min / pi; accuracy may degrade",
-            stacklevel=3,
-        )
 
 
 def _kinetic_k2(grid: Grid, h: HamiltonianSpec) -> np.ndarray:
@@ -293,11 +275,18 @@ class _KineticStepper:
 
 
 def make_stepper(grid: Grid, h: HamiltonianSpec):
-    _check_stepper(grid, h)
+    """The stepper of the grid's boundary: the split step on a periodic grid,
+    Crank-Nicolson on a dirichlet one, and either in its kinetic eigenbasis
+    when V == 0."""
+    if h.time_step > grid.dx**2 * min(h.masses) / np.pi:
+        warnings.warn(
+            "time_step exceeds dx^2 * m_min / pi; accuracy may degrade",
+            stacklevel=2,
+        )
     v = potential_grid(grid, h)
     if not v.any():
         return _KineticStepper(grid, h)
-    if h.stepper == "split_step_spectral":
+    if grid.spec.boundary == "periodic":
         return _SplitStepper(grid, h, v)
     return _CrankNicolsonStepper(grid, h, v)
 
@@ -306,7 +295,7 @@ def evolve(psi: WaveField, h: HamiltonianSpec, t_final: float, frame_stride: int
     """A generator of the frames of the evolution to t_final, one every
     `frame_stride` steps.
 
-    The stepper is built (and the grid checked against it) here; each frame
+    The stepper is built (and the time step checked) here; each frame
     is stepped only when it is asked for, and the generator keeps no frame
     it has yielded, so a consumer that drops each frame after use holds
     O(grid) memory however many frames there are.  The initial state is
@@ -357,14 +346,13 @@ def energy(psi: WaveField, h: HamiltonianSpec) -> float:
     return float(val.real)
 
 
-def eigenstates(grid: Grid, h: HamiltonianSpec, count: int,
-                dense_budget: int = DENSE_EIG_BUDGET):
+def eigenstates(grid: Grid, h: HamiltonianSpec, count: int):
     """Lowest `count` eigenpairs, energies ascending, quadrature-orthonormal.
 
     H is real symmetric, so every route gives real eigenvectors:
     * 1-D dirichlet without spin: eigh_tridiagonal of the (1,-2,1) stencil
       plus V, at any size;
-    * any other grid up to `dense_budget` points: eigh of the matrix one
+    * any other grid up to DENSE_EIG_BUDGET points: eigh of the matrix one
       LinearOperator over apply_hamiltonian makes of the identity, a block
       of columns per apply_hamiltonian call (_hamiltonian_operator);
     * larger: ARPACK (eigsh) on that operator, see _lowest_eigsh.
@@ -388,7 +376,7 @@ def eigenstates(grid: Grid, h: HamiltonianSpec, count: int,
         op = _hamiltonian_operator(grid, h, v)
         vals, vecs = (eigh(op @ np.eye(total), overwrite_a=True,
                            subset_by_index=(0, count - 1))
-                      if total <= dense_budget else _lowest_eigsh(op, count))
+                      if total <= DENSE_EIG_BUDGET else _lowest_eigsh(op, count))
     amps = vecs.astype(np.complex128) / np.sqrt(grid.weight)
     return list(vals), [WaveField(grid, amps[:, i].reshape(grid.full_shape))
                         for i in range(count)]

@@ -61,14 +61,14 @@ def window_indices(energies: np.ndarray, center: float, width: float) -> np.ndar
 
 
 def entropy_beta(energies: np.ndarray, center: float, width: float,
-                 delta_e: float, k: float = 1.0) -> float:
-    """beta = (1/k) d ln dim / dE via a centered difference of the log window
+                 delta_e: float) -> float:
+    """beta = d ln dim / dE via a centered difference of the log window
     dimension over windows shifted by +-delta_e."""
     d_plus = len(window_indices(energies, center + delta_e, width))
     d_minus = len(window_indices(energies, center - delta_e, width))
     if d_plus == 0 or d_minus == 0:
         raise WindowEmpty("shifted window holds no levels")
-    return float((np.log(d_plus) - np.log(d_minus)) / (2 * delta_e * k))
+    return float((np.log(d_plus) - np.log(d_minus)) / (2 * delta_e))
 
 
 def reduced_density_matrix_spins(psi: np.ndarray, n: int, n_a: int) -> np.ndarray:
@@ -107,7 +107,7 @@ def fit_beta(rho_a: np.ndarray, h_a: np.ndarray,
 def canonical_typicality(n: int, n_a: int = 1, j_coupling: float = 1.0,
                          g_field: float = 1.0, ab_coupling: float = 0.2,
                          center_quantile: float = 0.2, min_levels: int = 30,
-                         trials: int = 20, seed: int = 0, k: float = 1.0) -> dict:
+                         trials: int = 20, seed: int = 0) -> dict:
     """Random microcanonical pure states vs the canonical subsystem state.
 
     The window is centered at the given quantile of the spectrum and widened
@@ -129,7 +129,7 @@ def canonical_typicality(n: int, n_a: int = 1, j_coupling: float = 1.0,
     if len(idx) == 0:
         raise WindowEmpty(f"no levels in window around {center}")
     h_a = tfim_hamiltonian(n_a, j_coupling, g_field)
-    beta_entropy = entropy_beta(energies, center, width, delta_e=width, k=k)
+    beta_entropy = entropy_beta(energies, center, width, delta_e=width)
     rho_beta_entropy = canonical_state(h_a, beta_entropy)
     rng = np.random.default_rng(seed)
     basis = spec.vectors[:, idx]

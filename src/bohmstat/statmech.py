@@ -1,14 +1,14 @@
 """Entropy definitions and canonical-ensemble thermodynamics.
 
-k_B = 1 internally; every entropy accepts an optional `k` rescale.
+k_B = 1: every entropy and temperature is in these units, as in the paper.
 
 Entropies:
-* von Neumann      -k Tr rho ln rho
-* quantum Boltzmann k ln dim(H_M) with a semiclassical cell count for dim
+* von Neumann      -Tr rho ln rho
+* quantum Boltzmann ln dim(H_M) with a semiclassical cell count for dim
                      (`macrostate_dim`; the log is taken per sample in
                      `experiments._entropy_run`)
-* Gibbs             -k sum p_c ln(p_c dz / vol_c)   (histogram plug-in)
-* coarse-grained    -k sum P_M ln(P_M / W_M)
+* Gibbs             -sum p_c ln(p_c dz / vol_c)   (histogram plug-in)
+* coarse-grained    -sum P_M ln(P_M / W_M)
 """
 
 from __future__ import annotations
@@ -50,14 +50,14 @@ def _probabilities(arg):
     return p
 
 
-def von_neumann_entropy(rho_or_p, k: float = 1.0) -> float:
-    """-k sum lambda ln lambda with 0 ln 0 = 0.
+def von_neumann_entropy(rho_or_p) -> float:
+    """-sum lambda ln lambda with 0 ln 0 = 0.
 
     Accepts a probability vector, a density matrix, or a
     ReducedDensityMatrix."""
     p = _probabilities(rho_or_p)
     nz = p[p > 0]
-    return float(-k * np.sum(nz * np.log(nz)))
+    return float(-np.sum(nz * np.log(nz)))
 
 
 def macrostate_dim(lengths, p_cutoff: float) -> int:
@@ -119,12 +119,11 @@ def macrostate_of(x, decomp: MacrostateDecomposition):
     return int(idx) if idx.ndim == 0 else idx
 
 
-def gibbs_entropy(samples: np.ndarray, delta_z: float, edges,
-                  k: float = 1.0) -> float:
-    """Histogram plug-in estimator -k sum p_c ln(p_c dz / vol_c).
+def gibbs_entropy(samples: np.ndarray, delta_z: float, edges) -> float:
+    """Histogram plug-in estimator -sum p_c ln(p_c dz / vol_c).
 
     The choice of delta_z shifts the result by an additive constant only:
-    gibbs_entropy(., c*dz) = gibbs_entropy(., dz) - k ln c exactly.
+    gibbs_entropy(., c*dz) = gibbs_entropy(., dz) - ln c exactly.
     """
     if delta_z <= 0:
         raise ValueError("delta_z must be positive")
@@ -138,16 +137,16 @@ def gibbs_entropy(samples: np.ndarray, delta_z: float, edges,
     for wd in widths[1:]:
         vol = np.multiply.outer(vol, wd)
     mask = p > 0
-    return float(-k * np.sum(p[mask] * np.log(p[mask] * delta_z / vol[mask])))
+    return float(-np.sum(p[mask] * np.log(p[mask] * delta_z / vol[mask])))
 
 
-def coarse_grained_gibbs(cell_masses, cell_weights=None, k: float = 1.0) -> float:
-    """-k sum_M P_M ln(P_M / W_M); W_M defaults to 1 (equal elementary cells)."""
+def coarse_grained_gibbs(cell_masses, cell_weights=None) -> float:
+    """-sum_M P_M ln(P_M / W_M); W_M defaults to 1 (equal elementary cells)."""
     p = np.asarray(cell_masses, dtype=float)
     p = p / p.sum()
     w = np.ones_like(p) if cell_weights is None else np.asarray(cell_weights, float)
     mask = p > 0
-    return float(-k * np.sum(p[mask] * np.log(p[mask] / w[mask])))
+    return float(-np.sum(p[mask] * np.log(p[mask] / w[mask])))
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +154,11 @@ def coarse_grained_gibbs(cell_masses, cell_weights=None, k: float = 1.0) -> floa
 
 @dataclass
 class Spectrum:
-    """Ascending energy levels plus the volume parameter used by P = dF/dV."""
+    """Ascending energy levels; `truncated` when levels above the last exist
+    but are not listed (partition_function checks their weight)."""
 
     levels: np.ndarray
-    volume: float = 1.0
     truncated: bool = False
-    source: str = "numeric"
 
     def __post_init__(self):
         self.levels = np.asarray(self.levels, dtype=float)
@@ -171,13 +169,11 @@ class Spectrum:
 def box_spectrum(length: float, mass: float = 1.0, count: int = 200) -> Spectrum:
     """1D box: E_n = n^2 pi^2 / (2 m L^2), n = 1.. ; V == L by convention."""
     n = np.arange(1, count + 1)
-    return Spectrum(n**2 * np.pi**2 / (2 * mass * length**2), volume=length,
-                    truncated=True, source="box")
+    return Spectrum(n**2 * np.pi**2 / (2 * mass * length**2), truncated=True)
 
 
 def harmonic_spectrum(omega: float, count: int = 200) -> Spectrum:
-    return Spectrum(omega * (np.arange(count) + 0.5), truncated=True,
-                    source="harmonic")
+    return Spectrum(omega * (np.arange(count) + 0.5), truncated=True)
 
 
 def partition_function(spec: Spectrum, beta):
@@ -214,38 +210,37 @@ def partition_function(spec: Spectrum, beta):
     return np.exp(log_z), p, log_z
 
 
-def _energy_entropy(levels, p, k):
-    """E = sum E_n p_n and S = -k sum p_n ln p_n (0 ln 0 = 0) over the last
+def _energy_entropy(levels, p):
+    """E = sum E_n p_n and S = -sum p_n ln p_n (0 ln 0 = 0) over the last
     axis of p."""
     log_p = np.log(p, out=np.zeros_like(p), where=p > 0)
-    return np.sum(levels * p, axis=-1), -k * np.sum(p * log_p, axis=-1)
+    return np.sum(levels * p, axis=-1), -np.sum(p * log_p, axis=-1)
 
 
-def direct_energy_entropy(spec: Spectrum, beta: float, k: float = 1.0):
-    """E = sum E_n p_n and S = -k sum p_n ln p_n (the dual route)."""
+def direct_energy_entropy(spec: Spectrum, beta: float):
+    """E = sum E_n p_n and S = -sum p_n ln p_n (the dual route)."""
     _, p, _ = partition_function(spec, beta)
-    e, s = _energy_entropy(spec.levels, p, k)
+    e, s = _energy_entropy(spec.levels, p)
     return float(e), float(s)
 
 
 @dataclass
 class ThermoTable:
     """Per-(V, T) canonical quantities; derivative columns are central
-    differences of kT ln Z and are NaN on the boundary rows/columns."""
+    differences of T ln Z and are NaN on the boundary rows/columns."""
 
     v_grid: np.ndarray
     t_grid: np.ndarray
     log_z: np.ndarray          # (nV, nT)
-    free_energy: np.ndarray    # F = -kT ln Z
+    free_energy: np.ndarray    # F = -T ln Z
     energy: np.ndarray         # differenced
     entropy: np.ndarray        # differenced
     pressure: np.ndarray       # differenced
     energy_direct: np.ndarray | None    # None unless built with direct=True
     entropy_direct: np.ndarray | None
-    k: float = 1.0
 
 
-def thermo_table(spectrum_of_volume, v_grid, t_grid, k: float = 1.0, *,
+def thermo_table(spectrum_of_volume, v_grid, t_grid, *,
                  direct: bool = True) -> ThermoTable:
     """Build the (V, T) table; `spectrum_of_volume(V) -> Spectrum`.  With
     direct=False the direct E and S columns (sums over p_n) are not computed
@@ -258,13 +253,13 @@ def thermo_table(spectrum_of_volume, v_grid, t_grid, k: float = 1.0, *,
     log_z = np.empty((n_v, n_t))
     e_dir = np.empty((n_v, n_t)) if direct else None
     s_dir = np.empty((n_v, n_t)) if direct else None
-    beta = 1.0 / (k * t_grid)
+    beta = 1.0 / t_grid
     for i, v in enumerate(v_grid):
         spec = spectrum_of_volume(v)
         _, p, log_z[i] = partition_function(spec, beta)
         if direct:
-            e_dir[i], s_dir[i] = _energy_entropy(spec.levels, p, k)
-    kt_log_z = k * t_grid[None, :] * log_z
+            e_dir[i], s_dir[i] = _energy_entropy(spec.levels, p)
+    t_log_z = t_grid[None, :] * log_z
     energy = np.full_like(log_z, np.nan)
     entropy = np.full_like(log_z, np.nan)
     pressure = np.full_like(log_z, np.nan)
@@ -273,13 +268,13 @@ def thermo_table(spectrum_of_volume, v_grid, t_grid, k: float = 1.0, *,
     if not (np.allclose(dt, dt[0]) and np.allclose(dv, dv[0])):
         raise GridTooCoarse("grids must be uniform for the central stencil")
     ht, hv = dt[0], dv[0]
-    # S = d(kT ln Z)/dT, E = kT^2 d(ln Z)/dT, P = d(kT ln Z)/dV
-    entropy[:, 1:-1] = (kt_log_z[:, 2:] - kt_log_z[:, :-2]) / (2 * ht)
+    # S = d(T ln Z)/dT, E = T^2 d(ln Z)/dT, P = d(T ln Z)/dV
+    entropy[:, 1:-1] = (t_log_z[:, 2:] - t_log_z[:, :-2]) / (2 * ht)
     dlogz_dt = (log_z[:, 2:] - log_z[:, :-2]) / (2 * ht)
-    energy[:, 1:-1] = k * t_grid[None, 1:-1] ** 2 * dlogz_dt
-    pressure[1:-1, :] = (kt_log_z[2:, :] - kt_log_z[:-2, :]) / (2 * hv)
-    return ThermoTable(v_grid, t_grid, log_z, -kt_log_z, energy, entropy,
-                       pressure, e_dir, s_dir, k)
+    energy[:, 1:-1] = t_grid[None, 1:-1] ** 2 * dlogz_dt
+    pressure[1:-1, :] = (t_log_z[2:, :] - t_log_z[:-2, :]) / (2 * hv)
+    return ThermoTable(v_grid, t_grid, log_z, -t_log_z, energy, entropy,
+                       pressure, e_dir, s_dir)
 
 
 def first_law_residual(table: ThermoTable):
@@ -313,8 +308,7 @@ def first_law_residual(table: ThermoTable):
 
 def bohmian_volume_check(length: float, temperature: float, mass: float = 1.0,
                          levels: int = 16, grid_n: int = 256,
-                         samples: int = 10_000, seed: int = 0,
-                         k: float = 1.0) -> dict:
+                         samples: int = 10_000, seed: int = 0) -> dict:
     """Occupation of a 1D thermal box by static Bohmian samples.
 
     The thermal density is rho(x) = sum_n p_n |psi_n(x)|^2 on a dirichlet
@@ -329,11 +323,10 @@ def bohmian_volume_check(length: float, temperature: float, mass: float = 1.0,
     from .schrodinger import HamiltonianSpec, eigenstates
 
     grid = make_grid(GridSpec(1, 1, grid_n, (0.0, length), boundary="dirichlet"))
-    h = HamiltonianSpec((mass,), [{"kind": "box"}], stepper="crank_nicolson")
+    h = HamiltonianSpec((mass,), [{"kind": "box"}])
     energies, states = eigenstates(grid, h, levels)
-    beta = 1.0 / (k * temperature)
-    _, p, _ = partition_function(
-        Spectrum(energies, volume=length, truncated=True, source="box"), beta)
+    _, p, _ = partition_function(Spectrum(energies, truncated=True),
+                                 1.0 / temperature)
     rho = np.zeros(grid.pos_shape)
     j_max = 0.0
     for pn, psi in zip(p, states):
@@ -352,10 +345,10 @@ def bohmian_volume_check(length: float, temperature: float, mass: float = 1.0,
     }
 
 
-def harmonic_thermal_entropy(omega: float, beta: float, k: float = 1.0) -> float:
-    """Closed-form oscillator entropy used as an oracle in tests."""
+def harmonic_thermal_entropy(omega: float, beta: float) -> float:
+    """Closed-form oscillator entropy, the analytic reference of cat_mixture."""
     x = beta * omega
-    return float(k * (x / (np.exp(x) - 1.0) - np.log(1.0 - np.exp(-x))))
+    return float(x / (np.exp(x) - 1.0) - np.log(1.0 - np.exp(-x)))
 
 
 def harmonic_thermal_energy(omega: float, beta):

@@ -136,15 +136,16 @@ class ReducedDensityMatrix:
         return float(np.vdot(m, m).real * self.a_grid.weight**2)
 
 
-def reduced_density_matrix(psi: WaveField, part: SubsystemPartition,
-                           dense_budget: int = DENSE_RDM_BUDGET) -> ReducedDensityMatrix:
+def reduced_density_matrix(psi: WaveField,
+                           part: SubsystemPartition) -> ReducedDensityMatrix:
     """Tr_B |psi><psi| as a dense matrix over the A grid (spin kept on A)."""
     grid = psi.grid
     _check_partition(grid, part)
     sub = a_grid(grid, part)
     dim_a = int(np.prod(sub.full_shape))
-    if dim_a > dense_budget:
-        raise DenseBudgetExceeded(f"A dimension {dim_a} exceeds budget {dense_budget}")
+    if dim_a > DENSE_RDM_BUDGET:
+        raise DenseBudgetExceeded(f"A dimension {dim_a} exceeds budget "
+                                  f"{DENSE_RDM_BUDGET}")
     # spin axes present in the array, in particle order
     spin_axis_of = {}
     k = 0

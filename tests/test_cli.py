@@ -36,6 +36,17 @@ class TestRun:
         assert (out / "scaling.csv").exists()
         assert (out / "manifest.json").exists()
 
+    def test_dirichlet_evolve_runs(self, tmp_path):
+        # the shipped evolve config on a dirichlet grid: its boundary picks
+        # Crank-Nicolson, with no stepper key to disagree with it
+        with open(os.path.join(CONFIG_DIR, "evolve.json")) as f:
+            cfg = json.load(f)
+        cfg["grid"]["boundary"] = "dirichlet"
+        out = tmp_path / "o"
+        assert main(["run", write_cfg(tmp_path, cfg), "--output", str(out)]) == 0
+        m = json.loads((out / "manifest.json").read_text())
+        assert m["status"] == "ok" and m["checks"] == {"norm_conserved": True}
+
     def test_manifest_contents(self, tmp_path):
         cfg = write_cfg(tmp_path, SCALING)
         out = tmp_path / "out"
@@ -124,7 +135,7 @@ class TestValidationFailures:
         }
         path = write_cfg(tmp_path, cfg)
         assert main(["run", path, "--output", str(tmp_path / "o")]) == 2
-        assert "grid.points_per_axis" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: grid.n: must be >= 8\n"
 
     @pytest.mark.parametrize("text", ["5", '["experiment"]', "null"])
     def test_config_root_not_an_object(self, tmp_path, capsys, text):
@@ -197,6 +208,15 @@ BAD_VALUES = {
     "negative_classical_beta": ("classical_liouville", {"classical.beta": -1}, [],
                                 "classical.beta"),
     "n_string": ("evolve", {"grid.n": "64"}, [], "grid.n"),
+    # GridSpec checks these ranges; the error names the grid key
+    "three_dims": ("evolve", {"grid.dims": 3}, [], "grid.dims: "),
+    "open_boundary": ("evolve", {"grid.boundary": "open"}, [], "grid.boundary: "),
+    "reversed_extent": ("evolve", {"grid.extent": [8.0, -8.0]}, [],
+                        "grid.extent: "),
+    "zero_spin_dim": ("evolve", {"grid.spin_dims": [0]}, [], "grid.spin_dims: "),
+    # the grid's boundary picks the stepper
+    "stepper_key": ("evolve", {"hamiltonian.stepper": "crank_nicolson"}, [],
+                    "hamiltonian.stepper: unknown key\n"),
     "fractional_levels": ("cat_mixture", {"cat.levels": 2.7}, [], "cat.levels"),
     "fractional_seed": ("scaling", {"seed": 1.9}, [], "seed"),
     "bool_seed": ("scaling", {"seed": True}, [], "seed"),
@@ -284,7 +304,6 @@ EXIT_CODES = {
     "MemoryBudgetExceeded": 2,
     "InvalidExtent": 2,
     "AxisMismatch": 2,
-    "StepperBoundaryMismatch": 2,
     "NonuniformFrames": 2,
     "PartitionMismatch": 2,
     "DenseBudgetExceeded": 2,
@@ -310,7 +329,8 @@ class TestPackageErrors:
     @pytest.mark.parametrize("cls", errors.BohmstatError.__subclasses__(),
                              ids=lambda c: c.__name__)
     def test_runner_error_exit_code(self, cls, tmp_path, monkeypatch, capsys):
-        exc = cls("x", "raised by the test") if cls is errors.ConfigError \
+        exc = cls("x", "raised by the test") \
+            if cls in (errors.ConfigError, errors.InvalidExtent) \
             else cls("raised by the test")
 
         def runner(cfg, outdir, seed):
@@ -371,14 +391,6 @@ class TestPackageErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("ConvergenceFailure")
         assert not (out / "manifest.json").exists()
-
-    def test_stepper_boundary_mismatch(self, tmp_path, capsys):
-        with open(os.path.join(CONFIG_DIR, "evolve.json")) as f:
-            cfg = json.load(f)
-        cfg["grid"]["boundary"] = "dirichlet"
-        path = write_cfg(tmp_path, cfg)
-        assert main(["run", path, "--output", str(tmp_path / "o")]) == 2
-        assert "StepperBoundaryMismatch" in capsys.readouterr().err
 
 
 def test_runs_without_scipy_reach_no_scipy_import(tmp_path):

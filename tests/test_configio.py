@@ -26,7 +26,7 @@ def minimal_scaling():
 def resolved(**sections):
     """A field config resolved by the schema: `sections` over empty grid,
     hamiltonian, initial_state and evolution sections."""
-    cfg = {"experiment": "evolve", "grid": {}, "hamiltonian": {},
+    cfg = {"experiment": "evolve", "grid": {"n": 16}, "hamiltonian": {},
            "initial_state": {}, "evolution": {}}
     return validate_config(dict(cfg, **sections))
 
@@ -110,7 +110,7 @@ class TestValidation:
             if key.default is not REQUIRED:
                 key.check(path, key.default)
         required = sorted(path for path, key in keys if key.default is REQUIRED)
-        assert required == ["classical.samples", "macrostates.edges"]
+        assert required == ["classical.samples", "grid.n", "macrostates.edges"]
 
     def test_invalid_json_file(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -148,7 +148,7 @@ class TestValidation:
 
 class TestBuilders:
     def test_grid_small_axis_names_config_path(self):
-        with pytest.raises(ConfigError, match=r"grid\.points_per_axis"):
+        with pytest.raises(ConfigError, match=r"^grid\.n: must be >= 8$"):
             build_grid(resolved(grid={"n": 7, "extent": [0.0, 1.0]}))
 
     def test_grid_round_trip(self):
@@ -160,7 +160,6 @@ class TestBuilders:
     def test_hamiltonian_defaults(self):
         h = build_hamiltonian(resolved(hamiltonian={}))
         assert h.masses == (1.0,)
-        assert h.stepper == "split_step_spectral"
 
     def test_every_potential_kind_with_all_its_keys(self):
         # each kind with every key it may hold, numbers where a list is not
@@ -209,8 +208,7 @@ class TestBuilders:
     def test_eigenstate_kind(self):
         cfg = resolved(grid={"n": 64, "extent": [0.0, 1.0],
                              "boundary": "dirichlet"},
-                       hamiltonian={"potential": [{"kind": "box"}],
-                                    "stepper": "crank_nicolson"},
+                       hamiltonian={"potential": [{"kind": "box"}]},
                        initial_state={"kind": "eigenstate", "index": 1})
         grid = build_grid(cfg)
         psi = build_initial_state(grid, build_hamiltonian(cfg), cfg)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from bohmstat.currents import (FieldFrame, continuity_residual, current,
-                               density, divergence, regularized_velocity,
-                               velocity)
+                               density, divergence, velocity)
 from bohmstat.errors import NonuniformFrames
 from bohmstat.lattice import GridSpec, WaveField, make_grid
 from bohmstat.schrodinger import HamiltonianSpec, evolve
@@ -52,17 +51,8 @@ class TestVelocityRegularization:
         grid = make_grid(GridSpec(1, 1, 64, (0.0, 2 * np.pi)))
         psi = WaveField(grid, np.sin(grid.axis_coords) + 0j).normalized()
         frame = FieldFrame.from_wavefield(psi, H_FREE)
-        v = velocity(frame, eps_rel=1e-6)
+        v = velocity(frame)
         assert np.all(np.isfinite(v.components))
-
-    def test_eps_rel_range_enforced(self):
-        grid = make_grid(GridSpec(1, 1, 16, (0.0, 1.0)))
-        psi = plane_wave(grid, 1.0)
-        frame = FieldFrame.from_wavefield(psi, H_FREE)
-        with pytest.raises(ValueError):
-            velocity(frame, eps_rel=0.5)
-        with pytest.raises(ValueError):
-            velocity(frame, eps_rel=0.0)
 
 
 class TestDivergence:

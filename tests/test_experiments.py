@@ -89,6 +89,9 @@ PHASE_NEEDS = {
     # refined first_law table has the same 61 x 241 shape
     "thermo": 8 * 241 * (4 * 800 + 9 * 61),
     "first_law": 8 * 241 * (4 * 800 + 9 * 61),
+    # 400 levels: the spectrum, two occupations, their 2 x 400 mixture and
+    # three copies of it
+    "cat_mixture": 8 * 11 * 400,
 }
 
 
@@ -101,13 +104,15 @@ def test_phase_memory_guard_before_allocating(name, tmp_path, monkeypatch,
                                               capsys):
     # the phase configs have no budget key: the default one, lowered to one
     # byte below the estimate, stops the run (exit 2) before any ensemble is
-    # drawn or any table built; the shipped configs never near the default
+    # drawn, table built or spectrum made; the shipped configs never near the
+    # default
     need = PHASE_NEEDS[name]
     assert need < experiments.DEFAULT_MEMORY_BUDGET
     for module, attr in [(cp, "sample_thermal"),
                          (cp, "sample_thermal_particle"),
                          (cp, "ensemble_average_scaling"),
-                         (sm, "thermo_table")]:
+                         (sm, "thermo_table"),
+                         (sm, "harmonic_spectrum")]:
         monkeypatch.setattr(module, attr, no_allocation)
     monkeypatch.setattr(experiments, "DEFAULT_MEMORY_BUDGET", need - 1)
     out = tmp_path / "o"

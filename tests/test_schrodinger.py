@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from bohmstat import schrodinger
-from bohmstat.errors import StepperBoundaryMismatch
 from bohmstat.lattice import GridSpec, WaveField, integrate, make_grid
 from bohmstat.schrodinger import (DENSE_EIG_BUDGET, HamiltonianSpec,
                                   apply_hamiltonian, eigenstates, energy,
@@ -74,8 +73,7 @@ class TestHarmonic:
 class TestCrankNicolson:
     def test_unitary_in_box(self):
         grid = make_grid(GridSpec(1, 1, 128, (0.0, 8.0), boundary="dirichlet"))
-        h = HamiltonianSpec((1.0,), [{"kind": "box"}], time_step=2e-4,
-                            stepper="crank_nicolson")
+        h = HamiltonianSpec((1.0,), [{"kind": "box"}], time_step=2e-4)
         psi = gaussian_packet(grid, 2.0, 0.4, 0.0)
         frames = list(evolve(psi, h, 0.2, frame_stride=500))
         assert frames[-1].norm_sq() == pytest.approx(frames[0].norm_sq(),
@@ -83,19 +81,12 @@ class TestCrankNicolson:
 
     def test_box_eigenstate_is_stationary(self):
         grid = make_grid(GridSpec(1, 1, 128, (0.0, 4.0), boundary="dirichlet"))
-        h = HamiltonianSpec((1.0,), [{"kind": "box"}], time_step=2e-4,
-                            stepper="crank_nicolson")
+        h = HamiltonianSpec((1.0,), [{"kind": "box"}], time_step=2e-4)
         _, states = eigenstates(grid, h, 1)
         frames = list(evolve(states[0], h, 0.2, frame_stride=1000))
         rho0 = np.abs(frames[0].amplitudes) ** 2
         rho1 = np.abs(frames[-1].amplitudes) ** 2
         np.testing.assert_allclose(rho1, rho0, atol=1e-10)
-
-    def test_boundary_mismatch_raises(self):
-        grid = make_grid(GridSpec(1, 1, 64, (0.0, 1.0)))
-        h = HamiltonianSpec((1.0,), [{"kind": "box"}], stepper="crank_nicolson")
-        with pytest.raises(StepperBoundaryMismatch):
-            evolve(WaveField(grid, np.ones(64)).normalized(), h, 0.01)
 
 
 def oracle_split_step(stepper, grid, h, amp):
@@ -156,32 +147,30 @@ def _random_state(grid, seed):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+# the grid's boundary picks the stepper: the split step on a periodic grid,
+# Crank-Nicolson (cn) on a dirichlet one
 STEPPER_CASES = {
-    "split_1d": (GridSpec(1, 1, 64, (-6.0, 6.0)), "split_step_spectral",
+    "split_1d": (GridSpec(1, 1, 64, (-6.0, 6.0)),
                  [{"kind": "harmonic", "omega": 1.0}], oracle_split_step),
-    "split_2d": (GridSpec(2, 1, 24, (-6.0, 6.0)), "split_step_spectral",
+    "split_2d": (GridSpec(2, 1, 24, (-6.0, 6.0)),
                  [{"kind": "pair_coupling", "lam": 0.3}], oracle_split_step),
     "cn_1d": (GridSpec(1, 1, 48, (0.0, 4.0), boundary="dirichlet"),
-              "crank_nicolson", [{"kind": "harmonic", "omega": 2.0}],
-              oracle_cn_step),
+              [{"kind": "harmonic", "omega": 2.0}], oracle_cn_step),
     "cn_2d": (GridSpec(2, 1, 20, (-3.0, 3.0), boundary="dirichlet"),
-              "crank_nicolson", [{"kind": "pair_coupling", "lam": 0.5}],
-              oracle_cn_step),
+              [{"kind": "pair_coupling", "lam": 0.5}], oracle_cn_step),
 }
 
 
 # V == 0 on the grid: the steppers propagate in the kinetic eigenbasis
 ZERO_POTENTIAL_CASES = {
-    "split_1d": (GridSpec(1, 1, 64, (-6.0, 6.0)), "split_step_spectral",
-                 (1.0,), oracle_split_step),
-    "split_2d": (GridSpec(2, 1, 24, (-6.0, 6.0)), "split_step_spectral",
-                 (1.0, 2.5), oracle_split_step),
-    "split_spin": (GridSpec(1, 1, 32, (-6.0, 6.0), spin_dims=(2,)),
-                   "split_step_spectral", (1.0,), oracle_split_step),
-    "cn_1d": (GridSpec(1, 1, 48, (0.0, 4.0), boundary="dirichlet"),
-              "crank_nicolson", (1.0,), oracle_cn_step),
+    "split_1d": (GridSpec(1, 1, 64, (-6.0, 6.0)), (1.0,), oracle_split_step),
+    "split_2d": (GridSpec(2, 1, 24, (-6.0, 6.0)), (1.0, 2.5), oracle_split_step),
+    "split_spin": (GridSpec(1, 1, 32, (-6.0, 6.0), spin_dims=(2,)), (1.0,),
+                   oracle_split_step),
+    "cn_1d": (GridSpec(1, 1, 48, (0.0, 4.0), boundary="dirichlet"), (1.0,),
+              oracle_cn_step),
     "cn_2d": (GridSpec(2, 1, 20, (-3.0, 3.0), boundary="dirichlet"),
-              "crank_nicolson", (1.0, 0.4), oracle_cn_step),
+              (1.0, 0.4), oracle_cn_step),
 }
 
 
@@ -198,10 +187,10 @@ class TestStepperOracles:
 
     @pytest.mark.parametrize("case", sorted(STEPPER_CASES))
     def test_200_steps_bit_identical(self, case):
-        spec, kind, potential, oracle = STEPPER_CASES[case]
+        spec, potential, oracle = STEPPER_CASES[case]
         grid = make_grid(spec)
         masses = (1.0,) * spec.particle_count
-        h = HamiltonianSpec(masses, potential, time_step=1e-3, stepper=kind)
+        h = HamiltonianSpec(masses, potential, time_step=1e-3)
         stepper = make_stepper(grid, h)
         amp = _random_state(grid, 3)
         want = amp.copy()
@@ -212,10 +201,9 @@ class TestStepperOracles:
 
     @pytest.mark.parametrize("case", sorted(ZERO_POTENTIAL_CASES))
     def test_zero_potential_advance_matches_steps(self, case):
-        spec, kind, masses, oracle = ZERO_POTENTIAL_CASES[case]
+        spec, masses, oracle = ZERO_POTENTIAL_CASES[case]
         grid = make_grid(spec)
-        h = HamiltonianSpec(masses, [{"kind": "free"}], time_step=1e-3,
-                            stepper=kind)
+        h = HamiltonianSpec(masses, [{"kind": "free"}], time_step=1e-3)
         stepper = make_stepper(grid, h)
         amp = _random_state(grid, 4)
         want = amp.copy()
@@ -234,8 +222,7 @@ class TestStepperOracles:
         psi = WaveField(grid, _random_state(grid, 5))
         for potential, tol in (([{"kind": "harmonic", "omega": 2.0}], 0.0),
                                ([{"kind": "box"}], 1e-12)):
-            h = HamiltonianSpec((1.0,), potential, time_step=1e-3,
-                                stepper="crank_nicolson")
+            h = HamiltonianSpec((1.0,), potential, time_step=1e-3)
             frames = list(evolve(psi, h, 0.05, frame_stride=15))
             stored = (0, 15, 30, 45, 50)
             assert [f.time for f in frames] == [i * h.time_step for i in stored]
@@ -253,8 +240,7 @@ class TestStepperOracles:
 
     def test_cn_rejects_nan_amplitude(self):
         grid = make_grid(GridSpec(1, 1, 32, (0.0, 4.0), boundary="dirichlet"))
-        h = HamiltonianSpec((1.0,), [{"kind": "box"}], time_step=1e-3,
-                            stepper="crank_nicolson")
+        h = HamiltonianSpec((1.0,), [{"kind": "box"}], time_step=1e-3)
         stepper = make_stepper(grid, h)
         amp = _random_state(grid, 1)
         amp[7] = np.nan
@@ -267,14 +253,14 @@ class TestStepperOracles:
 class TestEigenstates:
     def test_box_energies(self):
         grid = make_grid(GridSpec(1, 1, 512, (0.0, 1.0), boundary="dirichlet"))
-        h = HamiltonianSpec((1.0,), [{"kind": "box"}], stepper="crank_nicolson")
+        h = HamiltonianSpec((1.0,), [{"kind": "box"}])
         energies, _ = eigenstates(grid, h, 3)
         exact = np.array([1, 4, 9]) * np.pi**2 / 2
         np.testing.assert_allclose(energies, exact, rtol=2e-4)
 
     def test_orthonormality(self):
         grid = make_grid(GridSpec(1, 1, 256, (0.0, 1.0), boundary="dirichlet"))
-        h = HamiltonianSpec((1.0,), [{"kind": "box"}], stepper="crank_nicolson")
+        h = HamiltonianSpec((1.0,), [{"kind": "box"}])
         _, states = eigenstates(grid, h, 4)
         for i in range(4):
             for j in range(4):
@@ -284,15 +270,15 @@ class TestEigenstates:
 
     def test_harmonic_ladder_dense(self):
         grid = make_grid(GridSpec(1, 1, 64, (-8.0, 8.0), boundary="dirichlet"))
-        h = HamiltonianSpec((1.0,), [{"kind": "harmonic", "omega": 1.0}],
-                            stepper="crank_nicolson")
+        h = HamiltonianSpec((1.0,), [{"kind": "harmonic", "omega": 1.0}])
         energies, _ = eigenstates(grid, h, 4)
         # 3-point stencil at n=64: O(dx^2) ~ 5e-2 discretization error
         np.testing.assert_allclose(energies, [0.5, 1.5, 2.5, 3.5], atol=5e-2)
 
 
 # grids that are not 1-D dirichlet without spin, each solved twice on the one
-# operator: dense eigh (dense_budget = the grid size) and ARPACK (budget 0)
+# operator: dense eigh (DENSE_EIG_BUDGET = the grid size) and ARPACK (budget
+# 0)
 ROUTE_CASES = {
     # non-degenerate lowest levels 1.35, 2.35, 3.05, 3.35
     "two_particle_periodic": (
@@ -304,16 +290,22 @@ ROUTE_CASES = {
                                  {"kind": "spin_coupling", "mu": 0.5}])),
     "dirichlet_2d": (
         GridSpec(1, 2, 16, (-4.0, 4.0), boundary="dirichlet"),
-        HamiltonianSpec((1.0,), [{"kind": "harmonic", "omega": 1.0}],
-                        stepper="crank_nicolson")),
+        HamiltonianSpec((1.0,), [{"kind": "harmonic", "omega": 1.0}])),
 }
+
+
+def eigenstates_under(budget, grid, h, count):
+    """eigenstates with DENSE_EIG_BUDGET set to `budget` for the one call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schrodinger, "DENSE_EIG_BUDGET", budget)
+        return eigenstates(grid, h, count)
 
 
 def dense_and_arpack(name, count):
     spec, h = ROUTE_CASES[name]
     grid = make_grid(spec)
-    dense = eigenstates(grid, h, count, dense_budget=spec.total_points)
-    arpack = eigenstates(grid, h, count, dense_budget=0)
+    dense = eigenstates_under(spec.total_points, grid, h, count)
+    arpack = eigenstates_under(0, grid, h, count)
     return grid, dense, arpack
 
 
@@ -334,7 +326,7 @@ class TestEigensolverRoutes:
         spec, h = ROUTE_CASES["spin_half"]
         grid = make_grid(spec)
         for budget in (spec.total_points, 0):
-            energies, states = eigenstates(grid, h, 4, dense_budget=budget)
+            energies, states = eigenstates_under(budget, grid, h, 4)
             amps = np.array([s.amplitudes.ravel() for s in states])
             assert not amps.imag.any()
             np.testing.assert_allclose(amps.conj() @ amps.T * grid.weight,
@@ -350,7 +342,7 @@ class TestEigensolverRoutes:
         n = 72
         grid = make_grid(GridSpec(1, 2, n, (0.0, 1.0), boundary="dirichlet"))
         assert grid.spec.total_points > DENSE_EIG_BUDGET
-        h = HamiltonianSpec((1.0,), [{"kind": "box"}], stepper="crank_nicolson")
+        h = HamiltonianSpec((1.0,), [{"kind": "box"}])
         energies, states = eigenstates(grid, h, 6)
         axis = 2.0 / grid.dx**2 * np.sin(np.pi * np.arange(1, 5)
                                          / (2 * (n + 1))) ** 2
@@ -434,24 +426,23 @@ def listed_frames(psi, h, t_final, stride):
     return frames
 
 
-# one case per stepper path: (boundary, potential, stepper)
+# one case per stepper path: (boundary, potential); the boundary picks the
+# stepper
 STREAM_CASES = {
-    "split_step_potential": ("periodic", [{"kind": "harmonic", "omega": 2.0}],
-                             "split_step_spectral"),
-    "split_step_free": ("periodic", [{"kind": "free"}], "split_step_spectral"),
+    "split_step_potential": ("periodic", [{"kind": "harmonic", "omega": 2.0}]),
+    "split_step_free": ("periodic", [{"kind": "free"}]),
     "crank_nicolson_potential": ("dirichlet",
-                                 [{"kind": "harmonic", "omega": 2.0}],
-                                 "crank_nicolson"),
-    "dirichlet_dst_free": ("dirichlet", [{"kind": "box"}], "crank_nicolson"),
+                                 [{"kind": "harmonic", "omega": 2.0}]),
+    "dirichlet_dst_free": ("dirichlet", [{"kind": "box"}]),
 }
 
 
 class TestFrameStream:
     @pytest.mark.parametrize("case", STREAM_CASES)
     def test_stream_equals_list(self, case):
-        boundary, potential, stepper = STREAM_CASES[case]
+        boundary, potential = STREAM_CASES[case]
         grid = make_grid(GridSpec(1, 1, 64, (-4.0, 4.0), boundary=boundary))
-        h = HamiltonianSpec((1.0,), potential, time_step=1e-3, stepper=stepper)
+        h = HamiltonianSpec((1.0,), potential, time_step=1e-3)
         psi = WaveField(grid, _random_state(grid, 3))
         # 50 steps, stride 7: the last frame is off-stride
         want = listed_frames(psi, h, 0.05, 7)

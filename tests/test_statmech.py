@@ -38,7 +38,7 @@ def loop_macrostate_of(x, edges):
     raise OutsideAllCells(f"{x} is outside every cell")
 
 
-def loop_thermo_columns(spectrum_of_volume, v_grid, t_grid, k=1.0):
+def loop_thermo_columns(spectrum_of_volume, v_grid, t_grid):
     """ln Z, direct E and direct S from one scalar evaluation per (V, T)."""
     n_v, n_t = len(v_grid), len(t_grid)
     log_z = np.empty((n_v, n_t))
@@ -48,14 +48,14 @@ def loop_thermo_columns(spectrum_of_volume, v_grid, t_grid, k=1.0):
         spec = spectrum_of_volume(v)
         e = spec.levels
         for j, t in enumerate(t_grid):
-            beta = 1.0 / (k * t)
+            beta = 1.0 / t
             w = np.exp(-beta * (e - e[0]))
             z_shifted = w.sum()
             p = w / z_shifted
             log_z[i, j] = np.log(z_shifted) - beta * e[0]
             e_dir[i, j] = float(np.sum(e * p))
             mask = p > 0
-            s_dir[i, j] = float(-k * np.sum(p[mask] * np.log(p[mask])))
+            s_dir[i, j] = float(-np.sum(p[mask] * np.log(p[mask])))
     return log_z, e_dir, s_dir
 
 
@@ -149,10 +149,6 @@ class TestVonNeumann:
             sm.von_neumann_entropy([1.2, -0.2])
         with pytest.raises(NotADensityMatrix):
             sm.von_neumann_entropy([0.4, 0.4])
-
-    def test_k_rescale(self):
-        assert sm.von_neumann_entropy([0.5, 0.5], k=2.0) == \
-            pytest.approx(2 * np.log(2))
 
 
 class TestMacrostates:
@@ -409,15 +405,14 @@ class TestPartitionFunction:
 
 
 def two_level_family(v):
-    return sm.Spectrum([0.0, 1.0 / v**2], volume=v)
+    return sm.Spectrum([0.0, 1.0 / v**2])
 
 
 # the box spectrum of the shipped thermo configs underflows to p_n = 0 in its tail
 FAMILIES = {
     "two_level": two_level_family,
     "box": lambda v: sm.box_spectrum(v, mass=50.0, count=800),
-    "harmonic": lambda v: sm.Spectrum(sm.harmonic_spectrum(1.3, 200).levels,
-                                      volume=v, truncated=True),
+    "harmonic": lambda v: sm.harmonic_spectrum(1.3, 200),
 }
 
 
@@ -520,7 +515,7 @@ class TestThermoTable:
     def test_free_energy_sign(self):
         t = self.make(nv=5, nt=5)
         np.testing.assert_allclose(
-            t.free_energy, -t.k * t.t_grid[None, :] * t.log_z)
+            t.free_energy, -t.t_grid[None, :] * t.log_z)
 
 
 class TestBohmianVolume:
@@ -553,6 +548,6 @@ class TestThermoClosedFormCheck:
     def test_wrong_volume_law_fails(self, tmp_path, monkeypatch):
         # a gap falling as 1/V instead of 1/V^2
         monkeypatch.setattr(experiments, "_spectrum_family", lambda t: (
-            lambda v: sm.Spectrum([0.0, t["gap"] / v], volume=v)))
+            lambda v: sm.Spectrum([0.0, t["gap"] / v])))
         res = self.run(tmp_path, family="two_level", gap=2.0)
         assert not res.checks["energy_closed_form_within_tail_bound"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bohmstat import subsystem
 from bohmstat.currents import FieldFrame, continuity_residual, current, density
 from bohmstat.errors import DenseBudgetExceeded, PartitionMismatch
 from bohmstat.lattice import GridSpec, WaveField, make_grid
@@ -102,11 +103,12 @@ class TestReducedDensityMatrix:
         np.testing.assert_allclose(spin_traced_diagonal(rdm), marg.values,
                                    atol=1e-12)
 
-    def test_dense_budget(self):
+    def test_dense_budget(self, monkeypatch):
         grid = two_particle_grid(128)
         part = SubsystemPartition((0,), 2)
+        monkeypatch.setattr(subsystem, "DENSE_RDM_BUDGET", 64)
         with pytest.raises(DenseBudgetExceeded):
-            reduced_density_matrix(product_state(grid), part, dense_budget=64)
+            reduced_density_matrix(product_state(grid), part)
 
     def test_round_trip(self, tmp_path):
         grid = two_particle_grid(32)
