@@ -24,8 +24,9 @@ def minimal_scaling():
 
 
 def resolved(**sections):
-    """A field config resolved by the schema: `sections` over empty grid,
-    hamiltonian, initial_state and evolution sections."""
+    """A field config resolved by the schema: `sections` over a grid section
+    holding only the required n and empty hamiltonian, initial_state and
+    evolution sections."""
     cfg = {"experiment": "evolve", "grid": {"n": 16}, "hamiltonian": {},
            "initial_state": {}, "evolution": {}}
     return validate_config(dict(cfg, **sections))

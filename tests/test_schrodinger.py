@@ -295,10 +295,17 @@ ROUTE_CASES = {
 
 
 def eigenstates_under(budget, grid, h, count):
-    """eigenstates with DENSE_EIG_BUDGET set to `budget` for the one call."""
+    """eigenstates with DENSE_EIG_BUDGET set to `budget` for the one call;
+    ARPACK must run exactly when the grid is above the budget."""
+    arpack_calls = []
+    lowest = schrodinger._lowest_eigsh
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(schrodinger, "DENSE_EIG_BUDGET", budget)
-        return eigenstates(grid, h, count)
+        mp.setattr(schrodinger, "_lowest_eigsh",
+                   lambda *args: arpack_calls.append(args) or lowest(*args))
+        result = eigenstates(grid, h, count)
+    assert len(arpack_calls) == (grid.spec.total_points > budget)
+    return result
 
 
 def dense_and_arpack(name, count):
