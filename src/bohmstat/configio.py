@@ -125,7 +125,7 @@ SCHEMA = {
         "memory_budget": Key(INT, DEFAULT_MEMORY_BUDGET),      # Grid
     },
     "hamiltonian": {
-        "masses": Key(NUMBERS, [1.0]),              # HamiltonianSpec + builder
+        "masses": Key(NUMBERS, [1.0], POSITIVE),    # + builder
         "potential": Key(list_of(OBJECT, "objects", empty=True),
                          [{"kind": "free"}]),        # build_hamiltonian
         "time_step": Key(FLOAT, 1e-3, POSITIVE),
@@ -343,11 +343,8 @@ def build_hamiltonian(cfg: dict) -> HamiltonianSpec:
                 raise ConfigError(where + k, f"unknown key for kind {kind!r}")
         _resolve(TERM_KEYS[kind], term, where)
         _check_term_fits_grid(cfg["grid"], kind, term, where)
-    try:
-        return HamiltonianSpec(masses=h["masses"], potential=h["potential"],
-                               time_step=h["time_step"])
-    except ValueError as exc:
-        raise ConfigError("hamiltonian", str(exc)) from exc
+    return HamiltonianSpec(masses=h["masses"], potential=h["potential"],
+                           time_step=h["time_step"])
 
 
 def _check_term_fits_grid(g: dict, kind: str, term: dict, where: str):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonuniformFrames
-from .lattice import Grid, ScalarField, VectorField, WaveField, gradient, integrate
+from .lattice import ScalarField, VectorField, WaveField, gradient
 from .schrodinger import HamiltonianSpec
 
 DEFAULT_EPS_REL = 1e-12

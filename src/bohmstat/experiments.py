@@ -85,21 +85,33 @@ def _check_memory(cfg, grid, nframes):
             f"frames, grid.memory_budget is {budget}")
 
 
+# the runners whose continuity residuals difference three frames in time
+_FRAME_TRIPLES = ("continuity", "subsystem_currents")
+
+
 def _evolved(cfg):
     """Grid, Hamiltonian, frame count and the generator of wave frames; the
-    memory guard runs before the initial state is built."""
+    frame checks and the memory guard run before the initial state is
+    built."""
     grid = build_grid(cfg)
     h = build_hamiltonian(cfg)
     ev = cfg["evolution"]
     nframes = frame_count(h, ev["t_final"], ev["frame_stride"])
+    if cfg["experiment"] in _FRAME_TRIPLES:
+        _uniform_triples(h, ev, nframes)
     _check_memory(cfg, grid, nframes)
     psi0 = build_initial_state(grid, h, cfg)
     return grid, h, nframes, evolve(psi0, h, ev["t_final"], ev["frame_stride"])
 
 
-def _at_least_three(nframes):
+def _uniform_triples(h, ev, nframes):
+    """At least three frames, evenly spaced (no off-stride last frame)."""
     if nframes < 3:
         raise ConfigError("evolution.t_final", "need at least three frames")
+    steps = int(round(ev["t_final"] / h.time_step))
+    if steps % ev["frame_stride"]:
+        raise ConfigError("evolution.t_final", f"{steps} steps is not a multiple "
+                          f"of evolution.frame_stride {ev['frame_stride']}")
 
 
 def _partition(cfg, grid) -> SubsystemPartition:
@@ -148,7 +160,6 @@ def run_evolve(cfg, outdir, seed):
 
 def run_continuity(cfg, outdir, seed):
     grid, h, nframes, frames = _evolved(cfg)
-    _at_least_three(nframes)
     window = deque(maxlen=3)
     rows = []
     for psi in frames:
@@ -172,7 +183,6 @@ def run_continuity(cfg, outdir, seed):
 def run_subsystem_currents(cfg, outdir, seed):
     grid, h, nframes, frames = _evolved(cfg)
     part = _partition(cfg, grid)
-    _at_least_three(nframes)
     sfs = []
     for i, last in enumerate(frames):
         if i >= nframes - 3:
@@ -695,9 +705,11 @@ def run_typicality(cfg, outdir, seed):
 def run_cat_mixture(cfg, outdir, seed):
     c = cfg["cat"]
     omega, beta_cold, beta_warm = c["omega"], c["beta_cold"], c["beta_warm"]
-    # the spectrum, two occupations, the mixture of both, and three copies
-    # of the mixture within von_neumann_entropy
-    _check_phase_memory(cfg, 8 * 11 * c["levels"], f"{c['levels']} levels")
+    # the spectrum, two occupations, the mixture of both, and within
+    # von_neumann_entropy the mixture's positive entries and their log (the
+    # product reuses the log's buffer): 9 arrays of levels floats under
+    # tracemalloc when no occupation underflows, 7 at the shipped betas
+    _check_phase_memory(cfg, 8 * 9 * c["levels"], f"{c['levels']} levels")
     spec = sm.harmonic_spectrum(omega, c["levels"])
     _, p_cold, _ = sm.partition_function(spec, beta_cold)
     _, p_warm, _ = sm.partition_function(spec, beta_warm)

@@ -20,7 +20,7 @@ Natural units: hbar = 1, masses relative to a reference mass, k_B = 1.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -240,11 +240,10 @@ def derivative_along(values, grid: Grid, array_axis: int):
 
 
 def laplacian_axis(values, grid: Grid, pos_axis: int):
-    """Second derivative along one position axis (spectral or 3-point
-    stencil).  The axis is counted from the end, so `values` may carry
-    leading batch axes before the grid's full_shape."""
+    """Second derivative along one position axis of a full_shape array
+    (spectral or 3-point stencil)."""
     arr = np.asarray(values)
-    ax = grid.pos_axis(pos_axis) - len(grid.full_shape)
+    ax = grid.pos_axis(pos_axis)
     if grid.spec.boundary == "periodic":
         k = grid.wavenumbers
         shape = [1] * arr.ndim

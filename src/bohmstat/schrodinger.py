@@ -11,22 +11,22 @@ The grid's boundary picks the stepper:
   error is O(dt^2).  Each axis factor is one LAPACK ?gtsv call over all the
   grid lines along that axis.
 
-When V == 0 on the grid (free, or box on a dirichlet grid) each stepper's
-step is one constant operator, diagonal in the kinetic eigenbasis: Fourier
-modes for the split step, the orthonormal DST-I of each axis (the eigenvectors
-of the (1,-2,1) stencil) for Crank-Nicolson, where the Cayley factor of mode k
-is c_k = (1 - i dt lambda_k/2) / (1 + i dt lambda_k/2).  n steps are then one
-transform pair and one factor (c_k^n, or exp(-i n dt K)); that path builds no
-potential factors or bands and imports no scipy.
+Both kinetic steps are diagonal in the kinetic eigenbasis (Fourier modes, or
+the orthonormal DST-I of each axis, whose modes are the (1,-2,1) stencil's).
+_EigenbasisStepper works there: a split step is its one-step kinetic factor
+between two half potential factors, and with V == 0 on the grid (free, or box
+on a dirichlet grid) n steps of either stepper are one transform pair and one
+factor; that path builds no bands and imports no scipy.  Only Crank-Nicolson
+with V != 0 (_CrankNicolsonStepper) steps in position space.
 
-A stepper's step(amp) advances the complex128 array amp in place by one time
-step, and advance(amp, n) by n steps (FFTs with out=amp, Cayley solves and
-inverse transforms written back into it).  evolve owns that working array,
-calls advance once per frame and yields a copy of it, one frame at a time.
+A stepper's advance(amp, n) advances the complex128 array amp in place by n
+time steps.  evolve owns that working array, calls advance once per frame and
+yields a copy of it, one frame at a time.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -114,18 +114,6 @@ def potential_grid(grid: Grid, h: HamiltonianSpec) -> np.ndarray:
     return v_full + v_pos
 
 
-def _kinetic_k2(grid: Grid, h: HamiltonianSpec) -> np.ndarray:
-    """sum_a k_a^2 / (2 m_a) on the wavenumber grid, shape pos_shape."""
-    k2_total = np.zeros(grid.pos_shape)
-    for ax in range(grid.n_pos_axes):
-        shape = [1] * grid.n_pos_axes
-        shape[ax] = len(grid.wavenumbers)
-        k2_total = k2_total + grid.wavenumbers.reshape(shape) ** 2 / (
-            2.0 * h.mass_of_axis(grid, ax)
-        )
-    return k2_total
-
-
 def _dst1(amp, axis):
     """Orthonormal DST-I of `amp` along `axis` (its own inverse), from the FFT
     of the odd extension [0, x, 0, -reversed(x)] of length 2(n+1)."""
@@ -139,39 +127,13 @@ def _dst1(amp, axis):
     return np.moveaxis(y, -1, axis)
 
 
-def _fft_axes(grid: Grid) -> tuple:
-    """The position axes in fftn's own order of 1-D transforms, last first."""
-    return tuple(reversed([grid.pos_axis(i) for i in range(grid.n_pos_axes)]))
+def _stencil(grid: Grid, m: float):
+    """Diagonal and off-diagonal of the kinetic matrix -D2 / (2m) of one
+    dirichlet axis, D2 the (1,-2,1)/dx^2 stencil with zero boundary values."""
+    return 1.0 / (m * grid.dx**2), -1.0 / (2 * m * grid.dx**2)
 
 
-class _PerStep:
-    """A stepper whose n steps are n calls of its step."""
-
-    def advance(self, amp, n):
-        """Advance `amp` by n time steps, in place."""
-        for _ in range(n):
-            self.step(amp)
-
-
-class _SplitStepper(_PerStep):
-    def __init__(self, grid: Grid, h: HamiltonianSpec, v: np.ndarray):
-        dt = h.time_step
-        self.half_v = np.exp(-0.5j * dt * v)
-        self.kin_phase = np.exp(-1j * dt * _kinetic_k2(grid, h))
-        self.fft_axes = _fft_axes(grid)
-
-    def step(self, amp):
-        """Advance the complex128 array `amp` by one time step, in place."""
-        amp *= self.half_v
-        for ax in self.fft_axes:
-            np.fft.fft(amp, axis=ax, out=amp)
-        amp *= self.kin_phase
-        for ax in self.fft_axes:
-            np.fft.ifft(amp, axis=ax, out=amp)
-        amp *= self.half_v
-
-
-class _CrankNicolsonStepper(_PerStep):
+class _CrankNicolsonStepper:
     """Cayley factors: exp(-iV dt/2) ~ (1-iVdt/4)/(1+iVdt/4), and per-axis
     tridiagonal (1+i dt T_ax/2)^-1 (1-i dt T_ax/2), solved by LAPACK ?gtsv."""
 
@@ -185,10 +147,7 @@ class _CrankNicolsonStepper(_PerStep):
         self.z = z = 0.5j * dt
         self.bands = []
         for ax in range(grid.n_pos_axes):
-            m = h.mass_of_axis(grid, ax)
-            # T = -(1/2m) D2, D2 tridiagonal (1,-2,1)/dx^2 with zero boundary
-            off = -1.0 / (2 * m * grid.dx**2)
-            diag = 1.0 / (m * grid.dx**2)
+            diag, off = _stencil(grid, h.mass_of_axis(grid, ax))
             side = np.full(n - 1, z * off, dtype=np.complex128)
             self.bands.append((side, np.full(n, 1.0 + z * diag), off, diag))
         (self.gtsv,) = get_lapack_funcs(("gtsv",), (self.bands[0][0],))
@@ -211,45 +170,54 @@ class _CrankNicolsonStepper(_PerStep):
             raise np.linalg.LinAlgError(f"?gtsv failed with info = {info}")
         moved[...] = sol.T.reshape(moved.shape)
 
-    def step(self, amp):
-        """Advance the complex128 array `amp` by one time step, in place."""
-        amp *= self.half_v
-        for ax in range(self.grid.n_pos_axes):
-            self._axis_solve(amp, ax)
-        amp *= self.half_v
+    def advance(self, amp, n):
+        """Advance the complex128 array `amp` by n time steps, in place."""
+        for _ in range(n):
+            amp *= self.half_v
+            for ax in range(self.grid.n_pos_axes):
+                self._axis_solve(amp, ax)
+            amp *= self.half_v
 
 
-class _KineticStepper:
-    """Either stepper when V == 0: one step multiplies kinetic eigenmode k by
-    exp(-i theta_k), so n steps are one transform to the eigenbasis, one
-    factor exp(-i n theta_k) and one transform back.
+class _EigenbasisStepper:
+    """One kinetic step multiplies kinetic eigenmode k by exp(-i theta_k):
 
     * periodic (split step): Fourier modes, theta_k = dt sum_a k_a^2 / (2 m_a).
-    * dirichlet (Crank-Nicolson): DST-I modes of each axis's (1,-2,1) stencil,
-      eigenvalue lambda_k = 2 / (m dx^2) sin^2(pi k / (2(N+1))); the Cayley
-      factor c_k = (1 - i dt lambda_k/2) / (1 + i dt lambda_k/2) is
-      exp(-2i arctan(dt lambda_k / 2)), and the axis angles add.
+    * dirichlet (Crank-Nicolson, V == 0 only): DST-I modes of each axis's
+      (1,-2,1) stencil, eigenvalue lambda_k = 2 / (m dx^2) sin^2(pi k /
+      (2(N+1))); the Cayley factor c_k = (1 - i dt lambda_k/2) /
+      (1 + i dt lambda_k/2) is exp(-2i arctan(dt lambda_k / 2)), and the
+      axis angles add.
+
+    When V == 0, n steps are one transform to the eigenbasis, one factor
+    exp(-i n theta_k) and one transform back.  Otherwise each step is the
+    split step: exp(-i V dt/2), the one-step kinetic factor, exp(-i V dt/2).
     """
 
-    def __init__(self, grid: Grid, h: HamiltonianSpec):
+    def __init__(self, grid: Grid, h: HamiltonianSpec, v: np.ndarray):
         dt = h.time_step
-        self.axes = _fft_axes(grid)
+        # the position axes in fftn's own order of 1-D transforms, last first
+        self.axes = tuple(reversed([grid.pos_axis(i) for i in range(grid.n_pos_axes)]))
         self.periodic = grid.spec.boundary == "periodic"
-        if self.periodic:
-            self.theta = dt * _kinetic_k2(grid, h)
-        else:
-            n = grid.spec.points_per_axis
-            s2 = np.sin(np.pi * np.arange(1, n + 1) / (2 * (n + 1))) ** 2
-            self.theta = np.zeros(grid.pos_shape)
-            for ax in range(grid.n_pos_axes):
-                lam = 2.0 / (h.mass_of_axis(grid, ax) * grid.dx**2) * s2
-                shape = [1] * grid.n_pos_axes
-                shape[ax] = n
-                self.theta = self.theta + 2.0 * np.arctan(0.5 * dt * lam).reshape(shape)
+        self.half_v = np.exp(-0.5j * dt * v) if v.any() else None
+        n = grid.spec.points_per_axis
+        s2 = np.sin(np.pi * np.arange(1, n + 1) / (2 * (n + 1))) ** 2
+        theta = np.zeros(grid.pos_shape)
+        for ax in range(grid.n_pos_axes):
+            m = h.mass_of_axis(grid, ax)
+            if self.periodic:  # k^2 / (2m), times dt below
+                angle = grid.wavenumbers**2 / (2.0 * m)
+            else:
+                lam = 2.0 / (m * grid.dx**2) * s2
+                angle = 2.0 * np.arctan(0.5 * dt * lam)
+            shape = [1] * grid.n_pos_axes
+            shape[ax] = n
+            theta = theta + angle.reshape(shape)
+        self.theta = dt * theta if self.periodic else theta
         self._factors = {}
 
-    def advance(self, amp, n):
-        """Advance `amp` by n time steps, in place."""
+    def _kinetic(self, amp, n):
+        """n kinetic steps, in place."""
         if n not in self._factors:
             self._factors[n] = np.exp(-1j * n * self.theta)
         if self.periodic:
@@ -269,26 +237,29 @@ class _KineticStepper:
             modes = _dst1(modes, ax)
         amp[...] = modes
 
-    def step(self, amp):
-        """Advance the complex128 array `amp` by one time step, in place."""
-        self.advance(amp, 1)
+    def advance(self, amp, n):
+        """Advance the complex128 array `amp` by n time steps, in place."""
+        if self.half_v is None:
+            return self._kinetic(amp, n)
+        for _ in range(n):
+            amp *= self.half_v
+            self._kinetic(amp, 1)
+            amp *= self.half_v
 
 
 def make_stepper(grid: Grid, h: HamiltonianSpec):
     """The stepper of the grid's boundary: the split step on a periodic grid,
-    Crank-Nicolson on a dirichlet one, and either in its kinetic eigenbasis
-    when V == 0."""
+    Crank-Nicolson on a dirichlet one; both but Crank-Nicolson with V != 0
+    step in the kinetic eigenbasis."""
     if h.time_step > grid.dx**2 * min(h.masses) / np.pi:
         warnings.warn(
             "time_step exceeds dx^2 * m_min / pi; accuracy may degrade",
             stacklevel=2,
         )
     v = potential_grid(grid, h)
-    if not v.any():
-        return _KineticStepper(grid, h)
-    if grid.spec.boundary == "periodic":
-        return _SplitStepper(grid, h, v)
-    return _CrankNicolsonStepper(grid, h, v)
+    if grid.spec.boundary == "dirichlet" and v.any():
+        return _CrankNicolsonStepper(grid, h, v)
+    return _EigenbasisStepper(grid, h, v)
 
 
 def evolve(psi: WaveField, h: HamiltonianSpec, t_final: float, frame_stride: int = 1):
@@ -327,7 +298,7 @@ def frame_count(h: HamiltonianSpec, duration: float, frame_stride: int) -> int:
 
 
 def apply_hamiltonian(amp, grid: Grid, h: HamiltonianSpec, v=None):
-    """H amp; amp may carry leading batch axes before grid.full_shape."""
+    """H amp, for amp of the grid's full_shape."""
     if v is None:
         v = potential_grid(grid, h)
     out = v * amp
@@ -352,61 +323,61 @@ def eigenstates(grid: Grid, h: HamiltonianSpec, count: int):
     H is real symmetric, so every route gives real eigenvectors:
     * 1-D dirichlet without spin: eigh_tridiagonal of the (1,-2,1) stencil
       plus V, at any size;
-    * any other grid up to DENSE_EIG_BUDGET points: eigh of the matrix one
-      LinearOperator over apply_hamiltonian makes of the identity, a block
-      of columns per apply_hamiltonian call (_hamiltonian_operator);
-    * larger: ARPACK (eigsh) on that operator, see _lowest_eigsh.
+    * any other grid up to DENSE_EIG_BUDGET points: eigh of the dense H
+      (_dense_hamiltonian);
+    * larger: ARPACK (eigsh) on a LinearOperator over apply_hamiltonian, see
+      _lowest_eigsh.
     Lanczos converges slowly on a fine 1-D Laplacian (a 1-D dirichlet grid of
     8192 points took 44 s under eigsh), so a 1-D periodic grid above the
     budget is slow.
     """
     from scipy.linalg import eigh, eigh_tridiagonal
+    from scipy.sparse.linalg import LinearOperator
 
     total = grid.spec.total_points
     v = potential_grid(grid, h)
     if (grid.n_pos_axes == 1 and not grid.spin_shape
             and grid.spec.boundary == "dirichlet"):
-        m = h.masses[0]
-        n = grid.spec.points_per_axis
-        diag = 1.0 / (m * grid.dx**2) + v
-        off = np.full(n - 1, -1.0 / (2 * m * grid.dx**2))
-        vals, vecs = eigh_tridiagonal(diag, off, select="i",
-                                      select_range=(0, count - 1))
+        diag, off = _stencil(grid, h.masses[0])
+        vals, vecs = eigh_tridiagonal(diag + v, np.full(total - 1, off),
+                                      select="i", select_range=(0, count - 1))
+    elif total <= DENSE_EIG_BUDGET:
+        vals, vecs = eigh(_dense_hamiltonian(grid, h, v), overwrite_a=True,
+                          subset_by_index=(0, count - 1))
     else:
-        op = _hamiltonian_operator(grid, h, v)
-        vals, vecs = (eigh(op @ np.eye(total), overwrite_a=True,
-                           subset_by_index=(0, count - 1))
-                      if total <= DENSE_EIG_BUDGET else _lowest_eigsh(op, count))
+        vals, vecs = _lowest_eigsh(LinearOperator(
+            (total, total), dtype=np.float64, matvec=lambda x: apply_hamiltonian(
+                x.reshape(grid.full_shape), grid, h, v=v).ravel()), count)
     amps = vecs.astype(np.complex128) / np.sqrt(grid.weight)
     return list(vals), [WaveField(grid, amps[:, i].reshape(grid.full_shape))
                         for i in range(count)]
 
 
-# columns of the identity per apply_hamiltonian call when the dense matrix is
-# built: about 4 MiB of complex FFT work at any grid size
-_COLUMN_BLOCK_POINTS = 1 << 18
+def _kinetic_matrix(grid: Grid, m: float) -> np.ndarray:
+    """-d^2/dx^2 / (2m) on one position axis: the (1,-2,1) stencil on a
+    dirichlet grid, and on a periodic one the circulant whose first column is
+    ifft(k^2) / (2m)."""
+    n = grid.spec.points_per_axis
+    if grid.spec.boundary == "periodic":
+        column = np.fft.ifft(grid.wavenumbers**2).real / (2.0 * m)
+        return column[(np.arange(n)[:, None] - np.arange(n)) % n]
+    diag, off = _stencil(grid, m)
+    return diag * np.eye(n) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
 
 
-def _hamiltonian_operator(grid: Grid, h: HamiltonianSpec, v):
-    """H on the flattened grid as a real LinearOperator.  A block of columns
-    goes through apply_hamiltonian at once, on a leading batch axis, so
-    building the dense matrix takes total / block calls, not one per
-    column; a matvec is a block of one."""
-    from scipy.sparse.linalg import LinearOperator
-
-    total = grid.spec.total_points
-    block = max(1, _COLUMN_BLOCK_POINTS // total)
-
-    def matmat(cols):
-        out = np.empty((total, cols.shape[1]))
-        for j in range(0, cols.shape[1], block):
-            batch = cols[:, j:j + block].T.reshape((-1,) + grid.full_shape)
-            out[:, j:j + block] = apply_hamiltonian(
-                batch, grid, h, v=v).reshape(-1, total).T
-        return out
-
-    return LinearOperator((total, total), dtype=np.float64, matmat=matmat,
-                          matvec=lambda x: matmat(x.reshape(total, 1)))
+def _dense_hamiltonian(grid: Grid, h: HamiltonianSpec, v) -> np.ndarray:
+    """H on the flattened grid: diag(V) plus each position axis's 1-D kinetic
+    matrix on every grid line along that axis, i.e. I_before (x) T (x)
+    I_after in the grid's axis order."""
+    shape = grid.full_shape
+    mat = np.diag(v.ravel())
+    for ax in range(grid.n_pos_axes):
+        a = grid.pos_axis(ax)
+        before, after = math.prod(shape[:a]), math.prod(shape[a + 1:])
+        lines = mat.reshape(before, shape[a], after, before, shape[a], after)
+        b, c = np.arange(before)[:, None], np.arange(after)
+        lines[b, :, c, b, :, c] += _kinetic_matrix(grid, h.mass_of_axis(grid, ax))
+    return mat
 
 
 def _lowest_eigsh(op, count: int):

@@ -30,6 +30,8 @@ EXP_UNDERFLOW = -746.0
 # entropies
 
 def _probabilities(arg):
+    """The positive eigenvalues or entries of a density matrix or probability
+    vector; NotADensityMatrix unless the rest are >= -PSD_TOL and these sum to 1."""
     from .subsystem import ReducedDensityMatrix
 
     if isinstance(arg, ReducedDensityMatrix):
@@ -41,10 +43,10 @@ def _probabilities(arg):
                 raise NotADensityMatrix("matrix is not Hermitian")
             p = np.linalg.eigvalsh(p)
         else:
-            p = p.astype(float)
+            p = np.asarray(p, dtype=float)
     if np.any(p < -PSD_TOL):
         raise NotADensityMatrix(f"negative eigenvalue {p.min()}")
-    p = np.clip(p, 0.0, None)
+    p = p[p > 0]
     if abs(p.sum() - 1.0) > 1e-8:
         raise NotADensityMatrix(f"trace {p.sum()} != 1")
     return p
@@ -56,8 +58,7 @@ def von_neumann_entropy(rho_or_p) -> float:
     Accepts a probability vector, a density matrix, or a
     ReducedDensityMatrix."""
     p = _probabilities(rho_or_p)
-    nz = p[p > 0]
-    return float(-np.sum(nz * np.log(nz)))
+    return float(-np.sum(p * np.log(p)))
 
 
 def macrostate_dim(lengths, p_cutoff: float) -> int:

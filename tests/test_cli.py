@@ -222,6 +222,8 @@ BAD_VALUES = {
     "bool_seed": ("scaling", {"seed": True}, [], "seed"),
     "one_particle_two_masses": ("evolve", {"hamiltonian.masses": [1, 2]}, [],
                                 "hamiltonian.masses"),
+    "negative_mass": ("evolve", {"hamiltonian.masses": [-1.0]}, [],
+                      "hamiltonian.masses: "),
     "center_per_axis_mismatch": ("evolve", {"initial_state.center": [1, 2]}, [],
                                  "initial_state.center"),
     "more_omegas_than_masses": ("classical_liouville",

@@ -3,6 +3,7 @@ hold at once, and the memory guard that estimates it before evolving; the
 phase runners' memory guard; and the CSV writer every runner shares."""
 
 import csv
+import json
 import math
 import os
 import weakref
@@ -76,6 +77,30 @@ def test_memory_guard_counts_the_trajectory_paths(tmp_path):
     assert experiments.RUNNERS["bohm_full"](cfg, str(tmp_path), 0).passed
 
 
+@pytest.mark.parametrize("name, t_final", [("continuity", 0.505),
+                                           ("subsystem_currents", 0.305)])
+def test_off_stride_t_final_stops_before_evolving(name, t_final, tmp_path,
+                                                  monkeypatch, capsys):
+    # both runners difference frame triples in time; a last frame half a
+    # stride after the one before it (stride 10, time step 1e-3) would make
+    # the last triple nonuniform, so the run stops before evolve is called
+    def no_evolve(*args):
+        raise AssertionError("evolve called with an off-stride t_final")
+
+    monkeypatch.setattr(experiments, "evolve", no_evolve)
+    cfg = load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
+    assert cfg["evolution"]["frame_stride"] == 10
+    cfg["evolution"]["t_final"] = t_final
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error: evolution.t_final: ")
+    assert not (out / "manifest.json").exists()
+
+
 # what each shipped phase config's largest arrays take, by the guard's count
 PHASE_NEEDS = {
     # 2000 samples x 2 particles x (x, p), over the drawn and displaced
@@ -89,9 +114,9 @@ PHASE_NEEDS = {
     # refined first_law table has the same 61 x 241 shape
     "thermo": 8 * 241 * (4 * 800 + 9 * 61),
     "first_law": 8 * 241 * (4 * 800 + 9 * 61),
-    # 400 levels: the spectrum, two occupations, their 2 x 400 mixture and
-    # three copies of it
-    "cat_mixture": 8 * 11 * 400,
+    # 400 levels: the spectrum, two occupations, their 2 x 400 mixture, and
+    # its positive entries and their log
+    "cat_mixture": 8 * 9 * 400,
 }
 
 

@@ -195,7 +195,7 @@ class TestStepperOracles:
         amp = _random_state(grid, 3)
         want = amp.copy()
         for _ in range(200):
-            stepper.step(amp)
+            stepper.advance(amp, 1)
             want = oracle(stepper, grid, h, want)
         np.testing.assert_array_equal(amp, want)
 
@@ -247,7 +247,7 @@ class TestStepperOracles:
         with pytest.raises(ValueError):
             oracle_cn_step(stepper, grid, h, amp)
         with pytest.raises(ValueError):
-            stepper.step(amp)
+            stepper.advance(amp, 1)
 
 
 class TestEigenstates:
@@ -367,8 +367,10 @@ class TestEigensolverRoutes:
         np.testing.assert_allclose(energies, [1, 2, 2, 3, 3, 3], atol=1e-10)
 
 
-# the dense matrix built a block of columns per apply_hamiltonian call, on a
-# leading batch axis, against one call per unit vector
+# the dense matrix assembled from the kinetic matrices and V, against one
+# apply_hamiltonian call per unit vector: bit for bit on dirichlet grids, to
+# round-off on periodic ones (an FFT per column against ifft(k^2) once);
+# unequal masses tell the axes apart
 BLOCK_CASES = {
     "periodic_1d": (GridSpec(1, 1, 40, (-6.0, 6.0)),
                     HamiltonianSpec((1.0,), [{"kind": "harmonic",
@@ -376,26 +378,28 @@ BLOCK_CASES = {
     "periodic_2d": ROUTE_CASES["two_particle_periodic"],
     "dirichlet_2d": ROUTE_CASES["dirichlet_2d"],
     "spin_half": ROUTE_CASES["spin_half"],
+    "periodic_two_masses": (
+        GridSpec(2, 1, 20, (-6.0, 6.0)),
+        HamiltonianSpec((1.0, 2.5), [{"kind": "pair_coupling", "lam": 0.3}])),
+    "dirichlet_two_masses": (
+        GridSpec(2, 1, 18, (-3.0, 3.0), boundary="dirichlet"),
+        HamiltonianSpec((1.0, 2.5), [{"kind": "harmonic", "omega": [1.0, 1.7]}])),
 }
 
 
-class TestBlockedHamiltonian:
+class TestDenseHamiltonian:
     @pytest.mark.parametrize("name", list(BLOCK_CASES))
-    def test_blocks_equal_one_column_at_a_time(self, name, monkeypatch):
+    def test_assembled_equals_one_column_at_a_time(self, name):
         spec, h = BLOCK_CASES[name]
         grid = make_grid(spec)
-        total = spec.total_points
         v = potential_grid(grid, h)
         per_column = np.column_stack([
             apply_hamiltonian(e.reshape(grid.full_shape), grid, h, v=v).ravel()
-            for e in np.eye(total)])
-        # seven columns a block, so the last block is ragged at every size
-        monkeypatch.setattr(schrodinger, "_COLUMN_BLOCK_POINTS", 7 * total)
-        op = schrodinger._hamiltonian_operator(grid, h, v)
-        np.testing.assert_array_equal(op @ np.eye(total), per_column)
-        x = np.random.default_rng(1).standard_normal(total)
-        np.testing.assert_array_equal(op.matvec(x), apply_hamiltonian(
-            x.reshape(grid.full_shape), grid, h, v=v).ravel())
+            for e in np.eye(spec.total_points)])
+        dense = schrodinger._dense_hamiltonian(grid, h, v)
+        tol = 1e-14 if spec.boundary == "periodic" else 0.0
+        np.testing.assert_allclose(dense, per_column, rtol=0,
+                                   atol=tol * np.abs(per_column).max())
 
 
 class TestPotential:
