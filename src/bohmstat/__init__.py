@@ -6,7 +6,7 @@ fields, their classical phase-space twins, and canonical-ensemble
 thermodynamics checks.
 """
 
-from .lattice import Grid, GridSpec, ScalarField, VectorField, WaveField, make_grid
+from .lattice import Grid, GridSpec, ScalarField, VectorField, WaveField
 
 __all__ = [
     "Grid",
@@ -14,7 +14,6 @@ __all__ = [
     "ScalarField",
     "VectorField",
     "WaveField",
-    "make_grid",
 ]
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InvalidExtent
-from .lattice import DEFAULT_MEMORY_BUDGET, GridSpec, make_grid, WaveField
+from .lattice import DEFAULT_MEMORY_BUDGET, Grid, GridSpec, WaveField
 from .schrodinger import POTENTIAL_PARAMS, HamiltonianSpec, eigenstates
 
 REQUIRED = object()  # the default of a key that has none
@@ -326,7 +326,7 @@ def build_grid(cfg: dict):
     except InvalidExtent as exc:
         key = GRID_KEY_OF.get(exc.field, exc.field)
         raise ConfigError(f"grid.{key}", exc.message) from exc
-    return make_grid(spec)
+    return Grid(spec)
 
 
 def build_hamiltonian(cfg: dict) -> HamiltonianSpec:
@@ -396,10 +396,7 @@ def build_initial_state(grid, h: HamiltonianSpec, cfg: dict) -> WaveField:
         amp = np.ones(grid.pos_shape, dtype=np.complex128)
         for ax in range(grid.n_pos_axes):
             amp = amp * _packet(coords[ax], centers[ax], widths[ax], moms[ax])
-        amp = np.broadcast_to(amp, grid.full_shape).copy()
-        if grid.spin_shape:
-            amp = amp / np.sqrt(np.prod(grid.spin_shape))
-        return WaveField(grid, amp).normalized()
+        return WaveField(grid, np.broadcast_to(amp, grid.full_shape)).normalized()
     if kind == "entangled_pair":
         if grid.n_pos_axes != 2:
             raise ConfigError("initial_state.kind",
@@ -415,7 +412,7 @@ def build_initial_state(grid, h: HamiltonianSpec, cfg: dict) -> WaveField:
         amp = np.zeros(grid.pos_shape, dtype=np.complex128)
         for (c1, c2), (k1, k2) in zip(s["centers"], s["momenta"]):
             amp += _packet(x1, c1, width, k1) * _packet(x2, c2, width, k2)
-        return WaveField(grid, amp.reshape(grid.full_shape)).normalized()
+        return WaveField(grid, np.broadcast_to(amp, grid.full_shape)).normalized()
     if s["index"] >= grid.spec.total_points:  # kind "eigenstate"
         raise ConfigError("initial_state.index", f"must be below the number of "
                           f"grid states ({grid.spec.total_points}), got {s['index']}")

@@ -22,12 +22,12 @@ from . import spinchain as sc
 from .configio import (EXPERIMENTS_META, build_grid, build_hamiltonian,
                        build_initial_state)
 from .currents import FieldFrame, continuity_residual, velocity
-from .errors import ConfigError, MemoryBudgetExceeded
+from .errors import ConfigError, MemoryBudgetExceeded, PartitionMismatch
 from .lattice import DEFAULT_MEMORY_BUDGET, VectorField, write_field
 from .schrodinger import energy, evolve, frame_count
-from .subsystem import (SubsystemPartition, reduced_density_matrix,
-                        subsystem_frame, truncated_current_from_rdm,
-                        write_rdm)
+from .subsystem import (SubsystemPartition, partition_axes,
+                        reduced_density_matrix, subsystem_frame,
+                        truncated_current_from_rdm, write_rdm)
 
 
 @dataclass
@@ -118,7 +118,7 @@ def _partition(cfg, grid) -> SubsystemPartition:
     try:
         return SubsystemPartition(cfg["partition"]["a_particles"],
                                   grid.spec.particle_count)
-    except Exception as exc:
+    except PartitionMismatch as exc:
         raise ConfigError("partition.a_particles", str(exc)) from exc
 
 
@@ -249,7 +249,7 @@ def run_bohm_full(cfg, outdir, seed):
 def run_bohm_truncated(cfg, outdir, seed):
     grid, nframes, e, ffs, x0 = _bohm_setup(cfg, seed)
     part = _partition(cfg, grid)
-    a_axes = [a for p in part.a_particles for a in grid.particle_axes(p)]
+    a_axes, _ = partition_axes(grid, part)
     full = bm.Advection(x0, nframes, e["substeps"], "full", seed)
     trunc = bm.Advection(x0[:, a_axes], nframes, e["substeps"], "truncated", seed)
     for ff in ffs:

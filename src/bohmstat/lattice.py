@@ -1,14 +1,18 @@
 """Discretized multi-particle configuration space.
 
 Uniform tensor-product grids for N particles in d spatial dimensions each,
-with optional spinor components.  Two boundary flavors, each of which also
-picks the Schroedinger stepper (schrodinger.make_stepper):
+with optional spinor components.  Two boundary flavors:
 
-* periodic  -- points at lo + k*dx, dx = (hi-lo)/n; derivatives are spectral;
-  the split step.
+* periodic  -- points at lo + k*dx, dx = (hi-lo)/n; derivatives are spectral.
 * dirichlet -- interior points at lo + (k+1)*dx, dx = (hi-lo)/(n+1); the
   boundary values are implicitly zero and derivatives are 2nd-order central
-  differences; Crank-Nicolson.
+  differences.
+
+Position axes trail in every field array: an amplitude array leads with its
+spin axes (full_shape), a density or a current component has none
+(pos_shape).  So position axis i of an array is array axis
+ndim - n_pos_axes + i (Grid.pos_axes), whatever the array is; gradient and
+integrate read their axes from there.
 
 Quadrature is the midpoint rule with uniform weight dx per axis, so the
 discrete Gauss theorem holds exactly on periodic axes (the sum of a spectral
@@ -19,7 +23,6 @@ Natural units: hbar = 1, masses relative to a reference mass, k_B = 1.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,11 +103,14 @@ class Grid:
     def full_shape(self) -> tuple:
         return self.spin_shape + self.pos_shape
 
-    def pos_axis(self, i: int) -> int:
-        """Array axis index of the i-th position axis (spin axes come first)."""
-        if not 0 <= i < self.n_pos_axes:
-            raise AxisMismatch(f"position axis {i} out of range")
-        return self.n_spin_axes + i
+    def pos_axes(self, shape) -> tuple:
+        """Array axes of the position axes in an array of `shape`: the
+        trailing n_pos_axes axes, which must be pos_shape."""
+        lead = len(shape) - self.n_pos_axes
+        if lead < 0 or tuple(shape[lead:]) != self.pos_shape:
+            raise AxisMismatch(f"array shape {tuple(shape)} does not end in the "
+                               f"grid's position shape {self.pos_shape}")
+        return tuple(range(lead, len(shape)))
 
     def particle_axes(self, a: int) -> list:
         """Position-axis indices (0-based, spin excluded) of particle a."""
@@ -113,10 +119,6 @@ class Grid:
 
     def meshgrid(self):
         return np.meshgrid(*([self.axis_coords] * self.n_pos_axes), indexing="ij")
-
-
-def make_grid(spec: GridSpec) -> Grid:
-    return Grid(spec)
 
 
 @dataclass
@@ -168,57 +170,34 @@ def integrate(values, grid: Grid, axes=None):
 
     `axes` indexes position axes (spin excluded).  Integrating over every
     position axis returns a scalar; a proper subset returns the marginal array
-    on the remaining axes.  Spin axes are never integrated here.
+    on the remaining axes.  Leading (spin) axes are never integrated here.
     """
     arr = np.asarray(values)
+    pos = grid.pos_axes(arr.shape)
     if axes is None:
-        axes = list(range(grid.n_pos_axes))
+        axes = range(grid.n_pos_axes)
     axes = sorted(set(int(a) for a in axes))
     if any(a < 0 or a >= grid.n_pos_axes for a in axes):
         raise AxisMismatch(f"axes {axes} outside 0..{grid.n_pos_axes - 1}")
-    # spin-summed arrays (densities, current components) carry position axes
-    # only; full amplitude arrays lead with the spin axes
-    offset = grid.n_spin_axes if arr.ndim == grid.n_spin_axes + grid.n_pos_axes \
-        else 0
-    arr_axes = tuple(offset + a for a in axes)
-    out = arr.sum(axis=arr_axes) * grid.dx ** len(axes)
+    out = arr.sum(axis=tuple(pos[a] for a in axes)) * grid.dx ** len(axes)
     if out.ndim == 0:
         return out.item()
     return out
 
 
-def _axis_slice(ndim: int, axis: int, start: int, stop: int) -> tuple:
-    """Index selecting start:stop along `axis` of an ndim array, all of the rest."""
-    index = [slice(None)] * ndim
-    index[axis] = slice(start, stop)
-    return tuple(index)
-
-
 def gradient(values, grid: Grid, pos_axis: int):
-    """Derivative along one position axis.
+    """Derivative along one position axis of any field array.
 
     Spectral on periodic grids; 2nd-order central differences with implicit
     zero boundary values on dirichlet grids.  The same operator is used by
     every module so discrete identities (dual-route currents, Gauss theorem)
     hold to round-off.
     """
-    return derivative_along(values, grid, grid.pos_axis(pos_axis))
-
-
-def derivative_along(values, grid: Grid, array_axis: int):
-    """Same derivative operator applied along an arbitrary array axis.
-
-    Used for objects whose axis layout differs from a plain field, e.g. the
-    row block of a reduced density matrix; the axis must have the grid's
-    points_per_axis length.
-    """
     arr = np.asarray(values)
-    ax = array_axis
-    if arr.shape[ax] != grid.spec.points_per_axis:
-        raise AxisMismatch(
-            f"axis {ax} has length {arr.shape[ax]}, grid expects "
-            f"{grid.spec.points_per_axis}"
-        )
+    pos = grid.pos_axes(arr.shape)
+    if not 0 <= pos_axis < len(pos):
+        raise AxisMismatch(f"position axis {pos_axis} out of range")
+    ax = pos[pos_axis]
     if grid.spec.boundary == "periodic":
         k = grid.wavenumbers
         shape = [1] * arr.ndim
@@ -231,36 +210,10 @@ def derivative_along(values, grid: Grid, array_axis: int):
         return out
     # dirichlet: pad with the implicit zero boundary, central difference
     out = np.zeros_like(arr, dtype=arr.dtype if np.iscomplexobj(arr) else np.float64)
-    n = arr.shape[ax]
-    sl = functools.partial(_axis_slice, arr.ndim, ax)
-    out[sl(1, n - 1)] = (arr[sl(2, n)] - arr[sl(0, n - 2)]) / (2 * grid.dx)
-    out[sl(0, 1)] = arr[sl(1, 2)] / (2 * grid.dx)               # left neighbor is 0
-    out[sl(n - 1, n)] = -arr[sl(n - 2, n - 1)] / (2 * grid.dx)  # right neighbor is 0
-    return out
-
-
-def laplacian_axis(values, grid: Grid, pos_axis: int):
-    """Second derivative along one position axis of a full_shape array
-    (spectral or 3-point stencil)."""
-    arr = np.asarray(values)
-    ax = grid.pos_axis(pos_axis)
-    if grid.spec.boundary == "periodic":
-        k = grid.wavenumbers
-        shape = [1] * arr.ndim
-        shape[ax] = len(k)
-        ft = np.fft.fft(arr, axis=ax)
-        ft *= (-(k**2)).reshape(shape)
-        out = np.fft.ifft(ft, axis=ax)
-        if not np.iscomplexobj(arr):
-            return out.real
-        return out
-    out = np.zeros_like(arr, dtype=arr.dtype if np.iscomplexobj(arr) else np.float64)
-    n = arr.shape[ax]
-    sl = functools.partial(_axis_slice, arr.ndim, ax)
-    dx2 = grid.dx**2
-    out[sl(1, n - 1)] = (arr[sl(2, n)] - 2 * arr[sl(1, n - 1)] + arr[sl(0, n - 2)]) / dx2
-    out[sl(0, 1)] = (arr[sl(1, 2)] - 2 * arr[sl(0, 1)]) / dx2
-    out[sl(n - 1, n)] = (arr[sl(n - 2, n - 1)] - 2 * arr[sl(n - 1, n)]) / dx2
+    f, d = np.moveaxis(arr, ax, -1), np.moveaxis(out, ax, -1)
+    d[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2 * grid.dx)
+    d[..., 0] = f[..., 1] / (2 * grid.dx)      # left neighbor is 0
+    d[..., -1] = -f[..., -2] / (2 * grid.dx)   # right neighbor is 0
     return out
 
 

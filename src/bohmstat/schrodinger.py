@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceFailure
-from .lattice import Grid, WaveField, laplacian_axis
+from .lattice import Grid, WaveField
 
 DENSE_EIG_BUDGET = 4096
 
@@ -64,8 +64,8 @@ class HamiltonianSpec:
 
     def __post_init__(self):
         self.masses = tuple(float(m) for m in self.masses)
-        if any(m <= 0 for m in self.masses):
-            raise ValueError("masses must be positive")
+        if not all(math.isfinite(m) and m > 0 for m in self.masses):
+            raise ValueError("masses must be finite and positive")
 
     def mass_of_axis(self, grid: Grid, pos_axis: int) -> float:
         return self.masses[pos_axis // grid.spec.dims_per_particle]
@@ -129,7 +129,9 @@ def _dst1(amp, axis):
 
 def _stencil(grid: Grid, m: float):
     """Diagonal and off-diagonal of the kinetic matrix -D2 / (2m) of one
-    dirichlet axis, D2 the (1,-2,1)/dx^2 stencil with zero boundary values."""
+    dirichlet axis, D2 the (1,-2,1)/dx^2 stencil with zero boundary values.
+    Every dirichlet kinetic operator (the Crank-Nicolson bands, the
+    tridiagonal and dense eigensolver routes, apply_hamiltonian) reads it."""
     return 1.0 / (m * grid.dx**2), -1.0 / (2 * m * grid.dx**2)
 
 
@@ -142,7 +144,7 @@ class _CrankNicolsonStepper:
 
         dt = h.time_step
         self.half_v = (1.0 - 0.25j * dt * v) / (1.0 + 0.25j * dt * v)
-        self.grid = grid
+        self.axes = grid.pos_axes(grid.full_shape)
         n = grid.spec.points_per_axis
         self.z = z = 0.5j * dt
         self.bands = []
@@ -156,7 +158,7 @@ class _CrankNicolsonStepper:
         """(1 + i dt T/2)^-1 (1 - i dt T/2) along one position axis, in place."""
         side, d, off, diag = self.bands[pos_axis]
         z = self.z
-        moved = amp.swapaxes(self.grid.pos_axis(pos_axis), -1)
+        moved = amp.swapaxes(self.axes[pos_axis], -1)
         rows = moved.reshape(-1, moved.shape[-1])
         # rhs = (1 - i dt T/2) psi, one row per system; rhs.T is the
         # Fortran-ordered (n, nrhs) block ?gtsv solves in place
@@ -174,7 +176,7 @@ class _CrankNicolsonStepper:
         """Advance the complex128 array `amp` by n time steps, in place."""
         for _ in range(n):
             amp *= self.half_v
-            for ax in range(self.grid.n_pos_axes):
+            for ax in range(len(self.axes)):
                 self._axis_solve(amp, ax)
             amp *= self.half_v
 
@@ -197,7 +199,7 @@ class _EigenbasisStepper:
     def __init__(self, grid: Grid, h: HamiltonianSpec, v: np.ndarray):
         dt = h.time_step
         # the position axes in fftn's own order of 1-D transforms, last first
-        self.axes = tuple(reversed([grid.pos_axis(i) for i in range(grid.n_pos_axes)]))
+        self.axes = grid.pos_axes(grid.full_shape)[::-1]
         self.periodic = grid.spec.boundary == "periodic"
         self.half_v = np.exp(-0.5j * dt * v) if v.any() else None
         n = grid.spec.points_per_axis
@@ -298,12 +300,28 @@ def frame_count(h: HamiltonianSpec, duration: float, frame_stride: int) -> int:
 
 
 def apply_hamiltonian(amp, grid: Grid, h: HamiltonianSpec, v=None):
-    """H amp, for amp of the grid's full_shape."""
+    """H amp, for amp of the grid's full_shape: V amp plus, along each
+    position axis, -d^2/dx^2 / (2m), spectral (the FFT times -k^2) on a
+    periodic grid and the _stencil bands on a dirichlet one."""
     if v is None:
         v = potential_grid(grid, h)
     out = v * amp
-    for ax in range(grid.n_pos_axes):
-        out = out - laplacian_axis(amp, grid, ax) / (2.0 * h.mass_of_axis(grid, ax))
+    for i, ax in enumerate(grid.pos_axes(amp.shape)):
+        m = h.mass_of_axis(grid, i)
+        if grid.spec.boundary == "periodic":
+            shape = [1] * amp.ndim
+            shape[ax] = len(grid.wavenumbers)
+            ft = np.fft.fft(amp, axis=ax)
+            ft *= (-(grid.wavenumbers**2)).reshape(shape)
+            lap = np.fft.ifft(ft, axis=ax)
+            out = out - (lap if np.iscomplexobj(amp) else lap.real) / (2.0 * m)
+            continue
+        diag, off = _stencil(grid, m)
+        f = np.moveaxis(amp, ax, -1)
+        t = diag * f
+        t[..., 1:] += off * f[..., :-1]
+        t[..., :-1] += off * f[..., 1:]
+        out = out + np.moveaxis(t, -1, ax)
     return out
 
 
@@ -371,8 +389,7 @@ def _dense_hamiltonian(grid: Grid, h: HamiltonianSpec, v) -> np.ndarray:
     I_after in the grid's axis order."""
     shape = grid.full_shape
     mat = np.diag(v.ravel())
-    for ax in range(grid.n_pos_axes):
-        a = grid.pos_axis(ax)
+    for ax, a in enumerate(grid.pos_axes(shape)):
         before, after = math.prod(shape[:a]), math.prod(shape[a + 1:])
         lines = mat.reshape(before, shape[a], after, before, shape[a], after)
         b, c = np.arange(before)[:, None], np.arange(after)

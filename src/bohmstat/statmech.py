@@ -32,18 +32,13 @@ EXP_UNDERFLOW = -746.0
 def _probabilities(arg):
     """The positive eigenvalues or entries of a density matrix or probability
     vector; NotADensityMatrix unless the rest are >= -PSD_TOL and these sum to 1."""
-    from .subsystem import ReducedDensityMatrix
-
-    if isinstance(arg, ReducedDensityMatrix):
-        p = arg.eigenvalues()
+    p = np.asarray(arg)
+    if p.ndim == 2:
+        if np.max(np.abs(p - p.T.conj())) > 1e-10:
+            raise NotADensityMatrix("matrix is not Hermitian")
+        p = np.linalg.eigvalsh(p)
     else:
-        p = np.asarray(arg)
-        if p.ndim == 2:
-            if np.max(np.abs(p - p.T.conj())) > 1e-10:
-                raise NotADensityMatrix("matrix is not Hermitian")
-            p = np.linalg.eigvalsh(p)
-        else:
-            p = np.asarray(p, dtype=float)
+        p = np.asarray(p, dtype=float)
     if np.any(p < -PSD_TOL):
         raise NotADensityMatrix(f"negative eigenvalue {p.min()}")
     p = p[p > 0]
@@ -55,8 +50,8 @@ def _probabilities(arg):
 def von_neumann_entropy(rho_or_p) -> float:
     """-sum lambda ln lambda with 0 ln 0 = 0.
 
-    Accepts a probability vector, a density matrix, or a
-    ReducedDensityMatrix."""
+    Accepts a probability vector (such as ReducedDensityMatrix.eigenvalues())
+    or a density matrix."""
     p = _probabilities(rho_or_p)
     return float(-np.sum(p * np.log(p)))
 
@@ -320,10 +315,10 @@ def bohmian_volume_check(length: float, temperature: float, mass: float = 1.0,
     """
     from .bohmian import sample_initial
     from .currents import current
-    from .lattice import GridSpec, ScalarField, make_grid
+    from .lattice import Grid, GridSpec, ScalarField
     from .schrodinger import HamiltonianSpec, eigenstates
 
-    grid = make_grid(GridSpec(1, 1, grid_n, (0.0, length), boundary="dirichlet"))
+    grid = Grid(GridSpec(1, 1, grid_n, (0.0, length), boundary="dirichlet"))
     h = HamiltonianSpec((mass,), [{"kind": "box"}])
     energies, states = eigenstates(grid, h, levels)
     _, p, _ = partition_function(Spectrum(energies, truncated=True),

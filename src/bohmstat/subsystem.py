@@ -19,7 +19,7 @@ from . import codec
 from .currents import FieldFrame
 from .errors import DenseBudgetExceeded, PartitionMismatch
 from .lattice import (Grid, GridSpec, ScalarField, VectorField, WaveField,
-                      derivative_along, integrate)
+                      gradient, integrate)
 from .schrodinger import HamiltonianSpec
 
 DENSE_RDM_BUDGET = 4096
@@ -44,31 +44,22 @@ class SubsystemPartition:
         return tuple(i for i in range(self.total_particles) if i not in self.a_particles)
 
 
-def _check_partition(grid: Grid, part: SubsystemPartition):
+def partition_axes(grid: Grid, part: SubsystemPartition) -> tuple:
+    """(A position axes, B position axes) of `part` on `grid`, as position-axis
+    indices in particle order; PartitionMismatch unless the partition is for
+    the grid's particle count."""
     if part.total_particles != grid.spec.particle_count:
         raise PartitionMismatch(
             f"partition is for {part.total_particles} particles, grid has "
             f"{grid.spec.particle_count}"
         )
-
-
-def a_pos_axes(grid: Grid, part: SubsystemPartition) -> list:
-    axes = []
-    for a in part.a_particles:
-        axes.extend(grid.particle_axes(a))
-    return axes
-
-
-def b_pos_axes(grid: Grid, part: SubsystemPartition) -> list:
-    axes = []
-    for b in part.b_particles:
-        axes.extend(grid.particle_axes(b))
-    return axes
+    return ([ax for p in part.a_particles for ax in grid.particle_axes(p)],
+            [ax for p in part.b_particles for ax in grid.particle_axes(p)])
 
 
 def a_grid(grid: Grid, part: SubsystemPartition) -> Grid:
     """Grid restricted to the A particles (same spacing and boundary)."""
-    _check_partition(grid, part)
+    partition_axes(grid, part)
     spec = grid.spec
     sub = GridSpec(
         particle_count=len(part.a_particles),
@@ -85,17 +76,15 @@ def a_grid(grid: Grid, part: SubsystemPartition) -> Grid:
 def marginal_density(rho: ScalarField, part: SubsystemPartition) -> ScalarField:
     """rho_A(x_A) = integral of rho over the B axes."""
     grid = rho.grid
-    _check_partition(grid, part)
-    vals = integrate(rho.values, grid, axes=b_pos_axes(grid, part))
+    _, axes_b = partition_axes(grid, part)
+    vals = integrate(rho.values, grid, axes=axes_b)
     return ScalarField(a_grid(grid, part), vals, rho.time)
 
 
 def truncated_current_integral(j: VectorField, part: SubsystemPartition) -> VectorField:
     """A components of the full current, integrated over the B axes."""
     grid = j.grid
-    _check_partition(grid, part)
-    axes_a = a_pos_axes(grid, part)
-    axes_b = b_pos_axes(grid, part)
+    axes_a, axes_b = partition_axes(grid, part)
     sub = a_grid(grid, part)
     comps = np.empty((len(axes_a),) + sub.pos_shape)
     for i, ax in enumerate(axes_a):
@@ -140,7 +129,7 @@ def reduced_density_matrix(psi: WaveField,
                            part: SubsystemPartition) -> ReducedDensityMatrix:
     """Tr_B |psi><psi| as a dense matrix over the A grid (spin kept on A)."""
     grid = psi.grid
-    _check_partition(grid, part)
+    axes_a, axes_b = partition_axes(grid, part)
     sub = a_grid(grid, part)
     dim_a = int(np.prod(sub.full_shape))
     if dim_a > DENSE_RDM_BUDGET:
@@ -155,8 +144,9 @@ def reduced_density_matrix(psi: WaveField,
             k += 1
     a_spin = [spin_axis_of[p] for p in part.a_particles if p in spin_axis_of]
     b_spin = [spin_axis_of[p] for p in part.b_particles if p in spin_axis_of]
-    a_pos = [grid.pos_axis(i) for i in a_pos_axes(grid, part)]
-    b_pos = [grid.pos_axis(i) for i in b_pos_axes(grid, part)]
+    pos = grid.pos_axes(psi.amplitudes.shape)
+    a_pos = [pos[i] for i in axes_a]
+    b_pos = [pos[i] for i in axes_b]
     perm = a_spin + a_pos + b_spin + b_pos
     x = np.transpose(psi.amplitudes, perm).reshape(dim_a, -1)
     w_b = grid.dx ** len(b_pos)
@@ -170,15 +160,13 @@ def truncated_current_from_rdm(rdm: ReducedDensityMatrix,
     """Re of the spin-traced diagonal of v_A rho_A, one component per A axis."""
     g = rdm.a_grid
     a_shape = g.full_shape
-    block = rdm.matrix.reshape(a_shape + a_shape)
-    n_lead = len(a_shape)
+    # indexed (column; row), so the row's position axes trail
+    block = rdm.matrix.T.reshape(a_shape + a_shape)
     comps = np.empty((g.n_pos_axes,) + g.pos_shape)
     for i in range(g.n_pos_axes):
         particle = part.a_particles[i // g.spec.dims_per_particle]
         m = h.masses[particle]
-        arr_axis = g.n_spin_axes + i  # within the row block
-        d = derivative_along(block, g, arr_axis)
-        dm = d.reshape(rdm.dim, rdm.dim)
+        dm = gradient(block, g, i).reshape(rdm.dim, rdm.dim)
         diag = np.diagonal(dm)
         j = np.real((-1j / m) * diag).reshape(a_shape)
         if g.spin_shape:

@@ -7,7 +7,7 @@ from bohmstat.bohmian import (Advection, TrajectoryEnsemble, binned_density_mass
                               order_inversions, read_trajectories,
                               sample_initial, write_trajectories)
 from bohmstat.errors import AxisMismatch, TrajectoryEscapedDomain
-from bohmstat.lattice import GridSpec, ScalarField, VectorField, make_grid
+from bohmstat.lattice import Grid, GridSpec, ScalarField, VectorField
 
 
 def gaussian_density(grid, center=0.0, width=1.0):
@@ -19,14 +19,14 @@ def gaussian_density(grid, center=0.0, width=1.0):
 
 class TestSampling:
     def test_matches_density(self):
-        grid = make_grid(GridSpec(1, 1, 256, (-10.0, 10.0)))
+        grid = Grid(GridSpec(1, 1, 256, (-10.0, 10.0)))
         rho = gaussian_density(grid)
         pos = sample_initial(rho, 50_000, seed=1)
         tv = equivariance_distance(pos, rho, 32)
         assert tv < 0.02
 
     def test_deterministic(self):
-        grid = make_grid(GridSpec(1, 1, 64, (-10.0, 10.0)))
+        grid = Grid(GridSpec(1, 1, 64, (-10.0, 10.0)))
         rho = gaussian_density(grid)
         a = sample_initial(rho, 100, seed=7)
         b = sample_initial(rho, 100, seed=7)
@@ -35,7 +35,7 @@ class TestSampling:
         assert not np.array_equal(a, c)
 
     def test_dirichlet_samples_inside(self):
-        grid = make_grid(GridSpec(1, 1, 64, (0.0, 1.0), boundary="dirichlet"))
+        grid = Grid(GridSpec(1, 1, 64, (0.0, 1.0), boundary="dirichlet"))
         rho = ScalarField(grid, np.ones(64))
         pos = sample_initial(rho, 5000, seed=2)
         assert np.all((pos >= 0.0) & (pos <= 1.0))
@@ -48,7 +48,7 @@ def uniform_velocity_frames(grid, value, times):
 
 class TestIntegration:
     def test_uniform_flow_translates(self):
-        grid = make_grid(GridSpec(1, 1, 128, (-10.0, 10.0)))
+        grid = Grid(GridSpec(1, 1, 128, (-10.0, 10.0)))
         frames = uniform_velocity_frames(grid, 0.5, np.linspace(0, 1, 11))
         x0 = np.linspace(-5, 5, 20)[:, None]
         ens = integrate_trajectories(frames, x0, substeps=2)
@@ -56,25 +56,25 @@ class TestIntegration:
                                    atol=1e-10)
 
     def test_periodic_wrap(self):
-        grid = make_grid(GridSpec(1, 1, 64, (0.0, 1.0)))
+        grid = Grid(GridSpec(1, 1, 64, (0.0, 1.0)))
         frames = uniform_velocity_frames(grid, 1.0, np.linspace(0, 1, 11))
         ens = integrate_trajectories(frames, np.array([[0.9]]), substeps=4)
         assert 0.0 <= ens.paths[0, -1, 0] < 1.0
 
     def test_dirichlet_escape_raises(self):
-        grid = make_grid(GridSpec(1, 1, 64, (0.0, 1.0), boundary="dirichlet"))
+        grid = Grid(GridSpec(1, 1, 64, (0.0, 1.0), boundary="dirichlet"))
         frames = uniform_velocity_frames(grid, 2.0, np.linspace(0, 1, 11))
         with pytest.raises(TrajectoryEscapedDomain):
             integrate_trajectories(frames, np.array([[0.5]]), substeps=1)
 
     def test_frame_times_must_increase(self):
-        grid = make_grid(GridSpec(1, 1, 64, (0.0, 1.0)))
+        grid = Grid(GridSpec(1, 1, 64, (0.0, 1.0)))
         frames = uniform_velocity_frames(grid, 0.1, [0.0, 0.2, 0.1])
         with pytest.raises(ValueError):
             integrate_trajectories(frames, np.array([[0.5]]))
 
     def test_coordinate_count_checked(self):
-        grid = make_grid(GridSpec(2, 1, 16, (0.0, 1.0)))
+        grid = Grid(GridSpec(2, 1, 16, (0.0, 1.0)))
         frames = [VectorField(grid, np.zeros((2,) + grid.pos_shape), t)
                   for t in (0.0, 0.1)]
         with pytest.raises(AxisMismatch):
@@ -82,7 +82,7 @@ class TestIntegration:
 
     def test_no_crossings_in_smooth_1d_flow(self):
         # a linear velocity field v = 0.3 x preserves ordering exactly
-        grid = make_grid(GridSpec(1, 1, 128, (-10.0, 10.0)))
+        grid = Grid(GridSpec(1, 1, 128, (-10.0, 10.0)))
         comps = (0.3 * grid.axis_coords)[None, :]
         frames = [VectorField(grid, comps, t) for t in np.linspace(0, 1, 21)]
         x0 = np.sort(np.random.default_rng(0).uniform(-4, 4, 200))[:, None]
@@ -95,7 +95,7 @@ class TestStreamedAdvection:
     def test_generator_equals_one_kernel_call(self, boundary):
         # frames handed over one at a time from a generator, each dropped by
         # the caller, give the multi-frame kernel call's paths bit for bit
-        grid = make_grid(GridSpec(1, 2, 16, (-2.0, 2.0), boundary=boundary))
+        grid = Grid(GridSpec(1, 2, 16, (-2.0, 2.0), boundary=boundary))
         rng = np.random.default_rng(3)
         times = np.linspace(0.0, 0.4, 6)
         vflat = 0.5 * rng.standard_normal((6, 2, 256))
@@ -112,7 +112,7 @@ class TestStreamedAdvection:
         np.testing.assert_array_equal(ens.times, times)
 
     def test_push_returns_positions_at_each_frame(self):
-        grid = make_grid(GridSpec(1, 1, 64, (0.0, 1.0)))
+        grid = Grid(GridSpec(1, 1, 64, (0.0, 1.0)))
         adv = Advection(np.array([[0.25]]), 3, substeps=2)
         for frame in uniform_velocity_frames(grid, 0.5, [0.0, 0.2, 0.4]):
             pos = adv.push(frame)
@@ -123,18 +123,18 @@ class TestStreamedAdvection:
 
 class TestBinnedMass:
     def test_sums_to_one(self):
-        grid = make_grid(GridSpec(1, 1, 64, (-10.0, 10.0)))
+        grid = Grid(GridSpec(1, 1, 64, (-10.0, 10.0)))
         rho = gaussian_density(grid)
         mass = binned_density_mass(rho, 16)
         assert mass.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_bins_must_divide(self):
-        grid = make_grid(GridSpec(1, 1, 64, (-10.0, 10.0)))
+        grid = Grid(GridSpec(1, 1, 64, (-10.0, 10.0)))
         with pytest.raises(AxisMismatch):
             binned_density_mass(gaussian_density(grid), 10)
 
     def test_tv_zero_for_matched_histogram(self):
-        grid = make_grid(GridSpec(1, 1, 64, (0.0, 1.0)))
+        grid = Grid(GridSpec(1, 1, 64, (0.0, 1.0)))
         rho = ScalarField(grid, np.ones(64))
         # positions exactly replicating the uniform cell masses
         pos = (np.arange(64) + 0.5)[:, None] / 64

@@ -47,6 +47,20 @@ class TestRun:
         m = json.loads((out / "manifest.json").read_text())
         assert m["status"] == "ok" and m["checks"] == {"norm_conserved": True}
 
+    @pytest.mark.parametrize("name, spin_dims", [("continuity", [2]),
+                                                 ("subsystem_currents", [2, 1])])
+    def test_spinful_field_runs(self, tmp_path, name, spin_dims):
+        # the shipped config on a spinful grid, spin-1/2 particle 0 coupled
+        with open(os.path.join(CONFIG_DIR, f"{name}.json")) as f:
+            cfg = json.load(f)
+        cfg["grid"]["spin_dims"] = spin_dims
+        cfg["hamiltonian"]["potential"].append(
+            {"kind": "spin_coupling", "mu": 0.5, "particle": 0})
+        out = tmp_path / "o"
+        assert main(["run", write_cfg(tmp_path, cfg), "--output", str(out)]) == 0
+        m = json.loads((out / "manifest.json").read_text())
+        assert m["status"] == "ok" and m["checks"] and all(m["checks"].values())
+
     def test_manifest_contents(self, tmp_path):
         cfg = write_cfg(tmp_path, SCALING)
         out = tmp_path / "out"

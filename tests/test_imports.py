@@ -1,5 +1,6 @@
-"""Every name a bohmstat module imports is used in that module (no linter is
-a dependency, so the check parses the source with ast)."""
+"""Every name a bohmstat module imports is used in that module, and every
+module-level private name is read somewhere in the package (no linter is a
+dependency, so the checks parse the source with ast)."""
 
 import ast
 import pathlib
@@ -39,3 +40,56 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def private_definitions(source: str) -> list:
+    """Module-level `_name`s (functions, classes, assignments) a source
+    defines, with their line numbers; dunders excluded."""
+    defined = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [(t.id, node.lineno) for t in targets
+                        if isinstance(t, ast.Name)]
+    return [(name, line) for name, line in defined
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def names_read(source: str) -> set:
+    """Names a source reads: loaded names and attributes, and the names its
+    `from` imports bind."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {a.name for a in node.names}
+    return read
+
+
+def dead_private_names(sources: dict) -> list:
+    """(module, name, line) of each module-level private name that no source
+    in `sources` (module name -> source) reads."""
+    read = set().union(*(names_read(src) for src in sources.values()))
+    return [(module, name, line) for module, src in sources.items()
+            for name, line in private_definitions(src) if name not in read]
+
+
+def test_scan_finds_a_dead_private_name():
+    sources = {
+        "a.py": ("_LIMIT = 3\n__all__ = []\n\ndef _used():\n    return _LIMIT\n\n"
+                 "def _dead():\n    pass\n\nclass _Box:\n    pass\n"),
+        "b.py": "from .a import _used\n_used()\n",
+    }
+    assert dead_private_names(sources) == [("a.py", "_dead", 7), ("a.py", "_Box", 10)]
+    sources["b.py"] += "import a\na._dead, _Box\n"
+    assert dead_private_names(sources) == []
+
+
+def test_every_private_name_is_read():
+    sources = {module: (SRC / module).read_text() for module in MODULES}
+    assert dead_private_names(sources) == []

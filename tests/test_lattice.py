@@ -5,12 +5,11 @@ from hypothesis import strategies as st
 
 from bohmstat.errors import AxisMismatch, InvalidExtent, MemoryBudgetExceeded
 from bohmstat.lattice import (Grid, GridSpec, WaveField, gradient, integrate,
-                              laplacian_axis, make_grid, read_field,
-                              write_field)
+                              read_field, write_field)
 
 
 def grid_1d(n=64, lo=0.0, hi=2 * np.pi, boundary="periodic"):
-    return make_grid(GridSpec(1, 1, n, (lo, hi), boundary=boundary))
+    return Grid(GridSpec(1, 1, n, (lo, hi), boundary=boundary))
 
 
 class TestGridSpec:
@@ -52,7 +51,7 @@ class TestCoordinates:
         np.testing.assert_allclose(g.axis_coords, np.arange(1.0, 10.0))
 
     def test_particle_axes(self):
-        g = make_grid(GridSpec(2, 2, 8, (0.0, 1.0)))
+        g = Grid(GridSpec(2, 2, 8, (0.0, 1.0)))
         assert g.particle_axes(0) == [0, 1]
         assert g.particle_axes(1) == [2, 3]
 
@@ -69,7 +68,7 @@ class TestQuadrature:
         assert integrate(np.sin(x) ** 2, g) == pytest.approx(np.pi, abs=1e-12)
 
     def test_marginalization_keeps_other_axes(self):
-        g = make_grid(GridSpec(2, 1, 16, (0.0, 1.0)))
+        g = Grid(GridSpec(2, 1, 16, (0.0, 1.0)))
         vals = np.ones(g.pos_shape)
         out = integrate(vals, g, axes=[1])
         assert out.shape == (16,)
@@ -122,16 +121,46 @@ class TestDerivatives:
         assert d[0] == 0.0
         assert d[1] == pytest.approx(-1.0 / (2 * g.dx))
 
-    def test_laplacian_spectral(self):
-        g = grid_1d(n=64)
-        x = g.axis_coords
-        np.testing.assert_allclose(laplacian_axis(np.sin(2 * x), g, 0),
-                                   -4 * np.sin(2 * x), atol=1e-9)
-
     def test_length_mismatch(self):
         g = grid_1d(n=16)
         with pytest.raises(AxisMismatch):
             gradient(np.ones(17), g, 0)
+
+
+class TestTrailingAxes:
+    """Position axes trail in every field array: spin axes lead amplitudes,
+    densities and current components have none."""
+
+    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+    def test_gradient_of_amplitude_and_density_agree(self, boundary):
+        g = Grid(GridSpec(2, 1, 16, (-3.0, 3.0), boundary=boundary,
+                          spin_dims=(2, 3)))
+        rng = np.random.default_rng(5)
+        amp = rng.standard_normal(g.full_shape)
+        for ax in range(g.n_pos_axes):
+            by_component = [gradient(amp[s], g, ax)
+                            for s in np.ndindex(g.spin_shape)]
+            np.testing.assert_array_equal(
+                gradient(amp, g, ax).reshape(-1, *g.pos_shape), by_component)
+
+    def test_integrate_spin_leading_and_spin_free(self):
+        g = Grid(GridSpec(2, 1, 16, (0.0, 1.0), spin_dims=(2, 1)))
+        amp = np.ones(g.full_shape)
+        np.testing.assert_allclose(integrate(amp, g, axes=[0]), np.ones((2, 16)))
+        np.testing.assert_allclose(integrate(amp[0], g, axes=[0]), np.ones(16))
+
+    @pytest.mark.parametrize("shape", [(16, 17), (17, 16), (16,), (2, 16, 8)])
+    def test_wrong_trailing_shape_rejected(self, shape):
+        g = Grid(GridSpec(2, 1, 16, (0.0, 1.0), spin_dims=(2, 1)))
+        with pytest.raises(AxisMismatch):
+            gradient(np.ones(shape), g, 0)
+        with pytest.raises(AxisMismatch):
+            integrate(np.ones(shape), g)
+
+    def test_position_axis_out_of_range(self):
+        g = grid_1d(n=16)
+        with pytest.raises(AxisMismatch):
+            gradient(np.ones(16), g, 1)
 
 
 class TestWaveField:
@@ -159,7 +188,7 @@ class TestFieldIO:
         assert header["boundary"] == "periodic"
 
     def test_real_round_trip(self, tmp_path):
-        g = make_grid(GridSpec(2, 1, 8, (0.0, 1.0)))
+        g = Grid(GridSpec(2, 1, 8, (0.0, 1.0)))
         vals = np.arange(64.0).reshape(8, 8)
         p = tmp_path / "b.fld"
         write_field(p, vals, g)

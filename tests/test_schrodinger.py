@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bohmstat import schrodinger
-from bohmstat.lattice import GridSpec, WaveField, integrate, make_grid
+from bohmstat.lattice import Grid, GridSpec, WaveField, integrate
 from bohmstat.schrodinger import (DENSE_EIG_BUDGET, HamiltonianSpec,
                                   apply_hamiltonian, eigenstates, energy,
                                   evolve, frame_count, make_stepper,
@@ -29,7 +29,7 @@ class TestFreePacket:
     Var = s^2 + t^2/(4 m^2 s^2)."""
 
     def test_drift_and_spread(self):
-        grid = make_grid(GridSpec(1, 1, 256, (-16.0, 16.0)))
+        grid = Grid(GridSpec(1, 1, 256, (-16.0, 16.0)))
         h = HamiltonianSpec((1.0,), [{"kind": "free"}], time_step=1e-3)
         psi = gaussian_packet(grid, -4.0, 1.0, 1.0)
         frames = list(evolve(psi, h, 1.0, frame_stride=1000))
@@ -38,7 +38,7 @@ class TestFreePacket:
         assert var == pytest.approx(1.0 + 0.25, abs=1e-6)
 
     def test_norm_and_energy_conserved(self):
-        grid = make_grid(GridSpec(1, 1, 128, (-12.0, 12.0)))
+        grid = Grid(GridSpec(1, 1, 128, (-12.0, 12.0)))
         h = HamiltonianSpec((1.0,), [{"kind": "free"}], time_step=1e-3)
         psi = gaussian_packet(grid, 0.0, 1.0, 2.0)
         e0 = energy(psi, h)
@@ -50,7 +50,7 @@ class TestFreePacket:
 class TestHarmonic:
     def test_coherent_state_period(self):
         # a displaced ground state revisits itself after T = 2 pi / omega
-        grid = make_grid(GridSpec(1, 1, 256, (-12.0, 12.0)))
+        grid = Grid(GridSpec(1, 1, 256, (-12.0, 12.0)))
         h = HamiltonianSpec((1.0,), [{"kind": "harmonic", "omega": 1.0}],
                             time_step=1e-3)
         psi = gaussian_packet(grid, 3.0, np.sqrt(0.5), 0.0)
@@ -61,7 +61,7 @@ class TestHarmonic:
         assert overlap == pytest.approx(1.0, abs=1e-4)
 
     def test_classical_oscillation_of_mean(self):
-        grid = make_grid(GridSpec(1, 1, 256, (-12.0, 12.0)))
+        grid = Grid(GridSpec(1, 1, 256, (-12.0, 12.0)))
         h = HamiltonianSpec((1.0,), [{"kind": "harmonic", "omega": 1.0}],
                             time_step=1e-3)
         psi = gaussian_packet(grid, 3.0, np.sqrt(0.5), 0.0)
@@ -72,7 +72,7 @@ class TestHarmonic:
 
 class TestCrankNicolson:
     def test_unitary_in_box(self):
-        grid = make_grid(GridSpec(1, 1, 128, (0.0, 8.0), boundary="dirichlet"))
+        grid = Grid(GridSpec(1, 1, 128, (0.0, 8.0), boundary="dirichlet"))
         h = HamiltonianSpec((1.0,), [{"kind": "box"}], time_step=2e-4)
         psi = gaussian_packet(grid, 2.0, 0.4, 0.0)
         frames = list(evolve(psi, h, 0.2, frame_stride=500))
@@ -80,7 +80,7 @@ class TestCrankNicolson:
                                                      abs=1e-12)
 
     def test_box_eigenstate_is_stationary(self):
-        grid = make_grid(GridSpec(1, 1, 128, (0.0, 4.0), boundary="dirichlet"))
+        grid = Grid(GridSpec(1, 1, 128, (0.0, 4.0), boundary="dirichlet"))
         h = HamiltonianSpec((1.0,), [{"kind": "box"}], time_step=2e-4)
         _, states = eigenstates(grid, h, 1)
         frames = list(evolve(states[0], h, 0.2, frame_stride=1000))
@@ -101,7 +101,7 @@ def oracle_split_step(stepper, grid, h, amp):
         k2_total = k2_total + grid.wavenumbers.reshape(shape) ** 2 / (
             2.0 * h.mass_of_axis(grid, ax)
         )
-    pos_axes = tuple(grid.pos_axis(i) for i in range(grid.n_pos_axes))
+    pos_axes = grid.pos_axes(grid.full_shape)
     amp = amp * half_v
     amp = np.fft.fftn(amp, axes=pos_axes)
     amp *= np.exp(-1j * dt * k2_total)
@@ -129,7 +129,7 @@ def oracle_cn_step(stepper, grid, h, amp):
         ab[0, 1:] = z * off
         ab[1, :] = 1.0 + z * diag
         ab[2, :-1] = z * off
-        ax = grid.pos_axis(pos_axis)
+        ax = grid.pos_axes(grid.full_shape)[pos_axis]
         moved = np.moveaxis(amp, ax, 0)
         shp = moved.shape
         flat = moved.reshape(shp[0], -1)
@@ -188,7 +188,7 @@ class TestStepperOracles:
     @pytest.mark.parametrize("case", sorted(STEPPER_CASES))
     def test_200_steps_bit_identical(self, case):
         spec, potential, oracle = STEPPER_CASES[case]
-        grid = make_grid(spec)
+        grid = Grid(spec)
         masses = (1.0,) * spec.particle_count
         h = HamiltonianSpec(masses, potential, time_step=1e-3)
         stepper = make_stepper(grid, h)
@@ -202,7 +202,7 @@ class TestStepperOracles:
     @pytest.mark.parametrize("case", sorted(ZERO_POTENTIAL_CASES))
     def test_zero_potential_advance_matches_steps(self, case):
         spec, masses, oracle = ZERO_POTENTIAL_CASES[case]
-        grid = make_grid(spec)
+        grid = Grid(spec)
         h = HamiltonianSpec(masses, [{"kind": "free"}], time_step=1e-3)
         stepper = make_stepper(grid, h)
         amp = _random_state(grid, 4)
@@ -218,7 +218,7 @@ class TestStepperOracles:
         # 50 steps at stride 15: frames after 15, 30 and 45 steps, then the
         # remaining 5; bit for bit under a harmonic well, to round-off in
         # the box (V == 0)
-        grid = make_grid(GridSpec(1, 1, 64, (0.0, 4.0), boundary="dirichlet"))
+        grid = Grid(GridSpec(1, 1, 64, (0.0, 4.0), boundary="dirichlet"))
         psi = WaveField(grid, _random_state(grid, 5))
         for potential, tol in (([{"kind": "harmonic", "omega": 2.0}], 0.0),
                                ([{"kind": "box"}], 1e-12)):
@@ -239,7 +239,7 @@ class TestStepperOracles:
             np.testing.assert_array_equal(psi.amplitudes, frames[0].amplitudes)
 
     def test_cn_rejects_nan_amplitude(self):
-        grid = make_grid(GridSpec(1, 1, 32, (0.0, 4.0), boundary="dirichlet"))
+        grid = Grid(GridSpec(1, 1, 32, (0.0, 4.0), boundary="dirichlet"))
         h = HamiltonianSpec((1.0,), [{"kind": "box"}], time_step=1e-3)
         stepper = make_stepper(grid, h)
         amp = _random_state(grid, 1)
@@ -252,14 +252,14 @@ class TestStepperOracles:
 
 class TestEigenstates:
     def test_box_energies(self):
-        grid = make_grid(GridSpec(1, 1, 512, (0.0, 1.0), boundary="dirichlet"))
+        grid = Grid(GridSpec(1, 1, 512, (0.0, 1.0), boundary="dirichlet"))
         h = HamiltonianSpec((1.0,), [{"kind": "box"}])
         energies, _ = eigenstates(grid, h, 3)
         exact = np.array([1, 4, 9]) * np.pi**2 / 2
         np.testing.assert_allclose(energies, exact, rtol=2e-4)
 
     def test_orthonormality(self):
-        grid = make_grid(GridSpec(1, 1, 256, (0.0, 1.0), boundary="dirichlet"))
+        grid = Grid(GridSpec(1, 1, 256, (0.0, 1.0), boundary="dirichlet"))
         h = HamiltonianSpec((1.0,), [{"kind": "box"}])
         _, states = eigenstates(grid, h, 4)
         for i in range(4):
@@ -269,7 +269,7 @@ class TestEigenstates:
                 assert abs(ov - (i == j)) < 1e-8
 
     def test_harmonic_ladder_dense(self):
-        grid = make_grid(GridSpec(1, 1, 64, (-8.0, 8.0), boundary="dirichlet"))
+        grid = Grid(GridSpec(1, 1, 64, (-8.0, 8.0), boundary="dirichlet"))
         h = HamiltonianSpec((1.0,), [{"kind": "harmonic", "omega": 1.0}])
         energies, _ = eigenstates(grid, h, 4)
         # 3-point stencil at n=64: O(dx^2) ~ 5e-2 discretization error
@@ -310,7 +310,7 @@ def eigenstates_under(budget, grid, h, count):
 
 def dense_and_arpack(name, count):
     spec, h = ROUTE_CASES[name]
-    grid = make_grid(spec)
+    grid = Grid(spec)
     dense = eigenstates_under(spec.total_points, grid, h, count)
     arpack = eigenstates_under(0, grid, h, count)
     return grid, dense, arpack
@@ -331,7 +331,7 @@ class TestEigensolverRoutes:
 
     def test_states_are_real_orthonormal_eigenvectors(self):
         spec, h = ROUTE_CASES["spin_half"]
-        grid = make_grid(spec)
+        grid = Grid(spec)
         for budget in (spec.total_points, 0):
             energies, states = eigenstates_under(budget, grid, h, 4)
             amps = np.array([s.amplitudes.ravel() for s in states])
@@ -347,7 +347,7 @@ class TestEigensolverRoutes:
         # exact spectrum of the (1,-2,1) stencil, sum over both axes of
         # 2 / (m dx^2) sin^2(pi k / (2 (N + 1)))
         n = 72
-        grid = make_grid(GridSpec(1, 2, n, (0.0, 1.0), boundary="dirichlet"))
+        grid = Grid(GridSpec(1, 2, n, (0.0, 1.0), boundary="dirichlet"))
         assert grid.spec.total_points > DENSE_EIG_BUDGET
         h = HamiltonianSpec((1.0,), [{"kind": "box"}])
         energies, states = eigenstates(grid, h, 6)
@@ -361,7 +361,7 @@ class TestEigensolverRoutes:
         # 72 x 72 periodic oscillator: E = 1, 2, 2, 3, 3, 3 (spectral
         # kinetic operator, exact to round-off at this extent); single-vector
         # Lanczos can return fewer copies of a degenerate level than exist
-        grid = make_grid(GridSpec(1, 2, 72, (-8.0, 8.0)))
+        grid = Grid(GridSpec(1, 2, 72, (-8.0, 8.0)))
         h = HamiltonianSpec((1.0,), [{"kind": "harmonic", "omega": 1.0}])
         energies, _ = eigenstates(grid, h, 6)
         np.testing.assert_allclose(energies, [1, 2, 2, 3, 3, 3], atol=1e-10)
@@ -391,7 +391,7 @@ class TestDenseHamiltonian:
     @pytest.mark.parametrize("name", list(BLOCK_CASES))
     def test_assembled_equals_one_column_at_a_time(self, name):
         spec, h = BLOCK_CASES[name]
-        grid = make_grid(spec)
+        grid = Grid(spec)
         v = potential_grid(grid, h)
         per_column = np.column_stack([
             apply_hamiltonian(e.reshape(grid.full_shape), grid, h, v=v).ravel()
@@ -402,9 +402,52 @@ class TestDenseHamiltonian:
                                    atol=tol * np.abs(per_column).max())
 
 
+class TestKineticOperator:
+    """apply_hamiltonian at V == 0 on two particles of masses (1.0, 2.5)
+    against closed-form eigenvalues, independent of _stencil."""
+
+    MASSES = (1.0, 2.5)
+
+    @pytest.mark.parametrize("modes", [(1, 1), (2, 5), (7, 3), (16, 16)],
+                             ids=lambda m: f"{m[0]}_{m[1]}")
+    def test_dirichlet_sine_modes(self, modes):
+        grid = Grid(GridSpec(2, 1, 16, (-3.0, 3.0), boundary="dirichlet"))
+        h = HamiltonianSpec(self.MASSES, [{"kind": "box"}])
+        n, dx = grid.spec.points_per_axis, grid.dx
+        j = np.arange(1, n + 1)
+        lines = [np.sin(np.pi * k * j / (n + 1)) for k in modes]
+        amp = np.outer(*lines)
+        energy_ = sum(2.0 / (m * dx**2) * np.sin(np.pi * k / (2 * (n + 1))) ** 2
+                      for k, m in zip(modes, self.MASSES))
+        got = apply_hamiltonian(amp, grid, h)
+        np.testing.assert_allclose(got, energy_ * amp, rtol=0,
+                                   atol=1e-12 * energy_)
+
+    @pytest.mark.parametrize("modes", [(0, 1), (3, -5), (-7, 2), (-8, -8)],
+                             ids=lambda m: f"{m[0]}_{m[1]}")
+    def test_periodic_plane_waves(self, modes):
+        grid = Grid(GridSpec(2, 1, 16, (-3.0, 3.0)))
+        h = HamiltonianSpec(self.MASSES, [{"kind": "free"}])
+        ks = [2 * np.pi * q / (grid.spec.points_per_axis * grid.dx) for q in modes]
+        x = grid.axis_coords
+        amp = np.outer(np.exp(1j * ks[0] * x), np.exp(1j * ks[1] * x))
+        energy_ = sum(k**2 / (2 * m) for k, m in zip(ks, self.MASSES))
+        got = apply_hamiltonian(amp, grid, h)
+        np.testing.assert_allclose(got, energy_ * amp, rtol=0,
+                                   atol=1e-12 * energy_)
+
+
+class TestHamiltonianSpec:
+    @pytest.mark.parametrize("mass", [float("nan"), float("inf"),
+                                      -float("inf"), 0.0, -1.0])
+    def test_rejects_mass_that_is_not_finite_and_positive(self, mass):
+        with pytest.raises(ValueError):
+            HamiltonianSpec((1.0, mass))
+
+
 class TestPotential:
     def test_pair_coupling_symmetry(self):
-        grid = make_grid(GridSpec(2, 1, 16, (-2.0, 2.0)))
+        grid = Grid(GridSpec(2, 1, 16, (-2.0, 2.0)))
         h = HamiltonianSpec((1.0, 1.0),
                             [{"kind": "pair_coupling", "lam": 0.7}])
         v = potential_grid(grid, h)
@@ -414,7 +457,7 @@ class TestPotential:
         np.testing.assert_allclose(v, expect, atol=1e-12)
 
     def test_unknown_term(self):
-        grid = make_grid(GridSpec(1, 1, 16, (0.0, 1.0)))
+        grid = Grid(GridSpec(1, 1, 16, (0.0, 1.0)))
         h = HamiltonianSpec((1.0,), [{"kind": "quartic"}])
         with pytest.raises(ValueError):
             potential_grid(grid, h)
@@ -452,7 +495,7 @@ class TestFrameStream:
     @pytest.mark.parametrize("case", STREAM_CASES)
     def test_stream_equals_list(self, case):
         boundary, potential = STREAM_CASES[case]
-        grid = make_grid(GridSpec(1, 1, 64, (-4.0, 4.0), boundary=boundary))
+        grid = Grid(GridSpec(1, 1, 64, (-4.0, 4.0), boundary=boundary))
         h = HamiltonianSpec((1.0,), potential, time_step=1e-3)
         psi = WaveField(grid, _random_state(grid, 3))
         # 50 steps, stride 7: the last frame is off-stride
@@ -469,7 +512,7 @@ class TestFrameStream:
     @pytest.mark.parametrize("t_final, stride, count", [
         (0.05, 7, 9), (0.05, 10, 6), (0.05, 50, 2), (0.05, 80, 2), (0.0, 3, 1)])
     def test_frame_count(self, t_final, stride, count):
-        grid = make_grid(GridSpec(1, 1, 32, (-4.0, 4.0)))
+        grid = Grid(GridSpec(1, 1, 32, (-4.0, 4.0)))
         h = HamiltonianSpec((1.0,), time_step=1e-3)
         psi = WaveField(grid, _random_state(grid, 4))
         assert frame_count(h, t_final, stride) == count

@@ -4,7 +4,7 @@ import pytest
 from bohmstat import subsystem
 from bohmstat.currents import FieldFrame, continuity_residual, current, density
 from bohmstat.errors import DenseBudgetExceeded, PartitionMismatch
-from bohmstat.lattice import GridSpec, WaveField, make_grid
+from bohmstat.lattice import Grid, GridSpec, WaveField
 from bohmstat.schrodinger import HamiltonianSpec, evolve
 from bohmstat.subsystem import (ReducedDensityMatrix, SubsystemPartition,
                                 a_grid, marginal_density,
@@ -25,7 +25,7 @@ H2 = HamiltonianSpec((1.0, 1.0), [{"kind": "free"}], time_step=1e-3)
 
 
 def two_particle_grid(n=64):
-    return make_grid(GridSpec(2, 1, n, (-8.0, 8.0)))
+    return Grid(GridSpec(2, 1, n, (-8.0, 8.0)))
 
 
 def packet_1d(x, center, width, momentum):
@@ -160,7 +160,7 @@ class TestTruncatedCurrents:
 
 class TestSpinTrace:
     def test_spin_kept_on_a_only(self):
-        grid = make_grid(GridSpec(2, 1, 16, (-2.0, 2.0), spin_dims=(2, 2)))
+        grid = Grid(GridSpec(2, 1, 16, (-2.0, 2.0), spin_dims=(2, 2)))
         rng = np.random.default_rng(5)
         amp = rng.standard_normal(grid.full_shape) \
             + 1j * rng.standard_normal(grid.full_shape)
@@ -172,3 +172,50 @@ class TestSpinTrace:
         marg = marginal_density(density(psi), part)
         np.testing.assert_allclose(spin_traced_diagonal(rdm), marg.values,
                                    atol=1e-12)
+
+
+# spinful grids, each spin component its own packet, spin_coupling on
+# particle 0 pushing its up and down components apart
+SPIN_CASES = {
+    "one_particle_1d": (GridSpec(1, 1, 128, (-10.0, 10.0), spin_dims=(2,)),
+                        (1.0,)),
+    "one_particle_2d": (GridSpec(1, 2, 48, (-8.0, 8.0), spin_dims=(2,)),
+                        (1.0,)),
+    "two_particles_spins_2_1": (
+        GridSpec(2, 1, 64, (-8.0, 8.0), spin_dims=(2, 1)), (1.0, 2.5)),
+    "two_particles_spins_2_2": (
+        GridSpec(2, 1, 48, (-8.0, 8.0), spin_dims=(2, 2)), (1.0, 2.5)),
+}
+
+
+def spin_frames(name):
+    """Three frames 5 steps apart of a spin-dependent packet state."""
+    spec, masses = SPIN_CASES[name]
+    grid = Grid(spec)
+    h = HamiltonianSpec(masses, [{"kind": "spin_coupling", "mu": 0.5,
+                                  "particle": 0}], time_step=1e-3)
+    coords = grid.meshgrid()
+    amp = np.empty(grid.full_shape, dtype=np.complex128)
+    for n, s in enumerate(np.ndindex(grid.spin_shape)):
+        amp[s] = np.prod([packet_1d(x, (-1) ** (n + ax) * (1.0 + 0.5 * ax), 1.0,
+                                    0.7 * (n + 1) * (-1) ** ax)
+                          for ax, x in enumerate(coords)], axis=0)
+    psi = WaveField(grid, amp).normalized()
+    return grid, [FieldFrame.from_wavefield(f, h)
+                  for f in evolve(psi, h, 0.01, frame_stride=5)]
+
+
+class TestSpinGridContinuity:
+    @pytest.mark.parametrize("name", list(SPIN_CASES))
+    def test_full_frames(self, name):
+        _, ffs = spin_frames(name)
+        _, rel = continuity_residual(ffs)
+        assert rel < 1e-4
+
+    @pytest.mark.parametrize("name", [n for n in SPIN_CASES
+                                      if n.startswith("two_particles")])
+    def test_subsystem_frames(self, name):
+        _, ffs = spin_frames(name)
+        part = SubsystemPartition((0,), 2)  # A holds a spin axis
+        _, rel = continuity_residual([subsystem_frame(f, part) for f in ffs])
+        assert rel < 1e-4
