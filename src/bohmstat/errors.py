@@ -68,6 +68,10 @@ class WindowEmpty(BohmstatError):
     exit_code = 3
 
 
+class NonPositiveBeta(BohmstatError):
+    """A canonical state asked for at beta <= 0."""
+
+
 class DiagonalizationBudget(BohmstatError):
     pass
 

@@ -496,11 +496,14 @@ def _entropy_run(cfg, outdir, seed):
     cell_idx = sm.macrostate_of(ens.paths[:, :, 0], decomp)
     s_qb = np.log(np.asarray(decomp.dims, dtype=float))[cell_idx]
     s_b = s_b_of_cell[cell_idx]
-    counts = np.empty((nt, len(decomp.dims)), dtype=np.int64)
-    cg = np.empty(nt)
-    for t in range(nt):
-        counts[t] = np.bincount(cell_idx[:, t], minlength=len(decomp.dims))
-        cg[t] = sm.coarse_grained_gibbs(counts[t], decomp.dims)
+    # frame t's cell c becomes bin t * n_cells + c of one bincount (in place:
+    # cell_idx is not read again)
+    n_cells = len(decomp.dims)
+    cell_idx += np.arange(nt) * n_cells
+    counts = np.bincount(cell_idx.ravel(),
+                         minlength=nt * n_cells).reshape(nt, n_cells)
+    cg = sm.plugin_entropy(counts / counts.sum(axis=1, keepdims=True),
+                           decomp.dims)
     rows = [(float(ens.times[t]), float(s_qb[:, t].mean()),
              float(s_b[:, t].mean()), float(cg[t])) for t in range(nt)]
     _write_csv(os.path.join(outdir, "entropy.csv"),
@@ -705,10 +708,10 @@ def run_typicality(cfg, outdir, seed):
 def run_cat_mixture(cfg, outdir, seed):
     c = cfg["cat"]
     omega, beta_cold, beta_warm = c["omega"], c["beta_cold"], c["beta_warm"]
-    # the spectrum, two occupations, the mixture of both, and within
-    # von_neumann_entropy the mixture's positive entries and their log (the
-    # product reuses the log's buffer): 9 arrays of levels floats under
-    # tracemalloc when no occupation underflows, 7 at the shipped betas
+    # 9 arrays of levels floats bound the tracemalloc peak: 7 while the
+    # mixture is built (the spectrum, two occupations, their halves and the
+    # 2 x levels mixture), then 7.25 (the spectrum, the mixture, and within
+    # von_neumann_entropy its positive entries, their terms and the p > 0 mask)
     _check_phase_memory(cfg, 8 * 9 * c["levels"], f"{c['levels']} levels")
     spec = sm.harmonic_spectrum(omega, c["levels"])
     _, p_cold, _ = sm.partition_function(spec, beta_cold)
@@ -718,6 +721,7 @@ def run_cat_mixture(cfg, outdir, seed):
     # two macroscopically distinct branches have orthogonal supports, so the
     # 50/50 mixture is block diagonal in the branch basis
     p_mix = np.concatenate([0.5 * p_cold, 0.5 * p_warm])
+    del p_cold, p_warm
     s_mix = sm.von_neumann_entropy(p_mix)
     gap = abs(s_mix - 0.5 * (s_cold + s_warm))
     metrics = {"s_cold": s_cold, "s_warm": s_warm, "s_mix": s_mix,

@@ -112,6 +112,12 @@ class Grid:
                                f"grid's position shape {self.pos_shape}")
         return tuple(range(lead, len(shape)))
 
+    def spin_axis(self, p: int):
+        """Array axis of particle p's spin in a full_shape array, or None when
+        the particle has no spin axis (spin dimension 1)."""
+        dims = self.spec.spin_dims
+        return sum(1 for s in dims[:p] if s > 1) if dims[p] > 1 else None
+
     def particle_axes(self, a: int) -> list:
         """Position-axis indices (0-based, spin excluded) of particle a."""
         d = self.spec.dims_per_particle

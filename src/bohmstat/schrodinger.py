@@ -101,10 +101,9 @@ def potential_grid(grid: Grid, h: HamiltonianSpec) -> np.ndarray:
                 raise ValueError("spin_coupling needs a spin-1/2 particle")
             if v_full is None:
                 v_full = np.zeros(grid.full_shape)
-            spin_axis = sum(1 for s in grid.spec.spin_dims[:a] if s > 1)
             sz = np.array([1.0, -1.0])
             shape = [1] * len(grid.full_shape)
-            shape[spin_axis] = 2
+            shape[grid.spin_axis(a)] = 2
             x = coords[grid.particle_axes(a)[0]]
             v_full = v_full + sz.reshape(shape) * mu * x
         else:

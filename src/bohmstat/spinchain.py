@@ -8,11 +8,10 @@ weakly coupled to the bath.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DiagonalizationBudget, WindowEmpty
+from .errors import DiagonalizationBudget, NonPositiveBeta, WindowEmpty
+from .statmech import Spectrum, partition_function
 
 MAX_SPINS = 12
 
@@ -39,19 +38,11 @@ def tfim_hamiltonian(n: int, j_coupling: float = 1.0, g_field: float = 1.0,
     return h
 
 
-@dataclass
-class ChainSpectrum:
-    n: int
-    energies: np.ndarray
-    vectors: np.ndarray   # columns are eigenvectors
-    n_a: int
-
-
 def diagonalize_chain(n: int, j_coupling: float = 1.0, g_field: float = 1.0,
-                      ab_coupling: float = 1.0, n_a: int = 1) -> ChainSpectrum:
-    h = tfim_hamiltonian(n, j_coupling, g_field, ab_coupling, n_a)
-    vals, vecs = np.linalg.eigh(h)
-    return ChainSpectrum(n, vals, vecs, n_a)
+                      ab_coupling: float = 1.0, n_a: int = 1) -> tuple:
+    """(energies, vectors) of the chain, as `np.linalg.eigh` returns them:
+    ascending energies, eigenvectors in the columns."""
+    return np.linalg.eigh(tfim_hamiltonian(n, j_coupling, g_field, ab_coupling, n_a))
 
 
 def window_indices(energies: np.ndarray, center: float, width: float) -> np.ndarray:
@@ -82,26 +73,24 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def canonical_state(h_a: np.ndarray, beta: float) -> np.ndarray:
+    """exp(-beta H_A) / Z, with the Boltzmann weights of
+    `statmech.partition_function` (beta > 0)."""
     vals, vecs = np.linalg.eigh(h_a)
-    w = np.exp(-beta * (vals - vals[0]))
-    w /= w.sum()
+    _, w, _ = partition_function(Spectrum(vals), beta)
     return (vecs * w) @ vecs.conj().T
 
 
-def fit_beta(rho_a: np.ndarray, h_a: np.ndarray,
-             beta_grid=None) -> tuple:
-    """Beta minimizing the trace distance to the canonical state (grid scan
-    refined once); returns (beta, distance)."""
-    if beta_grid is None:
-        beta_grid = np.linspace(0.01, 3.0, 60)
-    d = [trace_distance(rho_a, canonical_state(h_a, b)) for b in beta_grid]
-    i = int(np.argmin(d))
-    lo = beta_grid[max(i - 1, 0)]
-    hi = beta_grid[min(i + 1, len(beta_grid) - 1)]
-    fine = np.linspace(lo, hi, 40)
-    df = [trace_distance(rho_a, canonical_state(h_a, b)) for b in fine]
-    i = int(np.argmin(df))
-    return float(fine[i]), float(df[i])
+def fit_beta(rho_a: np.ndarray, h_a: np.ndarray) -> tuple:
+    """Beta in [0.01, 3] minimizing the trace distance to the canonical state,
+    by bounded Brent; returns (beta, distance)."""
+    from scipy.optimize import minimize_scalar
+
+    # xatol: the default 1e-5 stops ~1e-6 from an exact canonical state's
+    # beta, at a trace distance of ~1e-7
+    res = minimize_scalar(
+        lambda b: trace_distance(rho_a, canonical_state(h_a, b)),
+        bounds=(0.01, 3.0), method="bounded", options={"xatol": 1e-8})
+    return float(res.x), float(res.fun)
 
 
 def canonical_typicality(n: int, n_a: int = 1, j_coupling: float = 1.0,
@@ -115,10 +104,11 @@ def canonical_typicality(n: int, n_a: int = 1, j_coupling: float = 1.0,
     unit vector in the window span (normalized Gaussian coefficients), the
     A-subsystem reduced density matrix, and its trace distance to
     exp(-beta H_A)/Z with beta both fitted and taken from the entropy
-    derivative.
+    derivative.  A window whose entropy beta is not positive (at or above the
+    middle of the spectrum) raises NonPositiveBeta: canonical states and the
+    fit take beta > 0.
     """
-    spec = diagonalize_chain(n, j_coupling, g_field, ab_coupling, n_a)
-    energies = spec.energies
+    energies, vectors = diagonalize_chain(n, j_coupling, g_field, ab_coupling, n_a)
     center = float(np.quantile(energies, center_quantile))
     span = energies[-1] - energies[0]
     width = span / 50
@@ -130,9 +120,13 @@ def canonical_typicality(n: int, n_a: int = 1, j_coupling: float = 1.0,
         raise WindowEmpty(f"no levels in window around {center}")
     h_a = tfim_hamiltonian(n_a, j_coupling, g_field)
     beta_entropy = entropy_beta(energies, center, width, delta_e=width)
+    if beta_entropy <= 0:
+        raise NonPositiveBeta(f"entropy beta {beta_entropy:.4g} of the window "
+                              f"around {center:.4g}; the window must sit below "
+                              "the middle of the spectrum")
     rho_beta_entropy = canonical_state(h_a, beta_entropy)
     rng = np.random.default_rng(seed)
-    basis = spec.vectors[:, idx]
+    basis = vectors[:, idx]
     d_fit, d_ent, betas_fit = [], [], []
     for _ in range(trials):
         c = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))

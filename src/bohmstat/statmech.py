@@ -2,13 +2,16 @@
 
 k_B = 1: every entropy and temperature is in these units, as in the paper.
 
-Entropies:
-* von Neumann      -Tr rho ln rho
-* quantum Boltzmann ln dim(H_M) with a semiclassical cell count for dim
-                     (`macrostate_dim`; the log is taken per sample in
-                     `experiments._entropy_run`)
-* Gibbs             -sum p_c ln(p_c dz / vol_c)   (histogram plug-in)
-* coarse-grained    -sum P_M ln(P_M / W_M)
+Entropies, each of them `plugin_entropy` -sum p ln(p / w) of some p and w:
+* von Neumann      -Tr rho ln rho: p the eigenvalues of rho, w = 1
+* Gibbs             -sum p_c ln(p_c dz / vol_c): p the histogram, w = vol_c / dz
+* coarse-grained    -sum P_M ln(P_M / W_M): p the cell masses, w the cell dims
+                     (the series of `experiments._entropy_run`)
+* canonical         -sum p_n ln p_n: p the Boltzmann weights of
+                     `partition_function`, w = 1
+The quantum Boltzmann entropy ln dim(H_M), with a semiclassical cell count
+for dim (`macrostate_dim`), is a log per sample, taken in
+`experiments._entropy_run`.
 """
 
 from __future__ import annotations
@@ -47,26 +50,33 @@ def _probabilities(arg):
     return p
 
 
+def plugin_entropy(p, w=1.0):
+    """-sum p ln(p / w) over the last axis of p, with 0 ln 0 = 0; w broadcasts
+    against p and defaults to 1.  p is used as given: callers normalise it.
+
+    The terms are made in one array of p's shape: the log and the product
+    overwrite the quotient."""
+    p = np.asarray(p, dtype=float)
+    terms = np.divide(p, w)
+    np.log(terms, out=terms, where=p > 0)   # where p == 0 the 0 quotient stays
+    terms *= p
+    return -terms.sum(axis=-1)
+
+
 def von_neumann_entropy(rho_or_p) -> float:
     """-sum lambda ln lambda with 0 ln 0 = 0.
 
     Accepts a probability vector (such as ReducedDensityMatrix.eigenvalues())
     or a density matrix."""
-    p = _probabilities(rho_or_p)
-    return float(-np.sum(p * np.log(p)))
+    return float(plugin_entropy(_probabilities(rho_or_p)))
 
 
-def macrostate_dim(lengths, p_cutoff: float) -> int:
-    """Semiclassical state count: per interval floor(L * 2 p_cutoff / 2 pi),
-    at least 1, product over intervals (hbar = 1)."""
+def macrostate_dim(length: float, p_cutoff: float) -> int:
+    """Semiclassical state count of an interval of `length`:
+    floor(length * 2 p_cutoff / 2 pi), at least 1 (hbar = 1)."""
     if p_cutoff <= 0:
         raise ValueError("p_cutoff must be positive")
-    if np.isscalar(lengths):
-        lengths = [lengths]
-    dim = 1
-    for length in lengths:
-        dim *= max(1, int(np.floor(length * 2 * p_cutoff / (2 * np.pi))))
-    return dim
+    return max(1, int(np.floor(length * 2 * p_cutoff / (2 * np.pi))))
 
 
 def _checked_edges(edges) -> np.ndarray:
@@ -132,17 +142,7 @@ def gibbs_entropy(samples: np.ndarray, delta_z: float, edges) -> float:
     vol = widths[0]
     for wd in widths[1:]:
         vol = np.multiply.outer(vol, wd)
-    mask = p > 0
-    return float(-np.sum(p[mask] * np.log(p[mask] * delta_z / vol[mask])))
-
-
-def coarse_grained_gibbs(cell_masses, cell_weights=None) -> float:
-    """-sum_M P_M ln(P_M / W_M); W_M defaults to 1 (equal elementary cells)."""
-    p = np.asarray(cell_masses, dtype=float)
-    p = p / p.sum()
-    w = np.ones_like(p) if cell_weights is None else np.asarray(cell_weights, float)
-    mask = p > 0
-    return float(-np.sum(p[mask] * np.log(p[mask] / w[mask])))
+    return float(plugin_entropy(p.ravel(), (vol / delta_z).ravel()))
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +206,10 @@ def partition_function(spec: Spectrum, beta):
     return np.exp(log_z), p, log_z
 
 
-def _energy_entropy(levels, p):
-    """E = sum E_n p_n and S = -sum p_n ln p_n (0 ln 0 = 0) over the last
-    axis of p."""
-    log_p = np.log(p, out=np.zeros_like(p), where=p > 0)
-    return np.sum(levels * p, axis=-1), -np.sum(p * log_p, axis=-1)
-
-
 def direct_energy_entropy(spec: Spectrum, beta: float):
     """E = sum E_n p_n and S = -sum p_n ln p_n (the dual route)."""
     _, p, _ = partition_function(spec, beta)
-    e, s = _energy_entropy(spec.levels, p)
-    return float(e), float(s)
+    return float(np.sum(spec.levels * p)), float(plugin_entropy(p))
 
 
 @dataclass
@@ -254,7 +246,8 @@ def thermo_table(spectrum_of_volume, v_grid, t_grid, *,
         spec = spectrum_of_volume(v)
         _, p, log_z[i] = partition_function(spec, beta)
         if direct:
-            e_dir[i], s_dir[i] = _energy_entropy(spec.levels, p)
+            e_dir[i] = np.sum(spec.levels * p, axis=-1)
+            s_dir[i] = plugin_entropy(p)
     t_log_z = t_grid[None, :] * log_z
     energy = np.full_like(log_z, np.nan)
     entropy = np.full_like(log_z, np.nan)

@@ -135,15 +135,8 @@ def reduced_density_matrix(psi: WaveField,
     if dim_a > DENSE_RDM_BUDGET:
         raise DenseBudgetExceeded(f"A dimension {dim_a} exceeds budget "
                                   f"{DENSE_RDM_BUDGET}")
-    # spin axes present in the array, in particle order
-    spin_axis_of = {}
-    k = 0
-    for p in range(grid.spec.particle_count):
-        if grid.spec.spin_dims[p] > 1:
-            spin_axis_of[p] = k
-            k += 1
-    a_spin = [spin_axis_of[p] for p in part.a_particles if p in spin_axis_of]
-    b_spin = [spin_axis_of[p] for p in part.b_particles if p in spin_axis_of]
+    a_spin = [ax for ax in map(grid.spin_axis, part.a_particles) if ax is not None]
+    b_spin = [ax for ax in map(grid.spin_axis, part.b_particles) if ax is not None]
     pos = grid.pos_axes(psi.amplitudes.shape)
     a_pos = [pos[i] for i in axes_a]
     b_pos = [pos[i] for i in axes_b]

@@ -325,6 +325,7 @@ EXIT_CODES = {
     "DenseBudgetExceeded": 2,
     "GridTooCoarse": 2,
     "DiagonalizationBudget": 2,
+    "NonPositiveBeta": 2,
     "AnalyticDensityUnavailable": 2,
     "MalformedFile": 2,
     "ConfigError": 2,

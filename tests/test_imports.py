@@ -1,6 +1,7 @@
-"""Every name a bohmstat module imports is used in that module, and every
-module-level private name is read somewhere in the package (no linter is a
-dependency, so the checks parse the source with ast)."""
+"""Every name a bohmstat module imports is used in that module, every
+module-level private name is read somewhere in the package, and so is every
+dataclass field (no linter is a dependency, so the checks parse the source
+with ast)."""
 
 import ast
 import pathlib
@@ -93,3 +94,48 @@ def test_scan_finds_a_dead_private_name():
 def test_every_private_name_is_read():
     sources = {module: (SRC / module).read_text() for module in MODULES}
     assert dead_private_names(sources) == []
+
+
+def dataclass_fields(source: str) -> list:
+    """(class, field, line) of each annotated field of each class a source
+    decorates with `dataclass` or `dataclass(...)`."""
+    fields = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d
+                      for d in node.decorator_list]
+        if any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+               for d in decorators):
+            fields += [(node.name, stmt.target.id, stmt.lineno)
+                       for stmt in node.body if isinstance(stmt, ast.AnnAssign)
+                       and isinstance(stmt.target, ast.Name)]
+    return fields
+
+
+def unread_fields(sources: dict) -> list:
+    """(module, class, field, line) of each dataclass field that no source in
+    `sources` (module name -> source) reads as an attribute."""
+    read = {node.attr for src in sources.values() for node in ast.walk(ast.parse(src))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [(module, cls, name, line) for module, src in sources.items()
+            for cls, name, line in dataclass_fields(src) if name not in read]
+
+
+def test_scan_finds_an_unread_field():
+    sources = {
+        "a.py": ("import dataclasses\nfrom dataclasses import dataclass\n\n"
+                 "@dataclass(frozen=True)\nclass P:\n    x: int\n    y: int = 0\n"
+                 "    z = 3\n\n@dataclasses.dataclass\nclass Q:\n    u: float\n\n"
+                 "class R:\n    v: int\n\ndef f(p, q):\n    p.y = 1\n"
+                 "    return p.x\n"),
+        "b.py": "from a import P\n",
+    }
+    assert unread_fields(sources) == [("a.py", "P", "y", 7), ("a.py", "Q", "u", 12)]
+    sources["b.py"] += "print(q.y, q.u)\n"
+    assert unread_fields(sources) == []
+
+
+def test_every_dataclass_field_is_read():
+    sources = {module: (SRC / module).read_text() for module in MODULES}
+    assert unread_fields(sources) == []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bohmstat import spinchain as sc
-from bohmstat.errors import DiagonalizationBudget, WindowEmpty
+from bohmstat.errors import DiagonalizationBudget, NonPositiveBeta, WindowEmpty
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -105,6 +105,27 @@ class TestCanonicalState:
             pytest.approx(1.0, abs=1e-12)
 
 
+    def test_positive_beta_required(self):
+        # the weights are partition_function's, which takes beta > 0
+        with pytest.raises(ValueError):
+            sc.canonical_state(sc.tfim_hamiltonian(1, 1.0, 1.0), 0.0)
+
+
+class TestFitBeta:
+    @pytest.mark.parametrize("n_a", [1, 2])
+    @pytest.mark.parametrize("beta0", [0.3, 1.0, 2.5])
+    def test_recovers_canonical_beta(self, beta0, n_a):
+        h = sc.tfim_hamiltonian(n_a, 1.0, 1.0)
+        beta, dist = sc.fit_beta(sc.canonical_state(h, beta0), h)
+        assert beta == pytest.approx(beta0, abs=1e-4)
+        assert dist < 1e-8
+
+    def test_beta_beyond_the_range_lands_on_its_bound(self):
+        h = sc.tfim_hamiltonian(1, 1.0, 1.0)
+        beta, _ = sc.fit_beta(sc.canonical_state(h, 5.0), h)
+        assert beta == pytest.approx(3.0, abs=1e-4)
+
+
 class TestWindows:
     def test_window_indices_inclusive(self):
         e = np.array([0.0, 1.0, 2.0, 3.0])
@@ -128,8 +149,8 @@ class TestReducedState:
     def test_decoupled_chain_product_state(self):
         # with the A|B bond switched off, an eigenstate of the full chain is a
         # product and the A marginal is pure
-        spec = sc.diagonalize_chain(4, 1.0, 0.9, ab_coupling=0.0, n_a=2)
-        rho_a = sc.reduced_density_matrix_spins(spec.vectors[:, 0], 4, 2)
+        _, vectors = sc.diagonalize_chain(4, 1.0, 0.9, ab_coupling=0.0, n_a=2)
+        rho_a = sc.reduced_density_matrix_spins(vectors[:, 0], 4, 2)
         purity = np.trace(rho_a @ rho_a).real
         assert purity == pytest.approx(1.0, abs=1e-10)
 
@@ -148,6 +169,11 @@ class TestTypicality:
         assert 0.0 <= rep["median_distance_fit"] <= 1.0
         assert len(rep["distances_fit"]) == 5
         assert rep["beta_entropy"] > 0   # below-median window: positive temp
+
+    def test_window_above_the_middle_rejected(self):
+        # its entropy beta is negative, and canonical states take beta > 0
+        with pytest.raises(NonPositiveBeta):
+            sc.canonical_typicality(6, center_quantile=0.8, trials=2)
 
     def test_distance_shrinks_with_bath(self):
         small = sc.canonical_typicality(6, trials=8, seed=4)

@@ -155,7 +155,6 @@ class TestMacrostates:
     def test_dim_arithmetic(self):
         # L * 2 p_cut / (2 pi) = 10 * 2 pi / (2 pi) = 10
         assert sm.macrostate_dim(10.0, np.pi) == 10
-        assert sm.macrostate_dim([10.0, 4.0], np.pi) == 40
 
     def test_dim_floors_and_clamps(self):
         assert sm.macrostate_dim(0.95, np.pi) == 1   # floor(0.95) -> clamp 1
@@ -256,16 +255,30 @@ class TestGibbs:
             sm.gibbs_entropy(np.zeros(5), 0.0, [np.linspace(-1, 1, 5)])
 
     def test_coarse_grained_single_cell(self):
-        assert sm.coarse_grained_gibbs([1.0]) == 0.0
+        assert sm.plugin_entropy([1.0]) == 0.0
 
     def test_coarse_grained_uniform_log_w(self):
-        assert sm.coarse_grained_gibbs(np.ones(8)) == \
+        assert sm.plugin_entropy(np.ones(8) / 8) == \
             pytest.approx(np.log(8), abs=1e-12)
 
     def test_coarse_grained_weights(self):
         # concentrated mass in a cell of weight W gives k ln W
-        assert sm.coarse_grained_gibbs([1.0, 0.0], [16.0, 1.0]) == \
+        assert sm.plugin_entropy([1.0, 0.0], [16.0, 1.0]) == \
             pytest.approx(np.log(16), abs=1e-12)
+
+    def test_rows_equal_one_dimensional_calls(self):
+        # a (frames, cells) array with empty cells, as the entropy runs pass
+        # it, reduces each row as a 1-D call does
+        rng = np.random.default_rng(11)
+        counts = rng.integers(0, 5, size=(40, 12)) * (rng.random((40, 12)) < 0.5)
+        counts[:, 3] += 1
+        p = counts / counts.sum(axis=1, keepdims=True)
+        dims = rng.integers(1, 30, size=12)
+        assert np.count_nonzero(p == 0) > 100
+        s = sm.plugin_entropy(p, dims)
+        assert s.shape == (40,)
+        for t in range(40):
+            assert s[t] == sm.plugin_entropy(p[t], dims)
 
 
 class TestPartitionFunction:

@@ -5,7 +5,7 @@ from bohmstat import subsystem
 from bohmstat.currents import FieldFrame, continuity_residual, current, density
 from bohmstat.errors import DenseBudgetExceeded, PartitionMismatch
 from bohmstat.lattice import Grid, GridSpec, WaveField
-from bohmstat.schrodinger import HamiltonianSpec, evolve
+from bohmstat.schrodinger import HamiltonianSpec, evolve, potential_grid
 from bohmstat.subsystem import (ReducedDensityMatrix, SubsystemPartition,
                                 a_grid, marginal_density,
                                 reduced_density_matrix, read_rdm,
@@ -172,6 +172,37 @@ class TestSpinTrace:
         marg = marginal_density(density(psi), part)
         np.testing.assert_allclose(spin_traced_diagonal(rdm), marg.values,
                                    atol=1e-12)
+
+
+class TestSpinAxes:
+    # spins (2, 1, 2): the array axes are (spin 0, spin 2, x0, x1, x2)
+    SPEC = GridSpec(3, 1, 8, (-2.0, 2.0), spin_dims=(2, 1, 2))
+
+    def test_spin_axis_skips_spinless_particles(self):
+        grid = Grid(self.SPEC)
+        assert [grid.spin_axis(p) for p in range(3)] == [0, None, 1]
+
+    def test_spin_coupling_on_particle_2_acts_on_axis_1(self):
+        grid = Grid(self.SPEC)
+        h = HamiltonianSpec((1.0,) * 3, [{"kind": "spin_coupling", "mu": 0.5,
+                                          "particle": 2}])
+        x2 = grid.meshgrid()[2]
+        sz = np.array([1.0, -1.0])[None, :, None, None, None]
+        np.testing.assert_array_equal(
+            potential_grid(grid, h),
+            np.broadcast_to(0.5 * sz * x2, grid.full_shape))
+
+    def test_rdm_of_particle_2_is_its_partial_trace(self):
+        grid = Grid(self.SPEC)
+        rng = np.random.default_rng(8)
+        amp = rng.standard_normal(grid.full_shape) \
+            + 1j * rng.standard_normal(grid.full_shape)
+        psi = WaveField(grid, amp).normalized()
+        rdm = reduced_density_matrix(psi, SubsystemPartition((2,), 3))
+        # sum over spin 0, x0 and x1; rows and columns are (spin 2, x2)
+        expect = np.einsum("aixyz,ajxyw->izjw", psi.amplitudes,
+                           psi.amplitudes.conj()).reshape(16, 16) * grid.dx**2
+        np.testing.assert_allclose(rdm.matrix, expect, rtol=0, atol=1e-13)
 
 
 # spinful grids, each spin component its own packet, spin_coupling on
