@@ -1,10 +1,10 @@
 """Bohmian trajectory ensembles: sampling, advection, equivariance metrics.
 
-Initial configurations are drawn from a grid density (categorical over cells,
-uniform jitter inside a cell), then advected with fixed-step RK4 through
-velocity frames that arrive one at a time (`Advection`).  The `truncated`
-flavor uses the subsystem's traced velocity field on the A grid; paths then
-carry only A coordinates.
+A sample drawn at grid point x lies uniformly on [x - dx/2, x + dx/2] (on a
+periodic grid, point 0's cell below lo lies one period up); `sample_initial`
+draws by this rule and `cell_overlap` bins densities by it.  Samples are
+advected with fixed-step RK4 through velocity frames that arrive one at a
+time (`Advection`); the `truncated` flavor follows the A-subsystem velocity.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .lattice import Grid, ScalarField, VectorField
 def sample_initial(rho: ScalarField, count: int, seed: int) -> np.ndarray:
     """Positions (count, D) distributed as the grid density.
 
-    Categorical sampling over cells weighted by rho * dx^D, plus uniform
-    jitter within each cell; deterministic for a fixed seed.
+    Categorical sampling over grid points weighted by rho * dx^D, then a
+    uniform position in the point's cell; deterministic for a fixed seed.
     """
     grid = rho.grid
     rng = np.random.default_rng(seed)
@@ -34,10 +34,28 @@ def sample_initial(rho: ScalarField, count: int, seed: int) -> np.ndarray:
     for d in range(grid.n_pos_axes):
         jitter = rng.uniform(-0.5 * grid.dx, 0.5 * grid.dx, size=count)
         pos[:, d] = grid.axis_coords[idx[d]] + jitter
-    if grid.spec.boundary == "dirichlet":
+    if grid.spec.boundary == "periodic":
         lo, hi = grid.spec.axis_extent
-        pos = np.clip(pos, lo, hi)
+        pos[pos < lo] += hi - lo
     return pos
+
+
+def cell_overlap(grid: Grid, edges: np.ndarray) -> np.ndarray:
+    """(n, K): the fraction of each grid point's cell on one position axis
+    inside each coarse cell [edges[k], edges[k + 1]]; grid masses contracted
+    with it give the coarse-cell masses of sample_initial's samples."""
+    half = 0.5 * grid.dx
+
+    def part(a, b):
+        return np.clip(np.minimum(b, edges[1:]) - np.maximum(a, edges[:-1]),
+                       0.0, None)
+
+    x = grid.axis_coords[:, None]
+    frac = part(x - half, x + half)
+    if grid.spec.boundary == "periodic":
+        lo, hi = grid.spec.axis_extent
+        frac[0] = part(lo, lo + half) + part(hi - half, hi)
+    return frac / grid.dx
 
 
 @dataclass
@@ -46,7 +64,6 @@ class TrajectoryEnsemble:
     seed: int
     times: np.ndarray          # (nframes,)
     paths: np.ndarray          # (nsamples, nframes, D)
-    grid: Grid = None
 
     @property
     def samples(self) -> int:
@@ -124,7 +141,7 @@ class Advection:
                 f"more than dx")
         k = self.count
         return TrajectoryEnsemble(self.flavor, self.seed, self.times[:k],
-                                  self.paths[:, :k, :], self.grid)
+                                  self.paths[:, :k, :])
 
 
 def integrate_trajectories(velocity_frames, x0: np.ndarray, substeps: int = 1,
@@ -142,36 +159,22 @@ def integrate_trajectories(velocity_frames, x0: np.ndarray, substeps: int = 1,
     return adv.ensemble()
 
 
-def binned_density_mass(rho: ScalarField, bins: int) -> np.ndarray:
-    """Probability mass of rho in a (bins,)*D coarse grid; n must divide evenly."""
-    grid = rho.grid
-    n = grid.spec.points_per_axis
-    if n % bins != 0:
-        raise AxisMismatch(f"bins={bins} must divide n={n}")
-    step = n // bins
-    mass = rho.values * grid.weight
-    for ax in range(grid.n_pos_axes):
-        shape = mass.shape[:ax] + (bins, step) + mass.shape[ax + 1:]
-        mass = mass.reshape(shape).sum(axis=ax + 1)
-    return mass
-
-
 def equivariance_distance(positions: np.ndarray, rho: ScalarField,
                           bins: int) -> float:
-    """Total-variation distance between the binned empirical distribution of
-    `positions` and rho integrated over the same bins."""
+    """Total-variation distance between the histogram of `positions` on
+    (bins,)*D equal cells of the domain and the cell masses of rho's
+    samples on the same cells (cell_overlap)."""
     grid = rho.grid
-    expected = binned_density_mass(rho, bins)
-    lo, hi = grid.spec.axis_extent
-    pos = np.asarray(positions)
-    if pos.ndim == 1:
-        pos = pos[:, None]
-    edges = [np.linspace(lo, hi, bins + 1)] * grid.n_pos_axes
-    emp, _ = np.histogramdd(pos, bins=edges)
-    emp = emp / pos.shape[0]
-    # renormalize the expected mass (discretized rho integrates to ~1)
-    expected = expected / expected.sum()
-    return float(0.5 * np.abs(emp - expected).sum())
+    edges = np.linspace(*grid.spec.axis_extent, bins + 1)
+    overlap = cell_overlap(grid, edges)
+    # each contraction takes the leading grid axis and appends its bin axis
+    expected = rho.values
+    for _ in range(grid.n_pos_axes):
+        expected = np.tensordot(expected, overlap, axes=(0, 0))
+    pos = np.reshape(positions, (len(positions), -1))
+    emp, _ = np.histogramdd(pos, bins=[edges] * grid.n_pos_axes)
+    # normalized masses (the discretized rho integrates to ~1)
+    return float(0.5 * np.abs(emp / len(pos) - expected / expected.sum()).sum())
 
 
 def order_inversions(ens: TrajectoryEnsemble) -> int:

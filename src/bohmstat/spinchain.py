@@ -72,23 +72,23 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(0.5 * np.sum(np.abs(vals)))
 
 
-def canonical_state(h_a: np.ndarray, beta: float) -> np.ndarray:
-    """exp(-beta H_A) / Z, with the Boltzmann weights of
-    `statmech.partition_function` (beta > 0)."""
-    vals, vecs = np.linalg.eigh(h_a)
+def canonical_state(eig_a: tuple, beta: float) -> np.ndarray:
+    """exp(-beta H_A) / Z from H_A's eigh (energies, vectors), with the
+    Boltzmann weights of `statmech.partition_function` (beta > 0)."""
+    vals, vecs = eig_a
     _, w, _ = partition_function(Spectrum(vals), beta)
     return (vecs * w) @ vecs.conj().T
 
 
-def fit_beta(rho_a: np.ndarray, h_a: np.ndarray) -> tuple:
-    """Beta in [0.01, 3] minimizing the trace distance to the canonical state,
-    by bounded Brent; returns (beta, distance)."""
+def fit_beta(rho_a: np.ndarray, eig_a: tuple) -> tuple:
+    """Beta in [0.01, 3] minimizing the trace distance to the canonical state
+    of H_A's (energies, vectors), by bounded Brent; returns (beta, distance)."""
     from scipy.optimize import minimize_scalar
 
     # xatol: the default 1e-5 stops ~1e-6 from an exact canonical state's
     # beta, at a trace distance of ~1e-7
     res = minimize_scalar(
-        lambda b: trace_distance(rho_a, canonical_state(h_a, b)),
+        lambda b: trace_distance(rho_a, canonical_state(eig_a, b)),
         bounds=(0.01, 3.0), method="bounded", options={"xatol": 1e-8})
     return float(res.x), float(res.fun)
 
@@ -118,13 +118,13 @@ def canonical_typicality(n: int, n_a: int = 1, j_coupling: float = 1.0,
         idx = window_indices(energies, center, width)
     if len(idx) == 0:
         raise WindowEmpty(f"no levels in window around {center}")
-    h_a = tfim_hamiltonian(n_a, j_coupling, g_field)
+    eig_a = np.linalg.eigh(tfim_hamiltonian(n_a, j_coupling, g_field))
     beta_entropy = entropy_beta(energies, center, width, delta_e=width)
     if beta_entropy <= 0:
         raise NonPositiveBeta(f"entropy beta {beta_entropy:.4g} of the window "
                               f"around {center:.4g}; the window must sit below "
                               "the middle of the spectrum")
-    rho_beta_entropy = canonical_state(h_a, beta_entropy)
+    rho_beta_entropy = canonical_state(eig_a, beta_entropy)
     rng = np.random.default_rng(seed)
     basis = vectors[:, idx]
     d_fit, d_ent, betas_fit = [], [], []
@@ -133,7 +133,7 @@ def canonical_typicality(n: int, n_a: int = 1, j_coupling: float = 1.0,
         c /= np.linalg.norm(c)
         psi = basis @ c
         rho_a = reduced_density_matrix_spins(psi, n, n_a)
-        b_fit, dist_fit = fit_beta(rho_a, h_a)
+        b_fit, dist_fit = fit_beta(rho_a, eig_a)
         d_fit.append(dist_fit)
         betas_fit.append(b_fit)
         d_ent.append(trace_distance(rho_a, rho_beta_entropy))
