@@ -1,7 +1,7 @@
+import os
+
 import numpy as np
 import pytest
-
-import os
 
 from bohmstat import kernels
 from bohmstat.bohmian import (Advection, TrajectoryEnsemble, cell_overlap,
