@@ -42,11 +42,11 @@ class ClassicalHSpec:
 
 
 def forces(h: ClassicalHSpec, x: np.ndarray) -> np.ndarray:
-    """-dV/dx for states x of shape (nsamples, N)."""
-    m = np.asarray(h.masses)
-    om = np.asarray(h.omegas)
-    return kernels.forces(np.atleast_2d(np.asarray(x, dtype=float)).copy(),
-                          m, om, h.kappa)
+    """-dV/dx for states x of shape (nsamples, N); x is not written to."""
+    x = np.atleast_2d(np.asarray(x, dtype=float)).T    # particle-major view
+    stiffness = -np.asarray(h.masses) * np.asarray(h.omegas)**2
+    diff = np.empty((max(x.shape[0] - 1, 0), x.shape[1]))
+    return kernels.forces_into(np.empty(x.shape), x, stiffness, h.kappa, diff).T
 
 
 def incompressibility_check(h: ClassicalHSpec, dt: float,

@@ -166,7 +166,7 @@ def rk4_paths(x0, frame_times, vflat, x_first, dx, n, periodic, substeps, lo, hi
 # velocity-Verlet for separable classical Hamiltonians
 # V = sum_a (1/2) m_a w_a^2 x_a^2 + (kappa/2) sum_a (x_{a+1} - x_a)^2
 
-def _forces_into(f, x, stiffness, kappa, diff):
+def forces_into(f, x, stiffness, kappa, diff):
     """f = -dV/dx for particle-major states x[particle, sample], with
     stiffness = -m w^2 per particle; diff is scratch of x[1:]'s shape."""
     np.multiply(stiffness[:, None], x, out=f)
@@ -176,14 +176,6 @@ def _forces_into(f, x, stiffness, kappa, diff):
         f[:-1] += diff
         f[1:] -= diff
     return f
-
-
-def forces(x, m, omega, kappa):
-    """-dV/dx for states x of shape (nsamples, nparticles)."""
-    x = np.asarray(x, dtype=np.float64).T
-    f = _forces_into(np.empty(x.shape), x, -m * omega**2, kappa,
-                     np.empty((max(x.shape[0] - 1, 0), x.shape[1])))
-    return np.ascontiguousarray(f.T)
 
 
 def verlet_matrix(masses, omegas, kappa, dt):
@@ -203,9 +195,9 @@ def verlet_matrix(masses, omegas, kappa, dt):
     f = np.empty_like(x)
     diff = np.empty((max(n - 1, 0), 2 * n))
     half = 0.5 * dt
-    p += half * _forces_into(f, x, stiffness, kappa, diff)
+    p += half * forces_into(f, x, stiffness, kappa, diff)
     x += dt * p / m[:, None]
-    p += half * _forces_into(f, x, stiffness, kappa, diff)
+    p += half * forces_into(f, x, stiffness, kappa, diff)
     return z.T.copy()
 
 

@@ -4,7 +4,10 @@ k_B = 1: every entropy and temperature is in these units, as in the paper.
 
 Entropies, each of them `plugin_entropy` -sum p ln(p / w) of some p and w:
 * von Neumann      -Tr rho ln rho: p the eigenvalues of rho, w = 1
-* Gibbs             -sum p_c ln(p_c dz / vol_c): p the histogram, w = vol_c / dz
+* Gibbs             -sum p_c ln(p_c dz / vol_c): p the samples' cell
+                     frequencies, w = vol_c / dz; criterion 9 checks its dz
+                     shift by the runners' route (`macrostate_of`, one
+                     bincount, `plugin_entropy`)
 * coarse-grained    -sum P_M ln(P_M / W_M): p the cell masses, w the cell dims
                      (the series of `experiments._entropy_run`)
 * canonical         -sum p_n ln p_n: p the Boltzmann weights of
@@ -66,8 +69,9 @@ def plugin_entropy(p, w=1.0):
 def von_neumann_entropy(rho_or_p) -> float:
     """-sum lambda ln lambda with 0 ln 0 = 0.
 
-    Accepts a probability vector (such as ReducedDensityMatrix.eigenvalues())
-    or a density matrix."""
+    Accepts a probability vector (such as the eigenvalues of a
+    ReducedDensityMatrix's matrix times its a_grid.weight) or a density
+    matrix."""
     return float(plugin_entropy(_probabilities(rho_or_p)))
 
 
@@ -123,26 +127,6 @@ def macrostate_of(x, decomp: MacrostateDecomposition):
                               f"every cell [{edges[0]}, {edges[-1]}]")
     idx = np.maximum(np.searchsorted(edges, x, side="left") - 1, 0)
     return int(idx) if idx.ndim == 0 else idx
-
-
-def gibbs_entropy(samples: np.ndarray, delta_z: float, edges) -> float:
-    """Histogram plug-in estimator -sum p_c ln(p_c dz / vol_c).
-
-    The choice of delta_z shifts the result by an additive constant only:
-    gibbs_entropy(., c*dz) = gibbs_entropy(., dz) - ln c exactly.
-    """
-    if delta_z <= 0:
-        raise ValueError("delta_z must be positive")
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.shape[0] == 1 and samples.shape[1] > 1 and len(edges) == 1:
-        samples = samples.T
-    counts, used_edges = np.histogramdd(samples, bins=edges)
-    p = counts / counts.sum()
-    widths = [np.diff(e) for e in used_edges]
-    vol = widths[0]
-    for wd in widths[1:]:
-        vol = np.multiply.outer(vol, wd)
-    return float(plugin_entropy(p.ravel(), (vol / delta_z).ravel()))
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +188,6 @@ def partition_function(spec: Spectrum, beta):
     if beta.ndim == 0:
         return float(np.exp(log_z)), p, float(log_z)
     return np.exp(log_z), p, log_z
-
-
-def direct_energy_entropy(spec: Spectrum, beta: float):
-    """E = sum E_n p_n and S = -sum p_n ln p_n (the dual route)."""
-    _, p, _ = partition_function(spec, beta)
-    return float(np.sum(spec.levels * p)), float(plugin_entropy(p))
 
 
 @dataclass
@@ -293,45 +271,6 @@ def first_law_residual(table: ThermoTable):
         "n_edges": len(residuals),
     }
     return residuals, stats
-
-
-def bohmian_volume_check(length: float, temperature: float, mass: float = 1.0,
-                         levels: int = 16, grid_n: int = 256,
-                         samples: int = 10_000, seed: int = 0) -> dict:
-    """Occupation of a 1D thermal box by static Bohmian samples.
-
-    The thermal density is rho(x) = sum_n p_n |psi_n(x)|^2 on a dirichlet
-    grid.  Because the box eigenfunctions are real, the thermal current
-    vanishes identically, so sampled positions are stationary; the report
-    records the max |j|, whether every sample sits inside [0, L], and the
-    fraction of L covered by the sample spread.
-    """
-    from .bohmian import sample_initial
-    from .currents import current
-    from .lattice import Grid, GridSpec, ScalarField
-    from .schrodinger import HamiltonianSpec, eigenstates
-
-    grid = Grid(GridSpec(1, 1, grid_n, (0.0, length), boundary="dirichlet"))
-    h = HamiltonianSpec((mass,), [{"kind": "box"}])
-    energies, states = eigenstates(grid, h, levels)
-    _, p, _ = partition_function(Spectrum(energies, truncated=True),
-                                 1.0 / temperature)
-    rho = np.zeros(grid.pos_shape)
-    j_max = 0.0
-    for pn, psi in zip(p, states):
-        rho += pn * np.abs(psi.amplitudes) ** 2
-        j_max = max(j_max, float(np.max(np.abs(current(psi, h).components))))
-    pos = sample_initial(ScalarField(grid, rho), samples, seed)[:, 0]
-    spread = float((pos.max() - pos.min()) / length)
-    return {
-        "length": length,
-        "temperature": temperature,
-        "levels": levels,
-        "max_abs_current": j_max,
-        "all_inside": bool(np.all((pos >= 0.0) & (pos <= length))),
-        "spread_fraction": spread,
-        "samples": samples,
-    }
 
 
 def harmonic_thermal_entropy(omega: float, beta: float) -> float:

