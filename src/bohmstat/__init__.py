@@ -6,11 +6,10 @@ fields, their classical phase-space twins, and canonical-ensemble
 thermodynamics checks.
 """
 
-from .lattice import Grid, GridSpec, ScalarField, VectorField, WaveField
+from .lattice import Grid, ScalarField, VectorField, WaveField
 
 __all__ = [
     "Grid",
-    "GridSpec",
     "ScalarField",
     "VectorField",
     "WaveField",

@@ -34,8 +34,8 @@ def sample_initial(rho: ScalarField, count: int, seed: int) -> np.ndarray:
     for d in range(grid.n_pos_axes):
         jitter = rng.uniform(-0.5 * grid.dx, 0.5 * grid.dx, size=count)
         pos[:, d] = grid.axis_coords[idx[d]] + jitter
-    if grid.spec.boundary == "periodic":
-        lo, hi = grid.spec.axis_extent
+    if grid.boundary == "periodic":
+        lo, hi = grid.extent
         pos[pos < lo] += hi - lo
     return pos
 
@@ -52,8 +52,8 @@ def cell_overlap(grid: Grid, edges: np.ndarray) -> np.ndarray:
 
     x = grid.axis_coords[:, None]
     frac = part(x - half, x + half)
-    if grid.spec.boundary == "periodic":
-        lo, hi = grid.spec.axis_extent
+    if grid.boundary == "periodic":
+        lo, hi = grid.extent
         frac[0] = part(lo, lo + half) + part(hi - half, hi)
     return frac / grid.dx
 
@@ -119,11 +119,11 @@ class Advection:
         self._v[1] = frame.components.reshape(self._v.shape[1:])
         self.times[k] = frame.time
         if k > 0:
-            lo, hi = grid.spec.axis_extent
+            lo, hi = grid.extent
             pair, escaped = kernels.rk4_paths(
                 self._x, self.times[k - 1:k + 1], self._v,
-                grid.axis_coords[0], grid.dx, grid.spec.points_per_axis,
-                grid.spec.boundary == "periodic", self.substeps, lo, hi,
+                grid.axis_coords[0], grid.dx, grid.n,
+                grid.boundary == "periodic", self.substeps, lo, hi,
             )
             # the next pair starts from this one's end, read from `pair`
             # rather than from the strided column of `paths`
@@ -135,7 +135,7 @@ class Advection:
 
     def ensemble(self) -> TrajectoryEnsemble:
         """The frames pushed so far as a TrajectoryEnsemble."""
-        if self.grid.spec.boundary == "dirichlet" and self.escaped.any():
+        if self.grid.boundary == "dirichlet" and self.escaped.any():
             raise TrajectoryEscapedDomain(
                 f"{int(self.escaped.sum())} trajectories left the domain by "
                 f"more than dx")
@@ -165,7 +165,7 @@ def equivariance_distance(positions: np.ndarray, rho: ScalarField,
     (bins,)*D equal cells of the domain and the cell masses of rho's
     samples on the same cells (cell_overlap)."""
     grid = rho.grid
-    edges = np.linspace(*grid.spec.axis_extent, bins + 1)
+    edges = np.linspace(*grid.extent, bins + 1)
     overlap = cell_overlap(grid, edges)
     # each contraction takes the leading grid axis and appends its bin axis
     expected = rho.values

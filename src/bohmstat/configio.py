@@ -3,8 +3,10 @@
 `SCHEMA` states each section key's type, default and range once.
 `validate_config` checks a config against it and returns the resolved config,
 with every default filled in; runners and builders index that without
-defaults or casts of their own.  Unknown keys are errors, never warnings;
-every error message carries the dotted path of the offending entry.
+defaults or casts of their own.  The grid section goes whole to Grid, whose
+parameters are its keys, so a grid key has one name throughout.  Unknown keys
+are errors, never warnings; every error message carries the dotted path of
+the offending entry.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InvalidExtent
-from .lattice import DEFAULT_MEMORY_BUDGET, Grid, GridSpec, WaveField
+from .lattice import DEFAULT_MEMORY_BUDGET, Grid, WaveField
 from .schrodinger import POTENTIAL_PARAMS, HamiltonianSpec, eigenstates
 
 REQUIRED = object()  # the default of a key that has none
@@ -40,7 +42,7 @@ class Range(NamedTuple):
 class Key(NamedTuple):
     """One config key: its type, its default (REQUIRED if it has none) and the
     range its values must fall in (None when the object built from it, such as
-    GridSpec or HamiltonianSpec, checks the range itself)."""
+    Grid or HamiltonianSpec, checks the range itself)."""
 
     type: Type
     default: object = REQUIRED
@@ -117,11 +119,11 @@ TOP_LEVEL = {
 SCHEMA = {
     "grid": {
         "particles": Key(INT, 1, COUNT),
-        "dims": Key(INT, 1),                                   # GridSpec
-        "n": Key(INT),                                         # GridSpec
-        "extent": Key(list_of(FLOAT, "numbers", size=2), [0.0, 1.0]),  # GridSpec
-        "boundary": Key(STR, "periodic"),                      # GridSpec
-        "spin_dims": Key(list_of(INT, "integers", empty=True), []),  # GridSpec
+        "dims": Key(INT, 1),                                   # Grid
+        "n": Key(INT),                                         # Grid
+        "extent": Key(list_of(FLOAT, "numbers", size=2), [0.0, 1.0]),  # Grid
+        "boundary": Key(STR, "periodic"),                      # Grid
+        "spin_dims": Key(list_of(INT, "integers", empty=True), []),  # Grid
         "memory_budget": Key(INT, DEFAULT_MEMORY_BUDGET),      # Grid
     },
     "hamiltonian": {
@@ -146,7 +148,7 @@ SCHEMA = {
     },
     "partition": {
         "a_particles": Key(list_of(INT, "integers", empty=True),
-                           [0]),                    # SubsystemPartition
+                           [0]),        # SubsystemPartition of the grid
     },
     "ensemble": {
         "samples": Key(INT, 10_000, COUNT),
@@ -304,29 +306,13 @@ def validate_config(cfg: dict) -> dict:
     return resolved
 
 
-# the grid key of each GridSpec field named otherwise
-GRID_KEY_OF = {"points_per_axis": "n", "dims_per_particle": "dims",
-               "axis_extent": "extent"}
-
-
-def build_grid(cfg: dict):
-    """The grid section's Grid.  GridSpec checks the ranges the schema leaves
-    to it; its InvalidExtent becomes a ConfigError naming the grid key."""
-    g = cfg["grid"]
+def build_grid(cfg: dict) -> Grid:
+    """The grid section's Grid.  Grid checks the ranges the schema leaves to
+    it; its InvalidExtent becomes a ConfigError naming the grid key."""
     try:
-        spec = GridSpec(
-            particle_count=g["particles"],
-            dims_per_particle=g["dims"],
-            points_per_axis=g["n"],
-            axis_extent=g["extent"],
-            boundary=g["boundary"],
-            spin_dims=g["spin_dims"],
-            memory_budget=g["memory_budget"],
-        )
+        return Grid(**cfg["grid"])
     except InvalidExtent as exc:
-        key = GRID_KEY_OF.get(exc.field, exc.field)
-        raise ConfigError(f"grid.{key}", exc.message) from exc
-    return Grid(spec)
+        raise ConfigError(f"grid.{exc.field}", exc.message) from exc
 
 
 def build_hamiltonian(cfg: dict) -> HamiltonianSpec:
@@ -369,7 +355,9 @@ def _check_term_fits_grid(g: dict, kind: str, term: dict, where: str):
                               f"spin dimension {dim}")
 
 
+@np.errstate(all="ignore")  # a width out of float range gives an inf or a nan
 def _packet(x, center, width, momentum):
+    width = np.float64(width)
     return ((2 * np.pi * width**2) ** -0.25
             * np.exp(-(x - center) ** 2 / (4 * width**2) + 1j * momentum * x))
 
@@ -385,6 +373,19 @@ def _per_axis(grid, value, key: str) -> list:
     return value
 
 
+def _normalized(grid, amp) -> WaveField:
+    """The packet amplitude `amp` on every spin component, normalized;
+    ConfigError unless its norm on the grid is finite and positive (a packet
+    narrower than the grid spacing may miss every point)."""
+    psi = WaveField(grid, np.broadcast_to(amp, grid.full_shape))
+    norm = psi.norm_sq()
+    if not 0 < norm < math.inf:
+        raise ConfigError("initial_state.width", f"packets of this width, center "
+                          f"and momentum have norm {norm} on the grid, which "
+                          f"needs a finite positive norm")
+    return psi.normalized()
+
+
 def build_initial_state(grid, h: HamiltonianSpec, cfg: dict) -> WaveField:
     s = cfg["initial_state"]
     kind = s["kind"]
@@ -396,7 +397,7 @@ def build_initial_state(grid, h: HamiltonianSpec, cfg: dict) -> WaveField:
         amp = np.ones(grid.pos_shape, dtype=np.complex128)
         for ax in range(grid.n_pos_axes):
             amp = amp * _packet(coords[ax], centers[ax], widths[ax], moms[ax])
-        return WaveField(grid, np.broadcast_to(amp, grid.full_shape)).normalized()
+        return _normalized(grid, amp)
     if kind == "entangled_pair":
         if grid.n_pos_axes != 2:
             raise ConfigError("initial_state.kind",
@@ -412,9 +413,9 @@ def build_initial_state(grid, h: HamiltonianSpec, cfg: dict) -> WaveField:
         amp = np.zeros(grid.pos_shape, dtype=np.complex128)
         for (c1, c2), (k1, k2) in zip(s["centers"], s["momenta"]):
             amp += _packet(x1, c1, width, k1) * _packet(x2, c2, width, k2)
-        return WaveField(grid, np.broadcast_to(amp, grid.full_shape)).normalized()
-    if s["index"] >= grid.spec.total_points:  # kind "eigenstate"
+        return _normalized(grid, amp)
+    if s["index"] >= grid.total_points:  # kind "eigenstate"
         raise ConfigError("initial_state.index", f"must be below the number of "
-                          f"grid states ({grid.spec.total_points}), got {s['index']}")
+                          f"grid states ({grid.total_points}), got {s['index']}")
     _, fields = eigenstates(grid, h, s["index"] + 1)
     return fields[s["index"]]

@@ -24,7 +24,7 @@ def density(psi: WaveField) -> ScalarField:
     rho = np.abs(psi.amplitudes) ** 2
     if grid.spin_shape:
         rho = rho.sum(axis=tuple(range(grid.n_spin_axes)))
-    return ScalarField(grid, rho, psi.time)
+    return ScalarField(grid, rho)
 
 
 def current(psi: WaveField, h: HamiltonianSpec) -> VectorField:
@@ -60,7 +60,7 @@ def velocity(frame: FieldFrame) -> VectorField:
     rho = frame.rho
     floor = DEFAULT_EPS_REL * float(np.max(rho.values))
     denom = np.maximum(rho.values, floor)
-    return VectorField(rho.grid, frame.currents.components / denom, rho.time)
+    return VectorField(rho.grid, frame.currents.components / denom, frame.time)
 
 
 def divergence(j: VectorField) -> ScalarField:
@@ -68,7 +68,7 @@ def divergence(j: VectorField) -> ScalarField:
     div = np.zeros(grid.pos_shape)
     for ax in range(j.components.shape[0]):
         div += gradient(j.components[ax], grid, ax)
-    return ScalarField(grid, div, j.time)
+    return ScalarField(grid, div)
 
 
 def continuity_residual(frames):

@@ -17,7 +17,7 @@ class MemoryBudgetExceeded(BohmstatError):
 
 
 class InvalidExtent(BohmstatError):
-    """A GridSpec value out of range; carries the name of its field."""
+    """A Grid value out of range; carries the name of its grid key."""
 
     def __init__(self, field, message):
         self.field, self.message = field, message

@@ -25,9 +25,8 @@ from .currents import FieldFrame, continuity_residual, velocity
 from .errors import ConfigError, MemoryBudgetExceeded, PartitionMismatch
 from .lattice import DEFAULT_MEMORY_BUDGET, VectorField, write_field
 from .schrodinger import energy, evolve, frame_count
-from .subsystem import (SubsystemPartition, partition_axes,
-                        reduced_density_matrix, subsystem_frame,
-                        truncated_current_from_rdm, write_rdm)
+from .subsystem import (SubsystemPartition, reduced_density_matrix,
+                        subsystem_frame, truncated_current_from_rdm, write_rdm)
 
 
 @dataclass
@@ -75,10 +74,10 @@ def _check_memory(cfg, grid, nframes):
     trajectory ensemble's paths."""
     fixed, per_axis, ensembles = _HELD[cfg["experiment"]]
     d = grid.n_pos_axes
-    need = int((5 + (fixed + per_axis * d) / 2) * 16 * grid.spec.total_points)
+    need = int((5 + (fixed + per_axis * d) / 2) * 16 * grid.total_points)
     if ensembles:
         need += ensembles * cfg["ensemble"]["samples"] * nframes * d * 8
-    budget = grid.spec.memory_budget
+    budget = grid.memory_budget
     if need > budget:
         raise MemoryBudgetExceeded(
             f"{cfg['experiment']} needs about {need} bytes over {nframes} "
@@ -115,9 +114,10 @@ def _uniform_triples(h, ev, nframes):
 
 
 def _partition(cfg, grid) -> SubsystemPartition:
+    """The run's one A/B split of `grid`, which every subsystem frame, reduced
+    density matrix and truncated ensemble of the run reads."""
     try:
-        return SubsystemPartition(cfg["partition"]["a_particles"],
-                                  grid.spec.particle_count)
+        return SubsystemPartition(grid, cfg["partition"]["a_particles"])
     except PartitionMismatch as exc:
         raise ConfigError("partition.a_particles", str(exc)) from exc
 
@@ -193,7 +193,7 @@ def run_subsystem_currents(cfg, outdir, seed):
     j_op = truncated_current_from_rdm(rdm, h, part)
     scale = float(np.max(np.abs(sf.currents.components)))
     dual = float(np.max(np.abs(sf.currents.components - j_op.components)) / scale)
-    sub = sf.rho.grid
+    sub = part.a_grid
     write_field(os.path.join(outdir, "rho_a.fld"), sf.rho.values, sub, last.time)
     write_field(os.path.join(outdir, "j_tr_integral.fld"), sf.currents.components,
                 sub, last.time)
@@ -249,9 +249,8 @@ def run_bohm_full(cfg, outdir, seed):
 def run_bohm_truncated(cfg, outdir, seed):
     grid, nframes, e, ffs, x0 = _bohm_setup(cfg, seed)
     part = _partition(cfg, grid)
-    a_axes, _ = partition_axes(grid, part)
     full = bm.Advection(x0, nframes, e["substeps"], "full", seed)
-    trunc = bm.Advection(x0[:, a_axes], nframes, e["substeps"], "truncated", seed)
+    trunc = bm.Advection(x0[:, part.a_axes], nframes, e["substeps"], "truncated", seed)
     for ff in ffs:
         sf = subsystem_frame(ff, part)
         full.push(velocity(ff))
@@ -260,7 +259,7 @@ def run_bohm_truncated(cfg, outdir, seed):
     bm.write_trajectories(os.path.join(outdir, "full.trj"), full)
     bm.write_trajectories(os.path.join(outdir, "truncated.trj"), trunc)
     tv = bm.equivariance_distance(trunc.paths[:, -1, :], sf.rho, e["bins"])
-    div = np.linalg.norm(full.paths[:, -1, a_axes] - trunc.paths[:, -1, :], axis=1)
+    div = np.linalg.norm(full.paths[:, -1, part.a_axes] - trunc.paths[:, -1, :], axis=1)
     frac = float(np.mean(div > 10 * grid.dx))
     metrics = {
         "samples": full.samples,
@@ -473,11 +472,10 @@ def _entropy_run(cfg, outdir, seed):
         raise ConfigError("macrostates", str(exc)) from exc
     grid, nframes, e, ffs, x0 = _bohm_setup(cfg, seed)
     overlap = bm.cell_overlap(grid, decomp.edges)
-    n_first = grid.spec.points_per_axis
     exact = []
 
     def cell_masses(ff):
-        rho_first = ff.rho.values.reshape(n_first, -1).sum(axis=1)
+        rho_first = ff.rho.values.reshape(grid.n, -1).sum(axis=1)
         exact.append(overlap.T @ rho_first * grid.weight)
 
     ens = bm.integrate_trajectories(_velocities(ffs, cell_masses), x0,

@@ -1,7 +1,10 @@
 """Discretized multi-particle configuration space.
 
 Uniform tensor-product grids for N particles in d spatial dimensions each,
-with optional spinor components.  Two boundary flavors:
+with optional spinor components.  A Grid takes the config's grid keys under
+their own names (particles, dims, n, extent, boundary, spin_dims,
+memory_budget), and an InvalidExtent names the key it rejects; the .fld
+header uses the same names.  Two boundary flavors:
 
 * periodic  -- points at lo + k*dx, dx = (hi-lo)/n; derivatives are spectral.
 * dirichlet -- interior points at lo + (k+1)*dx, dx = (hi-lo)/(n+1); the
@@ -33,12 +36,16 @@ from .errors import AxisMismatch, InvalidExtent, MemoryBudgetExceeded
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3  # bytes
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    particle_count: int
-    dims_per_particle: int
-    points_per_axis: int
-    axis_extent: tuple
+@dataclass
+class Grid:
+    """The grid section's keys, checked and normalised (extent as floats,
+    spin_dims defaulting to one scalar component per particle), with the
+    coordinates, quadrature weight and spectral wavenumbers they give."""
+
+    particles: int
+    dims: int
+    n: int
+    extent: tuple
     boundary: str = "periodic"
     spin_dims: tuple = ()
     memory_budget: int = DEFAULT_MEMORY_BUDGET
@@ -46,43 +53,29 @@ class GridSpec:
     def __post_init__(self):
         if self.boundary not in ("periodic", "dirichlet"):
             raise InvalidExtent("boundary", f"unknown boundary {self.boundary!r}")
-        lo, hi = self.axis_extent
+        lo, hi = self.extent
         if not hi > lo:
-            raise InvalidExtent("axis_extent", f"needs hi > lo, got {self.axis_extent}")
-        if self.points_per_axis < 8:
-            raise InvalidExtent("points_per_axis", "must be >= 8")
-        if self.dims_per_particle not in (1, 2):
-            raise InvalidExtent("dims_per_particle", "must be 1 or 2 at desk scale")
+            raise InvalidExtent("extent", f"needs hi > lo, got {self.extent}")
+        if self.n < 8:
+            raise InvalidExtent("n", "must be >= 8")
+        if self.dims not in (1, 2):
+            raise InvalidExtent("dims", "must be 1 or 2 at desk scale")
         spins = tuple(int(s) for s in self.spin_dims)
         if not spins:
-            spins = (1,) * self.particle_count
-        if len(spins) != self.particle_count or any(s < 1 for s in spins):
+            spins = (1,) * self.particles
+        if len(spins) != self.particles or any(s < 1 for s in spins):
             raise InvalidExtent("spin_dims", "must give one positive entry per particle")
-        object.__setattr__(self, "spin_dims", spins)
-        object.__setattr__(self, "axis_extent", (float(lo), float(hi)))
-
-    @property
-    def n_pos_axes(self) -> int:
-        return self.particle_count * self.dims_per_particle
-
-    @property
-    def total_points(self) -> int:
-        return self.points_per_axis**self.n_pos_axes * int(np.prod(self.spin_dims))
-
-
-class Grid:
-    """Precomputed coordinates, quadrature weights and spectral wavenumbers."""
-
-    def __init__(self, spec: GridSpec):
-        bytes_needed = 16 * spec.total_points
-        if bytes_needed > spec.memory_budget:
+        lo, hi = float(lo), float(hi)
+        self.extent, self.spin_dims = (lo, hi), spins
+        n = self.n
+        self.n_pos_axes = self.particles * self.dims
+        self.total_points = n**self.n_pos_axes * int(np.prod(spins))
+        bytes_needed = 16 * self.total_points
+        if bytes_needed > self.memory_budget:
             raise MemoryBudgetExceeded(
-                f"grid needs {bytes_needed} bytes, budget {spec.memory_budget}"
+                f"grid needs {bytes_needed} bytes, budget {self.memory_budget}"
             )
-        self.spec = spec
-        lo, hi = spec.axis_extent
-        n = spec.points_per_axis
-        if spec.boundary == "periodic":
+        if self.boundary == "periodic":
             self.dx = (hi - lo) / n
             self.axis_coords = lo + self.dx * np.arange(n)
             self.wavenumbers = 2.0 * np.pi * np.fft.fftfreq(n, d=self.dx)
@@ -90,9 +83,8 @@ class Grid:
             self.dx = (hi - lo) / (n + 1)
             self.axis_coords = lo + self.dx * (1.0 + np.arange(n))
             self.wavenumbers = None
-        self.n_pos_axes = spec.n_pos_axes
         self.pos_shape = (n,) * self.n_pos_axes
-        self.spin_shape = tuple(s for s in spec.spin_dims if s > 1)
+        self.spin_shape = tuple(s for s in spins if s > 1)
         self.weight = self.dx**self.n_pos_axes
 
     @property
@@ -115,12 +107,12 @@ class Grid:
     def spin_axis(self, p: int):
         """Array axis of particle p's spin in a full_shape array, or None when
         the particle has no spin axis (spin dimension 1)."""
-        dims = self.spec.spin_dims
+        dims = self.spin_dims
         return sum(1 for s in dims[:p] if s > 1) if dims[p] > 1 else None
 
     def particle_axes(self, a: int) -> list:
         """Position-axis indices (0-based, spin excluded) of particle a."""
-        d = self.spec.dims_per_particle
+        d = self.dims
         return list(range(a * d, (a + 1) * d))
 
     def meshgrid(self):
@@ -153,7 +145,6 @@ class WaveField:
 class ScalarField:
     grid: Grid
     values: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -204,7 +195,7 @@ def gradient(values, grid: Grid, pos_axis: int):
     if not 0 <= pos_axis < len(pos):
         raise AxisMismatch(f"position axis {pos_axis} out of range")
     ax = pos[pos_axis]
-    if grid.spec.boundary == "periodic":
+    if grid.boundary == "periodic":
         k = grid.wavenumbers
         shape = [1] * arr.ndim
         shape[ax] = len(k)
@@ -231,10 +222,10 @@ def write_field(path, values, grid: Grid, time=0.0):
     header = {
         "shape": list(arr.shape),
         "axes": grid.n_pos_axes,
-        "n": grid.spec.points_per_axis,
-        "extent": list(grid.spec.axis_extent),
-        "boundary": grid.spec.boundary,
-        "spin_dims": list(grid.spec.spin_dims),
+        "n": grid.n,
+        "extent": list(grid.extent),
+        "boundary": grid.boundary,
+        "spin_dims": list(grid.spin_dims),
         "time": float(time),
         "complex": bool(np.iscomplexobj(arr)),
     }

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceFailure
+from .errors import ConfigError, ConvergenceFailure
 from .lattice import Grid, WaveField
 
 DENSE_EIG_BUDGET = 4096
@@ -68,11 +68,13 @@ class HamiltonianSpec:
             raise ValueError("masses must be finite and positive")
 
     def mass_of_axis(self, grid: Grid, pos_axis: int) -> float:
-        return self.masses[pos_axis // grid.spec.dims_per_particle]
+        return self.masses[pos_axis // grid.dims]
 
 
+@np.errstate(all="ignore")  # a term out of float range gives an inf or a nan
 def potential_grid(grid: Grid, h: HamiltonianSpec) -> np.ndarray:
-    """Total potential on the grid, shape spin_shape + pos_shape."""
+    """Total potential on the grid, shape spin_shape + pos_shape; ConfigError
+    unless it is finite everywhere."""
     coords = grid.meshgrid()
     v_pos = np.zeros(grid.pos_shape)
     v_full = None
@@ -81,13 +83,12 @@ def potential_grid(grid: Grid, h: HamiltonianSpec) -> np.ndarray:
         if kind in ("free", "box"):
             continue
         elif kind == "harmonic":
-            om = term["omega"]
-            omegas = [om] * grid.spec.particle_count if np.isscalar(om) else list(om)
-            for a in range(grid.spec.particle_count):
+            omegas = np.broadcast_to(term["omega"], grid.particles)
+            for a in range(grid.particles):
                 for ax in grid.particle_axes(a):
                     v_pos = v_pos + 0.5 * h.masses[a] * omegas[a] ** 2 * coords[ax] ** 2
         elif kind == "gaussian_barrier":
-            hgt, wid, cen = term["height"], term["width"], term["center"]
+            hgt, wid, cen = term["height"], np.float64(term["width"]), term["center"]
             for ax in range(grid.n_pos_axes):
                 v_pos = v_pos + hgt * np.exp(-((coords[ax] - cen) ** 2) / (2 * wid**2))
         elif kind == "pair_coupling":
@@ -97,7 +98,7 @@ def potential_grid(grid: Grid, h: HamiltonianSpec) -> np.ndarray:
             v_pos = v_pos + lam * (coords[ax1] - coords[ax2]) ** 2
         elif kind == "spin_coupling":
             mu, a = term["mu"], term.get("particle", 0)
-            if grid.spec.spin_dims[a] != 2:
+            if grid.spin_dims[a] != 2:
                 raise ValueError("spin_coupling needs a spin-1/2 particle")
             if v_full is None:
                 v_full = np.zeros(grid.full_shape)
@@ -108,9 +109,11 @@ def potential_grid(grid: Grid, h: HamiltonianSpec) -> np.ndarray:
             v_full = v_full + sz.reshape(shape) * mu * x
         else:
             raise ValueError(f"unknown potential term {kind!r}")
-    if v_full is None:
-        return np.broadcast_to(v_pos, grid.full_shape).copy()
-    return v_full + v_pos
+    v = (np.broadcast_to(v_pos, grid.full_shape).copy() if v_full is None
+         else v_full + v_pos)
+    if not np.isfinite(v).all():
+        raise ConfigError("hamiltonian.potential", "is not finite on the grid")
+    return v
 
 
 def _dst1(amp, axis):
@@ -144,7 +147,7 @@ class _CrankNicolsonStepper:
         dt = h.time_step
         self.half_v = (1.0 - 0.25j * dt * v) / (1.0 + 0.25j * dt * v)
         self.axes = grid.pos_axes(grid.full_shape)
-        n = grid.spec.points_per_axis
+        n = grid.n
         self.z = z = 0.5j * dt
         self.bands = []
         for ax in range(grid.n_pos_axes):
@@ -199,9 +202,9 @@ class _EigenbasisStepper:
         dt = h.time_step
         # the position axes in fftn's own order of 1-D transforms, last first
         self.axes = grid.pos_axes(grid.full_shape)[::-1]
-        self.periodic = grid.spec.boundary == "periodic"
+        self.periodic = grid.boundary == "periodic"
         self.half_v = np.exp(-0.5j * dt * v) if v.any() else None
-        n = grid.spec.points_per_axis
+        n = grid.n
         s2 = np.sin(np.pi * np.arange(1, n + 1) / (2 * (n + 1))) ** 2
         theta = np.zeros(grid.pos_shape)
         for ax in range(grid.n_pos_axes):
@@ -258,7 +261,7 @@ def make_stepper(grid: Grid, h: HamiltonianSpec):
             stacklevel=2,
         )
     v = potential_grid(grid, h)
-    if grid.spec.boundary == "dirichlet" and v.any():
+    if grid.boundary == "dirichlet" and v.any():
         return _CrankNicolsonStepper(grid, h, v)
     return _EigenbasisStepper(grid, h, v)
 
@@ -307,7 +310,7 @@ def apply_hamiltonian(amp, grid: Grid, h: HamiltonianSpec, v=None):
     out = v * amp
     for i, ax in enumerate(grid.pos_axes(amp.shape)):
         m = h.mass_of_axis(grid, i)
-        if grid.spec.boundary == "periodic":
+        if grid.boundary == "periodic":
             shape = [1] * amp.ndim
             shape[ax] = len(grid.wavenumbers)
             ft = np.fft.fft(amp, axis=ax)
@@ -351,10 +354,10 @@ def eigenstates(grid: Grid, h: HamiltonianSpec, count: int):
     from scipy.linalg import eigh, eigh_tridiagonal
     from scipy.sparse.linalg import LinearOperator
 
-    total = grid.spec.total_points
+    total = grid.total_points
     v = potential_grid(grid, h)
     if (grid.n_pos_axes == 1 and not grid.spin_shape
-            and grid.spec.boundary == "dirichlet"):
+            and grid.boundary == "dirichlet"):
         diag, off = _stencil(grid, h.masses[0])
         vals, vecs = eigh_tridiagonal(diag + v, np.full(total - 1, off),
                                       select="i", select_range=(0, count - 1))
@@ -374,8 +377,8 @@ def _kinetic_matrix(grid: Grid, m: float) -> np.ndarray:
     """-d^2/dx^2 / (2m) on one position axis: the (1,-2,1) stencil on a
     dirichlet grid, and on a periodic one the circulant whose first column is
     ifft(k^2) / (2m)."""
-    n = grid.spec.points_per_axis
-    if grid.spec.boundary == "periodic":
+    n = grid.n
+    if grid.boundary == "periodic":
         column = np.fft.ifft(grid.wavenumbers**2).real / (2.0 * m)
         return column[(np.arange(n)[:, None] - np.arange(n)) % n]
     diag, off = _stencil(grid, m)

@@ -1,5 +1,10 @@
 """A/B particle partitions, marginals, truncated currents, reduced density matrices.
 
+A SubsystemPartition is one split of one grid, built once per run: it holds
+the A and B particles and position axes and the A grid, and every subsystem
+frame, reduced density matrix and truncated current of the run reads them
+from it rather than resolving the split again.
+
 The truncated current of the A-subsystem comes in two independent routes that
 must agree on the shared discrete gradient:
 
@@ -18,59 +23,38 @@ import numpy as np
 from . import codec
 from .currents import FieldFrame
 from .errors import DenseBudgetExceeded, PartitionMismatch
-from .lattice import (Grid, GridSpec, ScalarField, VectorField, WaveField,
-                      gradient, integrate)
+from .lattice import (Grid, ScalarField, VectorField, WaveField, gradient,
+                      integrate)
 from .schrodinger import HamiltonianSpec
 
 DENSE_RDM_BUDGET = 4096
 
 
-@dataclass(frozen=True)
 class SubsystemPartition:
-    a_particles: tuple
-    total_particles: int
+    """An A/B split of `grid`'s particles, resolved once: the A and B
+    particles and position axes (position-axis indices in particle order),
+    and a_grid, the grid of the A particles alone (same n, extent, spacing
+    and boundary).  PartitionMismatch unless A and B are both nonempty and
+    A's indices are distinct particles of the grid."""
 
-    def __post_init__(self):
-        a = tuple(sorted(int(i) for i in self.a_particles))
-        object.__setattr__(self, "a_particles", a)
-        b = self.b_particles
+    def __init__(self, grid: Grid, a_particles):
+        a = tuple(sorted(int(i) for i in a_particles))
+        b = tuple(i for i in range(grid.particles) if i not in a)
         if not a or not b:
             raise PartitionMismatch("both A and B must be nonempty")
-        if len(set(a)) != len(a) or any(i < 0 or i >= self.total_particles for i in a):
+        if len(set(a)) != len(a) or any(i < 0 or i >= grid.particles for i in a):
             raise PartitionMismatch(f"bad A index set {a}")
+        self.grid, self.a_particles, self.b_particles = grid, a, b
+        self.a_axes = [ax for p in a for ax in grid.particle_axes(p)]
+        self.b_axes = [ax for p in b for ax in grid.particle_axes(p)]
+        self.a_grid = Grid(len(a), grid.dims, grid.n, grid.extent, grid.boundary,
+                           tuple(grid.spin_dims[p] for p in a), grid.memory_budget)
 
-    @property
-    def b_particles(self) -> tuple:
-        return tuple(i for i in range(self.total_particles) if i not in self.a_particles)
-
-
-def partition_axes(grid: Grid, part: SubsystemPartition) -> tuple:
-    """(A position axes, B position axes) of `part` on `grid`, as position-axis
-    indices in particle order; PartitionMismatch unless the partition is for
-    the grid's particle count."""
-    if part.total_particles != grid.spec.particle_count:
-        raise PartitionMismatch(
-            f"partition is for {part.total_particles} particles, grid has "
-            f"{grid.spec.particle_count}"
-        )
-    return ([ax for p in part.a_particles for ax in grid.particle_axes(p)],
-            [ax for p in part.b_particles for ax in grid.particle_axes(p)])
-
-
-def a_grid(grid: Grid, part: SubsystemPartition) -> Grid:
-    """Grid restricted to the A particles (same spacing and boundary)."""
-    partition_axes(grid, part)
-    spec = grid.spec
-    sub = GridSpec(
-        particle_count=len(part.a_particles),
-        dims_per_particle=spec.dims_per_particle,
-        points_per_axis=spec.points_per_axis,
-        axis_extent=spec.axis_extent,
-        boundary=spec.boundary,
-        spin_dims=tuple(spec.spin_dims[a] for a in part.a_particles),
-        memory_budget=spec.memory_budget,
-    )
-    return Grid(sub)
+    def check(self, grid: Grid):
+        """PartitionMismatch unless `grid` is the grid this partition splits."""
+        if grid != self.grid:
+            raise PartitionMismatch(f"partition is of {self.grid}, the field "
+                                    f"is on {grid}")
 
 
 @dataclass
@@ -105,22 +89,21 @@ def reduced_density_matrix(psi: WaveField,
                            part: SubsystemPartition) -> ReducedDensityMatrix:
     """Tr_B |psi><psi| as a dense matrix over the A grid (spin kept on A)."""
     grid = psi.grid
-    axes_a, axes_b = partition_axes(grid, part)
-    sub = a_grid(grid, part)
-    dim_a = int(np.prod(sub.full_shape))
+    part.check(grid)
+    dim_a = int(np.prod(part.a_grid.full_shape))
     if dim_a > DENSE_RDM_BUDGET:
         raise DenseBudgetExceeded(f"A dimension {dim_a} exceeds budget "
                                   f"{DENSE_RDM_BUDGET}")
     a_spin = [ax for ax in map(grid.spin_axis, part.a_particles) if ax is not None]
     b_spin = [ax for ax in map(grid.spin_axis, part.b_particles) if ax is not None]
     pos = grid.pos_axes(psi.amplitudes.shape)
-    a_pos = [pos[i] for i in axes_a]
-    b_pos = [pos[i] for i in axes_b]
+    a_pos = [pos[i] for i in part.a_axes]
+    b_pos = [pos[i] for i in part.b_axes]
     perm = a_spin + a_pos + b_spin + b_pos
     x = np.transpose(psi.amplitudes, perm).reshape(dim_a, -1)
     w_b = grid.dx ** len(b_pos)
     mat = (x @ x.conj().T) * w_b
-    return ReducedDensityMatrix(sub, mat, psi.time)
+    return ReducedDensityMatrix(part.a_grid, mat, psi.time)
 
 
 def truncated_current_from_rdm(rdm: ReducedDensityMatrix,
@@ -133,7 +116,7 @@ def truncated_current_from_rdm(rdm: ReducedDensityMatrix,
     block = rdm.matrix.T.reshape(a_shape + a_shape)
     comps = np.empty((g.n_pos_axes,) + g.pos_shape)
     for i in range(g.n_pos_axes):
-        particle = part.a_particles[i // g.spec.dims_per_particle]
+        particle = part.a_particles[i // g.dims]
         m = h.masses[particle]
         dm = gradient(block, g, i).reshape(rdm.dim, rdm.dim)
         diag = np.diagonal(dm)
@@ -149,14 +132,14 @@ def subsystem_frame(frame: FieldFrame, part: SubsystemPartition) -> FieldFrame:
     and the A components of its current, integrated over the B axes (the
     integral route)."""
     grid = frame.rho.grid
-    axes_a, axes_b = partition_axes(grid, part)
-    sub = a_grid(grid, part)
-    rho_a = integrate(frame.rho.values, grid, axes=axes_b)
-    j_tr = np.empty((len(axes_a),) + sub.pos_shape)
-    for i, ax in enumerate(axes_a):
-        j_tr[i] = integrate(frame.currents.components[ax], grid, axes=axes_b)
-    return FieldFrame(frame.time, ScalarField(sub, rho_a, frame.rho.time),
-                      VectorField(sub, j_tr, frame.currents.time))
+    part.check(grid)
+    sub = part.a_grid
+    rho_a = integrate(frame.rho.values, grid, axes=part.b_axes)
+    j_tr = np.empty((len(part.a_axes),) + sub.pos_shape)
+    for i, ax in enumerate(part.a_axes):
+        j_tr[i] = integrate(frame.currents.components[ax], grid, axes=part.b_axes)
+    return FieldFrame(frame.time, ScalarField(sub, rho_a),
+                      VectorField(sub, j_tr, frame.time))
 
 
 # .rdm files (format in `codec`)
@@ -164,11 +147,11 @@ def subsystem_frame(frame: FieldFrame, part: SubsystemPartition) -> FieldFrame:
 def write_rdm(path, rdm: ReducedDensityMatrix):
     header = {
         "dim": rdm.dim,
-        "n": rdm.a_grid.spec.points_per_axis,
+        "n": rdm.a_grid.n,
         "axes": rdm.a_grid.n_pos_axes,
-        "extent": list(rdm.a_grid.spec.axis_extent),
-        "boundary": rdm.a_grid.spec.boundary,
-        "spin_dims": list(rdm.a_grid.spec.spin_dims),
+        "extent": list(rdm.a_grid.extent),
+        "boundary": rdm.a_grid.boundary,
+        "spin_dims": list(rdm.a_grid.spin_dims),
         "time": rdm.time,
     }
     codec.write(path, header, np.asarray(rdm.matrix, dtype=np.complex128))

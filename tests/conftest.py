@@ -6,7 +6,7 @@ import pytest
 from bohmstat import statmech as sm
 from bohmstat.bohmian import sample_initial
 from bohmstat.currents import current
-from bohmstat.lattice import Grid, GridSpec, ScalarField
+from bohmstat.lattice import Grid, ScalarField
 from bohmstat.schrodinger import HamiltonianSpec, eigenstates
 
 
@@ -29,7 +29,7 @@ def _thermal_box(length, temperature, levels, grid_n, samples, seed=0):
     real, so the thermal current vanishes identically and the samples stay
     where they are drawn.  Returns the max |j| over the levels, whether every
     sample lies in [0, L], and the fraction of L the samples span."""
-    grid = Grid(GridSpec(1, 1, grid_n, (0.0, length), boundary="dirichlet"))
+    grid = Grid(1, 1, grid_n, (0.0, length), boundary="dirichlet")
     h = HamiltonianSpec((1.0,), [{"kind": "box"}])
     energies, states = eigenstates(grid, h, levels)
     _, p, _ = sm.partition_function(sm.Spectrum(energies, truncated=True),

@@ -82,8 +82,7 @@ def test_criterion_01_closed_system_continuity():
 def entangled_subsystem():
     cfg = load_config(os.path.join(CONFIG_DIR, "subsystem_currents.json"))
     grid, h, frames = evolved_frames(cfg)
-    part = SubsystemPartition(tuple(cfg["partition"]["a_particles"]),
-                              grid.spec.particle_count)
+    part = SubsystemPartition(grid, cfg["partition"]["a_particles"])
     sfs = [subsystem_frame(FieldFrame.from_wavefield(f, h), part)
            for f in frames[-5:]]
     return grid, h, frames, part, sfs

@@ -222,7 +222,7 @@ BAD_VALUES = {
     "negative_classical_beta": ("classical_liouville", {"classical.beta": -1}, [],
                                 "classical.beta"),
     "n_string": ("evolve", {"grid.n": "64"}, [], "grid.n"),
-    # GridSpec checks these ranges; the error names the grid key
+    # Grid checks these ranges; the error names the grid key
     "three_dims": ("evolve", {"grid.dims": 3}, [], "grid.dims: "),
     "open_boundary": ("evolve", {"grid.boundary": "open"}, [], "grid.boundary: "),
     "reversed_extent": ("evolve", {"grid.extent": [8.0, -8.0]}, [],
@@ -278,6 +278,22 @@ BAD_VALUES = {
     "index_beyond_grid_states": ("free_expansion", {"initial_state.kind": "eigenstate",
                                                     "initial_state.index": 300},
                                  [], "initial_state.index"),
+    # in range, but the potential or the state built from it is not finite,
+    # or the state has norm 0 on the grid
+    "harmonic_omega_overflows": ("evolve", {"hamiltonian.potential": [
+        {"kind": "harmonic", "omega": 1e200}]}, [], "hamiltonian.potential: "),
+    "barriers_sum_to_inf": ("evolve", {"grid.boundary": "dirichlet",
+                                       "hamiltonian.potential": [
+        {"kind": "gaussian_barrier", "height": 1.7e308, "width": 1.0,
+         "center": 0.0}] * 2}, [], "hamiltonian.potential: "),
+    "width_underflows": ("evolve", {"initial_state.width": 1e-300}, [],
+                         "initial_state.width: "),
+    "width_overflows": ("evolve", {"initial_state.width": 1e200}, [],
+                        "initial_state.width: "),
+    "packet_between_points": ("evolve", {"grid.n": 64, "grid.extent": [-8, 8],
+                                         "initial_state.width": 1e-3,
+                                         "initial_state.center": 0.1}, [],
+                              "initial_state.width: "),
 }
 
 

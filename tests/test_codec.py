@@ -9,9 +9,9 @@ from bohmstat import bohmian as bm
 from bohmstat import classical_phase as cp
 from bohmstat import codec, errors
 from bohmstat import subsystem as ss
-from bohmstat.lattice import Grid, GridSpec, read_field, write_field
+from bohmstat.lattice import Grid, read_field, write_field
 
-GRID = Grid(GridSpec(1, 1, 8, (0.0, 1.0)))
+GRID = Grid(1, 1, 8, (0.0, 1.0))
 RNG = np.random.default_rng(0)
 
 

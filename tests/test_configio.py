@@ -13,6 +13,7 @@ from bohmstat.configio import (EXPERIMENTS_META, REQUIRED, SCHEMA, TOP_LEVEL,
                                build_initial_state, load_config,
                                validate_config)
 from bohmstat.errors import ConfigError
+from bohmstat.lattice import Grid
 from bohmstat.schrodinger import potential_grid
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -126,8 +127,10 @@ class TestValidation:
 
     def test_every_section_key_is_read(self):
         # a key counts as read when a runner or a builder looks it up by
-        # name, as `section["key"]`
-        read = set()
+        # name, as `section["key"]`; build_grid passes the whole grid section
+        # to Grid, whose parameters are exactly the grid keys
+        assert list(inspect.signature(Grid).parameters) == list(SCHEMA["grid"])
+        read = set(SCHEMA["grid"])
         for fn in (experiments, build_grid, build_hamiltonian,
                    build_initial_state):
             for node in ast.walk(ast.parse(inspect.getsource(fn))):
@@ -156,7 +159,7 @@ class TestBuilders:
         grid = build_grid(resolved(grid={"particles": 2, "n": 16,
                                          "extent": [-3.0, 3.0]}))
         assert grid.pos_shape == (16, 16)
-        assert grid.spec.boundary == "periodic"
+        assert grid.boundary == "periodic"
 
     def test_hamiltonian_defaults(self):
         h = build_hamiltonian(resolved(hamiltonian={}))

@@ -4,39 +4,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bohmstat.errors import AxisMismatch, InvalidExtent, MemoryBudgetExceeded
-from bohmstat.lattice import (Grid, GridSpec, WaveField, gradient, integrate,
+from bohmstat.lattice import (Grid, WaveField, gradient, integrate,
                               read_field, write_field)
 
 
 def grid_1d(n=64, lo=0.0, hi=2 * np.pi, boundary="periodic"):
-    return Grid(GridSpec(1, 1, n, (lo, hi), boundary=boundary))
+    return Grid(1, 1, n, (lo, hi), boundary=boundary)
 
 
 class TestGridSpec:
-    def test_rejects_tiny_axis(self):
-        with pytest.raises(InvalidExtent):
-            GridSpec(1, 1, 7, (0.0, 1.0))
+    # an out-of-range value of each grid key Grid checks
+    BAD = {"n": 7, "dims": 3, "boundary": "absorbing", "extent": (1.0, 0.0),
+           "spin_dims": (2,)}
 
-    def test_rejects_inverted_extent(self):
-        with pytest.raises(InvalidExtent):
-            GridSpec(1, 1, 16, (1.0, 0.0))
-
-    def test_rejects_bad_boundary(self):
-        with pytest.raises(InvalidExtent):
-            GridSpec(1, 1, 16, (0.0, 1.0), boundary="absorbing")
-
-    def test_rejects_3d_particles(self):
-        with pytest.raises(InvalidExtent):
-            GridSpec(1, 3, 16, (0.0, 1.0))
+    @pytest.mark.parametrize("key", list(BAD))
+    def test_rejection_names_the_config_key(self, key):
+        keys = dict(particles=2, dims=1, n=16, extent=(0.0, 1.0))
+        with pytest.raises(InvalidExtent) as exc:
+            Grid(**{**keys, key: self.BAD[key]})
+        assert exc.value.field == key
 
     def test_memory_budget(self):
-        spec = GridSpec(3, 1, 1024, (0.0, 1.0), memory_budget=10**6)
         with pytest.raises(MemoryBudgetExceeded):
-            Grid(spec)
+            Grid(3, 1, 1024, (0.0, 1.0), memory_budget=10**6)
 
     def test_spin_defaults_to_scalar(self):
-        spec = GridSpec(2, 1, 16, (0.0, 1.0))
-        assert spec.spin_dims == (1, 1)
+        grid = Grid(2, 1, 16, (0, 1))
+        assert grid.spin_dims == (1, 1)
+        assert grid.extent == (0.0, 1.0) and type(grid.extent[1]) is float
 
 
 class TestCoordinates:
@@ -51,7 +46,7 @@ class TestCoordinates:
         np.testing.assert_allclose(g.axis_coords, np.arange(1.0, 10.0))
 
     def test_particle_axes(self):
-        g = Grid(GridSpec(2, 2, 8, (0.0, 1.0)))
+        g = Grid(2, 2, 8, (0.0, 1.0))
         assert g.particle_axes(0) == [0, 1]
         assert g.particle_axes(1) == [2, 3]
 
@@ -68,7 +63,7 @@ class TestQuadrature:
         assert integrate(np.sin(x) ** 2, g) == pytest.approx(np.pi, abs=1e-12)
 
     def test_marginalization_keeps_other_axes(self):
-        g = Grid(GridSpec(2, 1, 16, (0.0, 1.0)))
+        g = Grid(2, 1, 16, (0.0, 1.0))
         vals = np.ones(g.pos_shape)
         out = integrate(vals, g, axes=[1])
         assert out.shape == (16,)
@@ -133,8 +128,8 @@ class TestTrailingAxes:
 
     @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
     def test_gradient_of_amplitude_and_density_agree(self, boundary):
-        g = Grid(GridSpec(2, 1, 16, (-3.0, 3.0), boundary=boundary,
-                          spin_dims=(2, 3)))
+        g = Grid(2, 1, 16, (-3.0, 3.0), boundary=boundary,
+                          spin_dims=(2, 3))
         rng = np.random.default_rng(5)
         amp = rng.standard_normal(g.full_shape)
         for ax in range(g.n_pos_axes):
@@ -144,14 +139,14 @@ class TestTrailingAxes:
                 gradient(amp, g, ax).reshape(-1, *g.pos_shape), by_component)
 
     def test_integrate_spin_leading_and_spin_free(self):
-        g = Grid(GridSpec(2, 1, 16, (0.0, 1.0), spin_dims=(2, 1)))
+        g = Grid(2, 1, 16, (0.0, 1.0), spin_dims=(2, 1))
         amp = np.ones(g.full_shape)
         np.testing.assert_allclose(integrate(amp, g, axes=[0]), np.ones((2, 16)))
         np.testing.assert_allclose(integrate(amp[0], g, axes=[0]), np.ones(16))
 
     @pytest.mark.parametrize("shape", [(16, 17), (17, 16), (16,), (2, 16, 8)])
     def test_wrong_trailing_shape_rejected(self, shape):
-        g = Grid(GridSpec(2, 1, 16, (0.0, 1.0), spin_dims=(2, 1)))
+        g = Grid(2, 1, 16, (0.0, 1.0), spin_dims=(2, 1))
         with pytest.raises(AxisMismatch):
             gradient(np.ones(shape), g, 0)
         with pytest.raises(AxisMismatch):
@@ -188,7 +183,7 @@ class TestFieldIO:
         assert header["boundary"] == "periodic"
 
     def test_real_round_trip(self, tmp_path):
-        g = Grid(GridSpec(2, 1, 8, (0.0, 1.0)))
+        g = Grid(2, 1, 8, (0.0, 1.0))
         vals = np.arange(64.0).reshape(8, 8)
         p = tmp_path / "b.fld"
         write_field(p, vals, g)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bohmstat import schrodinger
-from bohmstat.lattice import Grid, GridSpec, WaveField, integrate
+from bohmstat.lattice import Grid, WaveField, integrate
 from bohmstat.schrodinger import (DENSE_EIG_BUDGET, HamiltonianSpec,
                                   apply_hamiltonian, eigenstates, energy,
                                   evolve, frame_count, make_stepper,
@@ -29,7 +29,7 @@ class TestFreePacket:
     Var = s^2 + t^2/(4 m^2 s^2)."""
 
     def test_drift_and_spread(self):
-        grid = Grid(GridSpec(1, 1, 256, (-16.0, 16.0)))
+        grid = Grid(1, 1, 256, (-16.0, 16.0))
         h = HamiltonianSpec((1.0,), [{"kind": "free"}], time_step=1e-3)
         psi = gaussian_packet(grid, -4.0, 1.0, 1.0)
         frames = list(evolve(psi, h, 1.0, frame_stride=1000))
@@ -38,7 +38,7 @@ class TestFreePacket:
         assert var == pytest.approx(1.0 + 0.25, abs=1e-6)
 
     def test_norm_and_energy_conserved(self):
-        grid = Grid(GridSpec(1, 1, 128, (-12.0, 12.0)))
+        grid = Grid(1, 1, 128, (-12.0, 12.0))
         h = HamiltonianSpec((1.0,), [{"kind": "free"}], time_step=1e-3)
         psi = gaussian_packet(grid, 0.0, 1.0, 2.0)
         e0 = energy(psi, h)
@@ -50,7 +50,7 @@ class TestFreePacket:
 class TestHarmonic:
     def test_coherent_state_period(self):
         # a displaced ground state revisits itself after T = 2 pi / omega
-        grid = Grid(GridSpec(1, 1, 256, (-12.0, 12.0)))
+        grid = Grid(1, 1, 256, (-12.0, 12.0))
         h = HamiltonianSpec((1.0,), [{"kind": "harmonic", "omega": 1.0}],
                             time_step=1e-3)
         psi = gaussian_packet(grid, 3.0, np.sqrt(0.5), 0.0)
@@ -61,7 +61,7 @@ class TestHarmonic:
         assert overlap == pytest.approx(1.0, abs=1e-4)
 
     def test_classical_oscillation_of_mean(self):
-        grid = Grid(GridSpec(1, 1, 256, (-12.0, 12.0)))
+        grid = Grid(1, 1, 256, (-12.0, 12.0))
         h = HamiltonianSpec((1.0,), [{"kind": "harmonic", "omega": 1.0}],
                             time_step=1e-3)
         psi = gaussian_packet(grid, 3.0, np.sqrt(0.5), 0.0)
@@ -72,7 +72,7 @@ class TestHarmonic:
 
 class TestCrankNicolson:
     def test_unitary_in_box(self):
-        grid = Grid(GridSpec(1, 1, 128, (0.0, 8.0), boundary="dirichlet"))
+        grid = Grid(1, 1, 128, (0.0, 8.0), boundary="dirichlet")
         h = HamiltonianSpec((1.0,), [{"kind": "box"}], time_step=2e-4)
         psi = gaussian_packet(grid, 2.0, 0.4, 0.0)
         frames = list(evolve(psi, h, 0.2, frame_stride=500))
@@ -80,7 +80,7 @@ class TestCrankNicolson:
                                                      abs=1e-12)
 
     def test_box_eigenstate_is_stationary(self):
-        grid = Grid(GridSpec(1, 1, 128, (0.0, 4.0), boundary="dirichlet"))
+        grid = Grid(1, 1, 128, (0.0, 4.0), boundary="dirichlet")
         h = HamiltonianSpec((1.0,), [{"kind": "box"}], time_step=2e-4)
         _, states = eigenstates(grid, h, 1)
         frames = list(evolve(states[0], h, 0.2, frame_stride=1000))
@@ -118,7 +118,7 @@ def oracle_cn_step(stepper, grid, h, amp):
     dt = h.time_step
     v = potential_grid(grid, h)
     half_v = (1.0 - 0.25j * dt * v) / (1.0 + 0.25j * dt * v)
-    n = grid.spec.points_per_axis
+    n = grid.n
     amp = amp * half_v
     for pos_axis in range(grid.n_pos_axes):
         m = h.mass_of_axis(grid, pos_axis)
@@ -150,26 +150,26 @@ def _random_state(grid, seed):
 # the grid's boundary picks the stepper: the split step on a periodic grid,
 # Crank-Nicolson (cn) on a dirichlet one
 STEPPER_CASES = {
-    "split_1d": (GridSpec(1, 1, 64, (-6.0, 6.0)),
+    "split_1d": (Grid(1, 1, 64, (-6.0, 6.0)),
                  [{"kind": "harmonic", "omega": 1.0}], oracle_split_step),
-    "split_2d": (GridSpec(2, 1, 24, (-6.0, 6.0)),
+    "split_2d": (Grid(2, 1, 24, (-6.0, 6.0)),
                  [{"kind": "pair_coupling", "lam": 0.3}], oracle_split_step),
-    "cn_1d": (GridSpec(1, 1, 48, (0.0, 4.0), boundary="dirichlet"),
+    "cn_1d": (Grid(1, 1, 48, (0.0, 4.0), boundary="dirichlet"),
               [{"kind": "harmonic", "omega": 2.0}], oracle_cn_step),
-    "cn_2d": (GridSpec(2, 1, 20, (-3.0, 3.0), boundary="dirichlet"),
+    "cn_2d": (Grid(2, 1, 20, (-3.0, 3.0), boundary="dirichlet"),
               [{"kind": "pair_coupling", "lam": 0.5}], oracle_cn_step),
 }
 
 
 # V == 0 on the grid: the steppers propagate in the kinetic eigenbasis
 ZERO_POTENTIAL_CASES = {
-    "split_1d": (GridSpec(1, 1, 64, (-6.0, 6.0)), (1.0,), oracle_split_step),
-    "split_2d": (GridSpec(2, 1, 24, (-6.0, 6.0)), (1.0, 2.5), oracle_split_step),
-    "split_spin": (GridSpec(1, 1, 32, (-6.0, 6.0), spin_dims=(2,)), (1.0,),
+    "split_1d": (Grid(1, 1, 64, (-6.0, 6.0)), (1.0,), oracle_split_step),
+    "split_2d": (Grid(2, 1, 24, (-6.0, 6.0)), (1.0, 2.5), oracle_split_step),
+    "split_spin": (Grid(1, 1, 32, (-6.0, 6.0), spin_dims=(2,)), (1.0,),
                    oracle_split_step),
-    "cn_1d": (GridSpec(1, 1, 48, (0.0, 4.0), boundary="dirichlet"), (1.0,),
+    "cn_1d": (Grid(1, 1, 48, (0.0, 4.0), boundary="dirichlet"), (1.0,),
               oracle_cn_step),
-    "cn_2d": (GridSpec(2, 1, 20, (-3.0, 3.0), boundary="dirichlet"),
+    "cn_2d": (Grid(2, 1, 20, (-3.0, 3.0), boundary="dirichlet"),
               (1.0, 0.4), oracle_cn_step),
 }
 
@@ -187,9 +187,8 @@ class TestStepperOracles:
 
     @pytest.mark.parametrize("case", sorted(STEPPER_CASES))
     def test_200_steps_bit_identical(self, case):
-        spec, potential, oracle = STEPPER_CASES[case]
-        grid = Grid(spec)
-        masses = (1.0,) * spec.particle_count
+        grid, potential, oracle = STEPPER_CASES[case]
+        masses = (1.0,) * grid.particles
         h = HamiltonianSpec(masses, potential, time_step=1e-3)
         stepper = make_stepper(grid, h)
         amp = _random_state(grid, 3)
@@ -201,8 +200,7 @@ class TestStepperOracles:
 
     @pytest.mark.parametrize("case", sorted(ZERO_POTENTIAL_CASES))
     def test_zero_potential_advance_matches_steps(self, case):
-        spec, masses, oracle = ZERO_POTENTIAL_CASES[case]
-        grid = Grid(spec)
+        grid, masses, oracle = ZERO_POTENTIAL_CASES[case]
         h = HamiltonianSpec(masses, [{"kind": "free"}], time_step=1e-3)
         stepper = make_stepper(grid, h)
         amp = _random_state(grid, 4)
@@ -218,7 +216,7 @@ class TestStepperOracles:
         # 50 steps at stride 15: frames after 15, 30 and 45 steps, then the
         # remaining 5; bit for bit under a harmonic well, to round-off in
         # the box (V == 0)
-        grid = Grid(GridSpec(1, 1, 64, (0.0, 4.0), boundary="dirichlet"))
+        grid = Grid(1, 1, 64, (0.0, 4.0), boundary="dirichlet")
         psi = WaveField(grid, _random_state(grid, 5))
         for potential, tol in (([{"kind": "harmonic", "omega": 2.0}], 0.0),
                                ([{"kind": "box"}], 1e-12)):
@@ -239,7 +237,7 @@ class TestStepperOracles:
             np.testing.assert_array_equal(psi.amplitudes, frames[0].amplitudes)
 
     def test_cn_rejects_nan_amplitude(self):
-        grid = Grid(GridSpec(1, 1, 32, (0.0, 4.0), boundary="dirichlet"))
+        grid = Grid(1, 1, 32, (0.0, 4.0), boundary="dirichlet")
         h = HamiltonianSpec((1.0,), [{"kind": "box"}], time_step=1e-3)
         stepper = make_stepper(grid, h)
         amp = _random_state(grid, 1)
@@ -252,14 +250,14 @@ class TestStepperOracles:
 
 class TestEigenstates:
     def test_box_energies(self):
-        grid = Grid(GridSpec(1, 1, 512, (0.0, 1.0), boundary="dirichlet"))
+        grid = Grid(1, 1, 512, (0.0, 1.0), boundary="dirichlet")
         h = HamiltonianSpec((1.0,), [{"kind": "box"}])
         energies, _ = eigenstates(grid, h, 3)
         exact = np.array([1, 4, 9]) * np.pi**2 / 2
         np.testing.assert_allclose(energies, exact, rtol=2e-4)
 
     def test_orthonormality(self):
-        grid = Grid(GridSpec(1, 1, 256, (0.0, 1.0), boundary="dirichlet"))
+        grid = Grid(1, 1, 256, (0.0, 1.0), boundary="dirichlet")
         h = HamiltonianSpec((1.0,), [{"kind": "box"}])
         _, states = eigenstates(grid, h, 4)
         for i in range(4):
@@ -269,7 +267,7 @@ class TestEigenstates:
                 assert abs(ov - (i == j)) < 1e-8
 
     def test_harmonic_ladder_dense(self):
-        grid = Grid(GridSpec(1, 1, 64, (-8.0, 8.0), boundary="dirichlet"))
+        grid = Grid(1, 1, 64, (-8.0, 8.0), boundary="dirichlet")
         h = HamiltonianSpec((1.0,), [{"kind": "harmonic", "omega": 1.0}])
         energies, _ = eigenstates(grid, h, 4)
         # 3-point stencil at n=64: O(dx^2) ~ 5e-2 discretization error
@@ -282,14 +280,14 @@ class TestEigenstates:
 ROUTE_CASES = {
     # non-degenerate lowest levels 1.35, 2.35, 3.05, 3.35
     "two_particle_periodic": (
-        GridSpec(2, 1, 24, (-6.0, 6.0)),
+        Grid(2, 1, 24, (-6.0, 6.0)),
         HamiltonianSpec((1.0, 1.0), [{"kind": "harmonic", "omega": [1.0, 1.7]}])),
     "spin_half": (
-        GridSpec(1, 1, 48, (-8.0, 8.0), spin_dims=(2,)),
+        Grid(1, 1, 48, (-8.0, 8.0), spin_dims=(2,)),
         HamiltonianSpec((1.0,), [{"kind": "harmonic", "omega": 1.0},
                                  {"kind": "spin_coupling", "mu": 0.5}])),
     "dirichlet_2d": (
-        GridSpec(1, 2, 16, (-4.0, 4.0), boundary="dirichlet"),
+        Grid(1, 2, 16, (-4.0, 4.0), boundary="dirichlet"),
         HamiltonianSpec((1.0,), [{"kind": "harmonic", "omega": 1.0}])),
 }
 
@@ -304,14 +302,13 @@ def eigenstates_under(budget, grid, h, count):
         mp.setattr(schrodinger, "_lowest_eigsh",
                    lambda *args: arpack_calls.append(args) or lowest(*args))
         result = eigenstates(grid, h, count)
-    assert len(arpack_calls) == (grid.spec.total_points > budget)
+    assert len(arpack_calls) == (grid.total_points > budget)
     return result
 
 
 def dense_and_arpack(name, count):
-    spec, h = ROUTE_CASES[name]
-    grid = Grid(spec)
-    dense = eigenstates_under(spec.total_points, grid, h, count)
+    grid, h = ROUTE_CASES[name]
+    dense = eigenstates_under(grid.total_points, grid, h, count)
     arpack = eigenstates_under(0, grid, h, count)
     return grid, dense, arpack
 
@@ -330,9 +327,8 @@ class TestEigensolverRoutes:
             assert abs(abs(ov) - 1.0) < 1e-8
 
     def test_states_are_real_orthonormal_eigenvectors(self):
-        spec, h = ROUTE_CASES["spin_half"]
-        grid = Grid(spec)
-        for budget in (spec.total_points, 0):
+        grid, h = ROUTE_CASES["spin_half"]
+        for budget in (grid.total_points, 0):
             energies, states = eigenstates_under(budget, grid, h, 4)
             amps = np.array([s.amplitudes.ravel() for s in states])
             assert not amps.imag.any()
@@ -347,8 +343,8 @@ class TestEigensolverRoutes:
         # exact spectrum of the (1,-2,1) stencil, sum over both axes of
         # 2 / (m dx^2) sin^2(pi k / (2 (N + 1)))
         n = 72
-        grid = Grid(GridSpec(1, 2, n, (0.0, 1.0), boundary="dirichlet"))
-        assert grid.spec.total_points > DENSE_EIG_BUDGET
+        grid = Grid(1, 2, n, (0.0, 1.0), boundary="dirichlet")
+        assert grid.total_points > DENSE_EIG_BUDGET
         h = HamiltonianSpec((1.0,), [{"kind": "box"}])
         energies, states = eigenstates(grid, h, 6)
         axis = 2.0 / grid.dx**2 * np.sin(np.pi * np.arange(1, 5)
@@ -361,7 +357,7 @@ class TestEigensolverRoutes:
         # 72 x 72 periodic oscillator: E = 1, 2, 2, 3, 3, 3 (spectral
         # kinetic operator, exact to round-off at this extent); single-vector
         # Lanczos can return fewer copies of a degenerate level than exist
-        grid = Grid(GridSpec(1, 2, 72, (-8.0, 8.0)))
+        grid = Grid(1, 2, 72, (-8.0, 8.0))
         h = HamiltonianSpec((1.0,), [{"kind": "harmonic", "omega": 1.0}])
         energies, _ = eigenstates(grid, h, 6)
         np.testing.assert_allclose(energies, [1, 2, 2, 3, 3, 3], atol=1e-10)
@@ -372,17 +368,17 @@ class TestEigensolverRoutes:
 # round-off on periodic ones (an FFT per column against ifft(k^2) once);
 # unequal masses tell the axes apart
 BLOCK_CASES = {
-    "periodic_1d": (GridSpec(1, 1, 40, (-6.0, 6.0)),
+    "periodic_1d": (Grid(1, 1, 40, (-6.0, 6.0)),
                     HamiltonianSpec((1.0,), [{"kind": "harmonic",
                                               "omega": 1.0}])),
     "periodic_2d": ROUTE_CASES["two_particle_periodic"],
     "dirichlet_2d": ROUTE_CASES["dirichlet_2d"],
     "spin_half": ROUTE_CASES["spin_half"],
     "periodic_two_masses": (
-        GridSpec(2, 1, 20, (-6.0, 6.0)),
+        Grid(2, 1, 20, (-6.0, 6.0)),
         HamiltonianSpec((1.0, 2.5), [{"kind": "pair_coupling", "lam": 0.3}])),
     "dirichlet_two_masses": (
-        GridSpec(2, 1, 18, (-3.0, 3.0), boundary="dirichlet"),
+        Grid(2, 1, 18, (-3.0, 3.0), boundary="dirichlet"),
         HamiltonianSpec((1.0, 2.5), [{"kind": "harmonic", "omega": [1.0, 1.7]}])),
 }
 
@@ -390,14 +386,13 @@ BLOCK_CASES = {
 class TestDenseHamiltonian:
     @pytest.mark.parametrize("name", list(BLOCK_CASES))
     def test_assembled_equals_one_column_at_a_time(self, name):
-        spec, h = BLOCK_CASES[name]
-        grid = Grid(spec)
+        grid, h = BLOCK_CASES[name]
         v = potential_grid(grid, h)
         per_column = np.column_stack([
             apply_hamiltonian(e.reshape(grid.full_shape), grid, h, v=v).ravel()
-            for e in np.eye(spec.total_points)])
+            for e in np.eye(grid.total_points)])
         dense = schrodinger._dense_hamiltonian(grid, h, v)
-        tol = 1e-14 if spec.boundary == "periodic" else 0.0
+        tol = 1e-14 if grid.boundary == "periodic" else 0.0
         np.testing.assert_allclose(dense, per_column, rtol=0,
                                    atol=tol * np.abs(per_column).max())
 
@@ -411,9 +406,9 @@ class TestKineticOperator:
     @pytest.mark.parametrize("modes", [(1, 1), (2, 5), (7, 3), (16, 16)],
                              ids=lambda m: f"{m[0]}_{m[1]}")
     def test_dirichlet_sine_modes(self, modes):
-        grid = Grid(GridSpec(2, 1, 16, (-3.0, 3.0), boundary="dirichlet"))
+        grid = Grid(2, 1, 16, (-3.0, 3.0), boundary="dirichlet")
         h = HamiltonianSpec(self.MASSES, [{"kind": "box"}])
-        n, dx = grid.spec.points_per_axis, grid.dx
+        n, dx = grid.n, grid.dx
         j = np.arange(1, n + 1)
         lines = [np.sin(np.pi * k * j / (n + 1)) for k in modes]
         amp = np.outer(*lines)
@@ -426,9 +421,9 @@ class TestKineticOperator:
     @pytest.mark.parametrize("modes", [(0, 1), (3, -5), (-7, 2), (-8, -8)],
                              ids=lambda m: f"{m[0]}_{m[1]}")
     def test_periodic_plane_waves(self, modes):
-        grid = Grid(GridSpec(2, 1, 16, (-3.0, 3.0)))
+        grid = Grid(2, 1, 16, (-3.0, 3.0))
         h = HamiltonianSpec(self.MASSES, [{"kind": "free"}])
-        ks = [2 * np.pi * q / (grid.spec.points_per_axis * grid.dx) for q in modes]
+        ks = [2 * np.pi * q / (grid.n * grid.dx) for q in modes]
         x = grid.axis_coords
         amp = np.outer(np.exp(1j * ks[0] * x), np.exp(1j * ks[1] * x))
         energy_ = sum(k**2 / (2 * m) for k, m in zip(ks, self.MASSES))
@@ -447,7 +442,7 @@ class TestHamiltonianSpec:
 
 class TestPotential:
     def test_pair_coupling_symmetry(self):
-        grid = Grid(GridSpec(2, 1, 16, (-2.0, 2.0)))
+        grid = Grid(2, 1, 16, (-2.0, 2.0))
         h = HamiltonianSpec((1.0, 1.0),
                             [{"kind": "pair_coupling", "lam": 0.7}])
         v = potential_grid(grid, h)
@@ -457,7 +452,7 @@ class TestPotential:
         np.testing.assert_allclose(v, expect, atol=1e-12)
 
     def test_unknown_term(self):
-        grid = Grid(GridSpec(1, 1, 16, (0.0, 1.0)))
+        grid = Grid(1, 1, 16, (0.0, 1.0))
         h = HamiltonianSpec((1.0,), [{"kind": "quartic"}])
         with pytest.raises(ValueError):
             potential_grid(grid, h)
@@ -495,7 +490,7 @@ class TestFrameStream:
     @pytest.mark.parametrize("case", STREAM_CASES)
     def test_stream_equals_list(self, case):
         boundary, potential = STREAM_CASES[case]
-        grid = Grid(GridSpec(1, 1, 64, (-4.0, 4.0), boundary=boundary))
+        grid = Grid(1, 1, 64, (-4.0, 4.0), boundary=boundary)
         h = HamiltonianSpec((1.0,), potential, time_step=1e-3)
         psi = WaveField(grid, _random_state(grid, 3))
         # 50 steps, stride 7: the last frame is off-stride
@@ -512,7 +507,7 @@ class TestFrameStream:
     @pytest.mark.parametrize("t_final, stride, count", [
         (0.05, 7, 9), (0.05, 10, 6), (0.05, 50, 2), (0.05, 80, 2), (0.0, 3, 1)])
     def test_frame_count(self, t_final, stride, count):
-        grid = Grid(GridSpec(1, 1, 32, (-4.0, 4.0)))
+        grid = Grid(1, 1, 32, (-4.0, 4.0))
         h = HamiltonianSpec((1.0,), time_step=1e-3)
         psi = WaveField(grid, _random_state(grid, 4))
         assert frame_count(h, t_final, stride) == count

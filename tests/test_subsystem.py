@@ -4,10 +4,10 @@ import pytest
 from bohmstat import subsystem
 from bohmstat.currents import FieldFrame, continuity_residual, current
 from bohmstat.errors import DenseBudgetExceeded, PartitionMismatch
-from bohmstat.lattice import Grid, GridSpec, WaveField
+from bohmstat.lattice import Grid, WaveField
 from bohmstat.schrodinger import HamiltonianSpec, evolve, potential_grid
 from bohmstat.subsystem import (ReducedDensityMatrix, SubsystemPartition,
-                                a_grid, reduced_density_matrix, read_rdm,
+                                reduced_density_matrix, read_rdm,
                                 subsystem_frame, truncated_current_from_rdm,
                                 write_rdm)
 
@@ -24,7 +24,7 @@ H2 = HamiltonianSpec((1.0, 1.0), [{"kind": "free"}], time_step=1e-3)
 
 
 def two_particle_grid(n=64):
-    return Grid(GridSpec(2, 1, n, (-8.0, 8.0)))
+    return Grid(2, 1, n, (-8.0, 8.0))
 
 
 def packet_1d(x, center, width, momentum):
@@ -48,29 +48,63 @@ def entangled_state(grid):
 
 class TestPartition:
     def test_b_complement(self):
-        part = SubsystemPartition((0, 2), 4)
+        part = SubsystemPartition(Grid(4, 1, 8, (0.0, 1.0)), (2, 0))
         assert part.b_particles == (1, 3)
+        assert (part.a_axes, part.b_axes) == ([0, 2], [1, 3])
+
+    def test_a_grid_keeps_the_axes_of_a(self):
+        grid = Grid(3, 2, 8, (-1.0, 1.0), boundary="dirichlet", spin_dims=(2, 1, 3))
+        part = SubsystemPartition(grid, (2, 0))
+        assert part.a_axes == [0, 1, 4, 5]
+        assert part.a_grid == Grid(2, 2, 8, (-1.0, 1.0), boundary="dirichlet",
+                                   spin_dims=(2, 3))
+        assert part.a_grid.dx == grid.dx
 
     def test_empty_sides_rejected(self):
         with pytest.raises(PartitionMismatch):
-            SubsystemPartition((0, 1), 2)
+            SubsystemPartition(two_particle_grid(16), (0, 1))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(PartitionMismatch):
-            SubsystemPartition((5,), 2)
+            SubsystemPartition(two_particle_grid(16), (5,))
 
     def test_particle_count_checked(self):
+        # a frame or state on a grid other than the partition's
         grid = two_particle_grid(16)
-        part = SubsystemPartition((0,), 3)
+        part = SubsystemPartition(Grid(3, 1, 16, (-8.0, 8.0)), (0,))
+        psi = product_state(grid)
         with pytest.raises(PartitionMismatch):
-            subsystem_frame(FieldFrame.from_wavefield(product_state(grid), H2),
-                            part)
+            subsystem_frame(FieldFrame.from_wavefield(psi, H2), part)
+        with pytest.raises(PartitionMismatch):
+            reduced_density_matrix(psi, part)
+
+    def test_grid_of_the_same_keys_accepted(self):
+        part = SubsystemPartition(two_particle_grid(16), (0,))
+        psi = product_state(two_particle_grid(16))
+        assert subsystem_frame(FieldFrame.from_wavefield(psi, H2),
+                               part).rho.grid is part.a_grid
+
+    def test_other_extent_rejected(self):
+        part = SubsystemPartition(two_particle_grid(16), (0,))
+        psi = product_state(Grid(2, 1, 16, (-4.0, 4.0)))
+        with pytest.raises(PartitionMismatch):
+            subsystem_frame(FieldFrame.from_wavefield(psi, H2), part)
+
+    def test_frames_share_one_a_grid(self):
+        grid = two_particle_grid(16)
+        part = SubsystemPartition(grid, (0,))
+        psi = product_state(grid)
+        first, second = (subsystem_frame(FieldFrame.from_wavefield(psi, H2), part)
+                         for _ in range(2))
+        assert first.rho.grid is second.rho.grid is part.a_grid
+        assert first.currents.grid is part.a_grid
+        assert reduced_density_matrix(psi, part).a_grid is part.a_grid
 
 
 class TestReducedDensityMatrix:
     def test_product_state_is_pure(self):
         grid = two_particle_grid()
-        part = SubsystemPartition((0,), 2)
+        part = SubsystemPartition(grid, (0,))
         rdm = reduced_density_matrix(product_state(grid), part)
         assert rdm.trace() == pytest.approx(1.0, abs=1e-10)
         assert rdm.purity() == pytest.approx(1.0, abs=1e-8)
@@ -78,7 +112,7 @@ class TestReducedDensityMatrix:
 
     def test_entangled_state_is_mixed(self):
         grid = two_particle_grid()
-        part = SubsystemPartition((0,), 2)
+        part = SubsystemPartition(grid, (0,))
         rdm = reduced_density_matrix(entangled_state(grid), part)
         assert rdm.trace() == pytest.approx(1.0, abs=1e-10)
         assert rdm.purity() < 0.9
@@ -88,7 +122,7 @@ class TestReducedDensityMatrix:
     def test_purity_is_sum_of_squared_eigenvalues(self):
         grid = two_particle_grid()
         rdm = reduced_density_matrix(entangled_state(grid),
-                                     SubsystemPartition((0,), 2))
+                                     SubsystemPartition(grid, (0,)))
         p = np.linalg.eigvalsh(rdm.matrix) * rdm.a_grid.weight
         want = float(np.sum(p ** 2))
         assert 0.1 < want < 0.9
@@ -96,7 +130,7 @@ class TestReducedDensityMatrix:
 
     def test_diagonal_matches_marginal(self):
         grid = two_particle_grid()
-        part = SubsystemPartition((0,), 2)
+        part = SubsystemPartition(grid, (0,))
         psi = entangled_state(grid)
         rdm = reduced_density_matrix(psi, part)
         marg = subsystem_frame(FieldFrame.from_wavefield(psi, H2), part).rho
@@ -105,14 +139,14 @@ class TestReducedDensityMatrix:
 
     def test_dense_budget(self, monkeypatch):
         grid = two_particle_grid(128)
-        part = SubsystemPartition((0,), 2)
+        part = SubsystemPartition(grid, (0,))
         monkeypatch.setattr(subsystem, "DENSE_RDM_BUDGET", 64)
         with pytest.raises(DenseBudgetExceeded):
             reduced_density_matrix(product_state(grid), part)
 
     def test_round_trip(self, tmp_path):
         grid = two_particle_grid(32)
-        part = SubsystemPartition((0,), 2)
+        part = SubsystemPartition(grid, (0,))
         rdm = reduced_density_matrix(entangled_state(grid), part)
         p = tmp_path / "a.rdm"
         write_rdm(p, rdm)
@@ -125,11 +159,11 @@ class TestTruncatedCurrents:
     def test_product_state_factorizes(self):
         # for psi = a(x1) b(x2), the truncated A current is just a's current
         grid = two_particle_grid()
-        part = SubsystemPartition((0,), 2)
+        part = SubsystemPartition(grid, (0,))
         psi = product_state(grid)
         j_tr = subsystem_frame(FieldFrame.from_wavefield(psi, H2),
                                part).currents
-        sub = a_grid(grid, part)
+        sub = part.a_grid
         x = sub.axis_coords
         a = packet_1d(x, -1.0, 1.0, 0.8)
         a = a / np.sqrt(np.sum(np.abs(a) ** 2) * sub.dx)
@@ -141,7 +175,7 @@ class TestTruncatedCurrents:
 
     def test_dual_route_identity(self):
         grid = two_particle_grid(96)
-        part = SubsystemPartition((0,), 2)
+        part = SubsystemPartition(grid, (0,))
         psi = entangled_state(grid)
         j_int = subsystem_frame(FieldFrame.from_wavefield(psi, H2),
                                 part).currents
@@ -152,7 +186,7 @@ class TestTruncatedCurrents:
 
     def test_truncated_continuity(self):
         grid = two_particle_grid(96)
-        part = SubsystemPartition((0,), 2)
+        part = SubsystemPartition(grid, (0,))
         frames = evolve(entangled_state(grid), H2, 0.03, frame_stride=10)
         sfs = [subsystem_frame(FieldFrame.from_wavefield(f, H2), part)
                for f in frames]
@@ -162,12 +196,12 @@ class TestTruncatedCurrents:
 
 class TestSpinTrace:
     def test_spin_kept_on_a_only(self):
-        grid = Grid(GridSpec(2, 1, 16, (-2.0, 2.0), spin_dims=(2, 2)))
+        grid = Grid(2, 1, 16, (-2.0, 2.0), spin_dims=(2, 2))
         rng = np.random.default_rng(5)
         amp = rng.standard_normal(grid.full_shape) \
             + 1j * rng.standard_normal(grid.full_shape)
         psi = WaveField(grid, amp).normalized()
-        part = SubsystemPartition((0,), 2)
+        part = SubsystemPartition(grid, (0,))
         rdm = reduced_density_matrix(psi, part)
         assert rdm.dim == 2 * 16           # A spin x A position
         assert rdm.trace() == pytest.approx(1.0, abs=1e-10)
@@ -178,14 +212,14 @@ class TestSpinTrace:
 
 class TestSpinAxes:
     # spins (2, 1, 2): the array axes are (spin 0, spin 2, x0, x1, x2)
-    SPEC = GridSpec(3, 1, 8, (-2.0, 2.0), spin_dims=(2, 1, 2))
+    GRID = Grid(3, 1, 8, (-2.0, 2.0), spin_dims=(2, 1, 2))
 
     def test_spin_axis_skips_spinless_particles(self):
-        grid = Grid(self.SPEC)
+        grid = self.GRID
         assert [grid.spin_axis(p) for p in range(3)] == [0, None, 1]
 
     def test_spin_coupling_on_particle_2_acts_on_axis_1(self):
-        grid = Grid(self.SPEC)
+        grid = self.GRID
         h = HamiltonianSpec((1.0,) * 3, [{"kind": "spin_coupling", "mu": 0.5,
                                           "particle": 2}])
         x2 = grid.meshgrid()[2]
@@ -195,12 +229,12 @@ class TestSpinAxes:
             np.broadcast_to(0.5 * sz * x2, grid.full_shape))
 
     def test_rdm_of_particle_2_is_its_partial_trace(self):
-        grid = Grid(self.SPEC)
+        grid = self.GRID
         rng = np.random.default_rng(8)
         amp = rng.standard_normal(grid.full_shape) \
             + 1j * rng.standard_normal(grid.full_shape)
         psi = WaveField(grid, amp).normalized()
-        rdm = reduced_density_matrix(psi, SubsystemPartition((2,), 3))
+        rdm = reduced_density_matrix(psi, SubsystemPartition(grid, (2,)))
         # sum over spin 0, x0 and x1; rows and columns are (spin 2, x2)
         expect = np.einsum("aixyz,ajxyw->izjw", psi.amplitudes,
                            psi.amplitudes.conj()).reshape(16, 16) * grid.dx**2
@@ -210,21 +244,20 @@ class TestSpinAxes:
 # spinful grids, each spin component its own packet, spin_coupling on
 # particle 0 pushing its up and down components apart
 SPIN_CASES = {
-    "one_particle_1d": (GridSpec(1, 1, 128, (-10.0, 10.0), spin_dims=(2,)),
+    "one_particle_1d": (Grid(1, 1, 128, (-10.0, 10.0), spin_dims=(2,)),
                         (1.0,)),
-    "one_particle_2d": (GridSpec(1, 2, 48, (-8.0, 8.0), spin_dims=(2,)),
+    "one_particle_2d": (Grid(1, 2, 48, (-8.0, 8.0), spin_dims=(2,)),
                         (1.0,)),
     "two_particles_spins_2_1": (
-        GridSpec(2, 1, 64, (-8.0, 8.0), spin_dims=(2, 1)), (1.0, 2.5)),
+        Grid(2, 1, 64, (-8.0, 8.0), spin_dims=(2, 1)), (1.0, 2.5)),
     "two_particles_spins_2_2": (
-        GridSpec(2, 1, 48, (-8.0, 8.0), spin_dims=(2, 2)), (1.0, 2.5)),
+        Grid(2, 1, 48, (-8.0, 8.0), spin_dims=(2, 2)), (1.0, 2.5)),
 }
 
 
 def spin_frames(name):
     """Three frames 5 steps apart of a spin-dependent packet state."""
-    spec, masses = SPIN_CASES[name]
-    grid = Grid(spec)
+    grid, masses = SPIN_CASES[name]
     h = HamiltonianSpec(masses, [{"kind": "spin_coupling", "mu": 0.5,
                                   "particle": 0}], time_step=1e-3)
     coords = grid.meshgrid()
@@ -248,7 +281,7 @@ class TestSpinGridContinuity:
     @pytest.mark.parametrize("name", [n for n in SPIN_CASES
                                       if n.startswith("two_particles")])
     def test_subsystem_frames(self, name):
-        _, ffs = spin_frames(name)
-        part = SubsystemPartition((0,), 2)  # A holds a spin axis
+        grid, ffs = spin_frames(name)
+        part = SubsystemPartition(grid, (0,))  # A holds a spin axis
         _, rel = continuity_residual([subsystem_frame(f, part) for f in ffs])
         assert rel < 1e-4
