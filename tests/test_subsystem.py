@@ -69,31 +69,20 @@ class TestPartition:
             SubsystemPartition(two_particle_grid(16), (5,))
 
     def test_particle_count_checked(self):
-        # a frame or state on a grid other than the partition's
-        grid = two_particle_grid(16)
-        part = SubsystemPartition(Grid(3, 1, 16, (-8.0, 8.0)), (0,))
-        psi = product_state(grid)
-        with pytest.raises(PartitionMismatch):
-            subsystem_frame(FieldFrame.from_wavefield(psi, H2), part)
-        with pytest.raises(PartitionMismatch):
-            reduced_density_matrix(psi, part)
-
-    def test_grid_of_the_same_keys_accepted(self):
-        part = SubsystemPartition(two_particle_grid(16), (0,))
+        # a frame or state on a grid other than the partition's: another
+        # particle count, or the same shape on another extent
         psi = product_state(two_particle_grid(16))
-        assert subsystem_frame(FieldFrame.from_wavefield(psi, H2),
-                               part).rho.grid is part.a_grid
-
-    def test_other_extent_rejected(self):
-        part = SubsystemPartition(two_particle_grid(16), (0,))
-        psi = product_state(Grid(2, 1, 16, (-4.0, 4.0)))
-        with pytest.raises(PartitionMismatch):
-            subsystem_frame(FieldFrame.from_wavefield(psi, H2), part)
+        for other in (Grid(3, 1, 16, (-8.0, 8.0)), Grid(2, 1, 16, (-4.0, 4.0))):
+            part = SubsystemPartition(other, (0,))
+            with pytest.raises(PartitionMismatch):
+                subsystem_frame(FieldFrame.from_wavefield(psi, H2), part)
+            with pytest.raises(PartitionMismatch):
+                reduced_density_matrix(psi, part)
 
     def test_frames_share_one_a_grid(self):
-        grid = two_particle_grid(16)
-        part = SubsystemPartition(grid, (0,))
-        psi = product_state(grid)
+        # the state's grid is an equal grid built separately, which is accepted
+        part = SubsystemPartition(two_particle_grid(16), (0,))
+        psi = product_state(two_particle_grid(16))
         first, second = (subsystem_frame(FieldFrame.from_wavefield(psi, H2), part)
                          for _ in range(2))
         assert first.rho.grid is second.rho.grid is part.a_grid
