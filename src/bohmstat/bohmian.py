@@ -77,8 +77,11 @@ class Advection:
     push advances the samples to that frame's time by one kernels.rk4_paths
     call over the pair (previous frame, this frame), which is the arithmetic
     of one call over every frame, in the same order.  Only those two
-    velocity frames are held, in a (2, D, npts) buffer; the positions go into
-    a (nsamples, nframes, D) path array allocated up front.
+    velocity frames are held, in a (2, D, npts) buffer, which each call
+    blends in time into the kernel's own three velocity buffers (padded by
+    one wrapped point per axis on a periodic grid); the positions go into a
+    (nsamples, nframes, D) path array allocated up front.  advection_bytes
+    counts what an Advection holds at most.
 
     Velocities are interpolated multilinearly in space and linearly in time.
     Periodic positions wrap; dirichlet positions reflect off the wall when
@@ -142,6 +145,19 @@ class Advection:
         k = self.count
         return TrajectoryEnsemble(self.flavor, self.seed, self.times[:k],
                                   self.paths[:, :k, :])
+
+
+def advection_bytes(grid: Grid, samples: int, nframes: int) -> int:
+    """The most an Advection of `samples` over `nframes` frames on `grid`
+    holds at once, with its caller's starting positions: its paths and
+    two-frame velocity buffer, the positions the last kernels.rk4_paths call
+    returned while the next call builds its own, three sets of escape flags,
+    and that call's working set."""
+    d = grid.n_pos_axes
+    points = int(np.prod(grid.pos_shape))
+    return (8 * d * (samples * (nframes + 5) + 2 * points) + 3 * samples
+            + kernels.rk4_working_bytes(samples, d, grid.n,
+                                        grid.boundary == "periodic"))
 
 
 def integrate_trajectories(velocity_frames, x0: np.ndarray, substeps: int = 1,

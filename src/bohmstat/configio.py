@@ -373,17 +373,31 @@ def _per_axis(grid, value, key: str) -> list:
     return value
 
 
-def _normalized(grid, amp) -> WaveField:
-    """The packet amplitude `amp` on every spin component, normalized;
-    ConfigError unless its norm on the grid is finite and positive (a packet
-    narrower than the grid spacing may miss every point)."""
+def _normalized(grid, amp, s) -> WaveField:
+    """The packet amplitude `amp` of initial-state section `s` on every spin
+    component, normalized.  ConfigError unless its norm on the grid is
+    finite and positive, naming the momentum when momentum * x is not finite
+    on the grid, the center when the norm is 0 with a center off the grid,
+    and the width otherwise (a packet narrower than the grid spacing may
+    miss every point)."""
     psi = WaveField(grid, np.broadcast_to(amp, grid.full_shape))
     norm = psi.norm_sq()
-    if not 0 < norm < math.inf:
-        raise ConfigError("initial_state.width", f"packets of this width, center "
-                          f"and momentum have norm {norm} on the grid, which "
-                          f"needs a finite positive norm")
-    return psi.normalized()
+    if 0 < norm < math.inf:
+        return psi.normalized()
+    center, momentum = (("centers", "momenta") if s["kind"] == "entangled_pair"
+                        else ("center", "momentum"))
+    lo, hi = grid.extent
+    with np.errstate(over="ignore"):
+        kx = np.outer(np.ravel(s[momentum]), grid.axis_coords)
+    if not np.isfinite(kx).all():
+        key = momentum
+    elif norm == 0 and not all(lo <= c <= hi for c in np.ravel(s[center])):
+        key = center
+    else:
+        key = "width"
+    raise ConfigError(f"initial_state.{key}", f"packets of this width, center "
+                      f"and momentum have norm {norm} on the grid, which needs "
+                      f"a finite positive norm")
 
 
 def build_initial_state(grid, h: HamiltonianSpec, cfg: dict) -> WaveField:
@@ -397,7 +411,7 @@ def build_initial_state(grid, h: HamiltonianSpec, cfg: dict) -> WaveField:
         amp = np.ones(grid.pos_shape, dtype=np.complex128)
         for ax in range(grid.n_pos_axes):
             amp = amp * _packet(coords[ax], centers[ax], widths[ax], moms[ax])
-        return _normalized(grid, amp)
+        return _normalized(grid, amp, s)
     if kind == "entangled_pair":
         if grid.n_pos_axes != 2:
             raise ConfigError("initial_state.kind",
@@ -413,7 +427,7 @@ def build_initial_state(grid, h: HamiltonianSpec, cfg: dict) -> WaveField:
         amp = np.zeros(grid.pos_shape, dtype=np.complex128)
         for (c1, c2), (k1, k2) in zip(s["centers"], s["momenta"]):
             amp += _packet(x1, c1, width, k1) * _packet(x2, c2, width, k2)
-        return _normalized(grid, amp)
+        return _normalized(grid, amp, s)
     if s["index"] >= grid.total_points:  # kind "eigenstate"
         raise ConfigError("initial_state.index", f"must be below the number of "
                           f"grid states ({grid.total_points}), got {s['index']}")

@@ -51,32 +51,39 @@ def _write_csv(path, header, rows):
 
 # What each field runner holds at once, in real grid-sized arrays (half a
 # complex grid each) beyond the evolution's own five complex grids (initial
-# state, working array, yielded frame, two stepper factors): (fixed count,
-# count per position axis, trajectory ensembles).  A FieldFrame is rho and D
-# currents, a velocity field D components, an RK4 buffer two velocities and
-# a held wave frame two.
+# state, working array, yielded frame, two stepper factors) and its
+# trajectory ensembles: (fixed count, count per position axis, trajectory
+# ensembles).  A FieldFrame is rho and D currents, a velocity field D
+# components and a held wave frame two.
 _HELD = {
     "evolve": (2, 0, 0),                # the frame just written
     "continuity": (3, 4, 0),            # three FieldFrames, one velocity
     "subsystem_currents": (3, 1, 0),    # one FieldFrame, the last wave frame
-    "bohm_full": (1, 4, 1),             # FieldFrame, velocity, RK4 buffer
-    "bohm_truncated": (1, 7, 2),        # and a second velocity and buffer
-    "equivariance": (1, 7, 2),
-    "entropy_series": (1, 4, 1),
-    "free_expansion": (1, 4, 1),
+    "bohm_full": (1, 2, 1),             # FieldFrame, velocity
+    "bohm_truncated": (1, 3, 2),        # and a second velocity
+    "equivariance": (1, 3, 2),
+    "entropy_series": (1, 2, 1),
+    "free_expansion": (1, 2, 1),
 }
+
+# bytes per sample and stored frame of the entropy runners' binning:
+# macrostate_of's bool range mask and two int64 cell-index arrays at once
+_MACROSTATE_BYTES = {"entropy_series": 17, "free_expansion": 17}
 
 
 def _check_memory(cfg, grid, nframes):
     """MemoryBudgetExceeded when the streamed run's working set exceeds
     grid.memory_budget: the grid-sized arrays of _HELD, counted in units of
-    16 * total_points bytes, plus samples * frames * D * 8 bytes for each
-    trajectory ensemble's paths."""
+    16 * total_points bytes, what each trajectory ensemble's Advection holds
+    (bohmian.advection_bytes, on the full grid), and the entropy runners'
+    per-frame cell indices."""
     fixed, per_axis, ensembles = _HELD[cfg["experiment"]]
     d = grid.n_pos_axes
     need = int((5 + (fixed + per_axis * d) / 2) * 16 * grid.total_points)
     if ensembles:
-        need += ensembles * cfg["ensemble"]["samples"] * nframes * d * 8
+        samples = cfg["ensemble"]["samples"]
+        need += ensembles * bm.advection_bytes(grid, samples, nframes)
+        need += _MACROSTATE_BYTES.get(cfg["experiment"], 0) * samples * nframes
     budget = grid.memory_budget
     if need > budget:
         raise MemoryBudgetExceeded(

@@ -11,10 +11,18 @@ bit for bit, and its frames the loop's frames to round-off.
 
 Velocity grids are passed flattened: vflat[frame, component, point] with
 C-order point index over the D position axes.  rk4_paths holds positions
-component-major, x[component, sample], so each of the 2^D interpolation
-corners gathers contiguous velocity rows with one np.take for all
-components, and the corner weight multiplies whole rows; the RK4 state,
-stages and interpolation scratch are updated in place.
+component-major, x[component, sample].  Each substep blends the three
+time-interpolated velocities in place into buffers allocated once per
+call.  On a periodic grid each buffer is padded with one wrapped point per
+axis (point n repeats point 0), so each of the 2^D cell corners lies a
+fixed flat offset above the cell's lower corner.  A corner is then a view
+of the flattened buffer from its offset on, gathered at the lower corner's
+flat index with one np.take(mode="clip") for all components (the indices
+are in range by construction, so no bounds check is needed), and its
+weight multiplies whole rows.  The fractional position is taken against
+the float floor.  The wrap of floors and positions, and the Dirichlet wall
+reflection, do their boolean indexing only when some sample is outside.
+The RK4 state, stages and interpolation scratch are updated in place.
 """
 
 from __future__ import annotations
@@ -30,54 +38,58 @@ NUMBA_ENABLED = False
 
 def _wrap(y, period):
     """y = np.mod(y, period) in place.  np.mod returns y itself where
-    0 <= y < period, so only the entries outside take the slow remainder."""
-    outside = (y < 0) | (y >= period)
-    y[outside] = np.mod(y[outside], period)
+    0 <= y < period, so only the entries outside take the slow remainder,
+    and the boolean indexing runs only when there are any."""
+    if y.min() < 0 or y.max() >= period:
+        outside = (y < 0) | (y >= period)
+        y[outside] = np.mod(y[outside], period)
 
 
-def _interp_batch(vcomp, x, x_first, dx, n, periodic, out, scratch, index):
-    """Interpolate vcomp (D, npts) at x (D, nsamples) into out (D, nsamples).
+def _interp_batch(corners, x, x_first, dx, n, m, periodic, out, scratch,
+                  index):
+    """Interpolate one velocity buffer of rk4_paths at x (D, nsamples) into
+    out (D, nsamples).
 
-    scratch is (3, D, nsamples) float64 and index (2, D, nsamples) int64
-    work space, overwritten."""
+    corners[c] is the flattened (D, m^D) buffer from the flat offset of the
+    cell's corner c onward, so gathering it at the lower corner's index
+    gathers corner c.  scratch is (frac, rest, term, weight): three
+    (D, nsamples) and one (nsamples,) float64 arrays; index is (D, nsamples)
+    int64; all are overwritten."""
     d_dims = x.shape[0]
-    frac, rest, term = scratch
-    i0, i1 = index
+    frac, rest, term, weight = scratch
     np.subtract(x, x_first, out=frac)
     frac /= dx                              # u
     if not periodic:
         np.clip(frac, 0.0, n - 1.0, out=frac)
     np.floor(frac, out=rest)
-    i0[...] = rest                          # floor(u) as an integer
+    if not periodic:
+        np.minimum(rest, n - 2.0, out=rest)
+    frac -= rest
     if periodic:
-        frac -= i0
-        _wrap(i0, n)
-        np.add(i0, 1, out=i1)
-        i1[i1 == n] = 0
-    else:
-        np.minimum(i0, n - 2, out=i0)
-        frac -= i0
-        np.add(i0, 1, out=i1)
-    np.subtract(1.0, frac, out=rest)
+        _wrap(rest, n)
+    # the lower corner's flat point index, exact in float64, then one flat
+    # index per component: component c's rows start at c m^D
+    base = rest[0]
     if d_dims > 1:
-        strides = np.array([n**k for k in range(d_dims - 1, -1, -1)],
-                           dtype=np.int64)
-        i0 *= strides[:, None]
-        i1 *= strides[:, None]
+        base = term[0]
+        np.multiply(rest[0], m, out=base)
+        base += rest[1]
+        for d in range(2, d_dims):
+            base *= m
+            base += rest[d]
+    index[...] = base
+    if d_dims > 1:
+        index += np.arange(0, d_dims * m**d_dims, m**d_dims)[:, None]
+    np.subtract(1.0, frac, out=rest)
     out[...] = 0.0
-    for corner in range(1 << d_dims):
+    for corner, v in enumerate(corners):
         # the weight is the product over axes in axis order, as in the oracle
-        upper = corner & 1
-        w = frac[0] if upper else rest[0]
-        flat = i1[0] if upper else i0[0]
+        w = frac[0] if corner & 1 else rest[0]
         for d in range(1, d_dims):
-            if (corner >> d) & 1:
-                w = w * frac[d]
-                flat = flat + i1[d]
-            else:
-                w = w * rest[d]
-                flat = flat + i0[d]
-        np.take(vcomp, flat, axis=1, out=term)
+            np.multiply(w, frac[d] if (corner >> d) & 1 else rest[d],
+                        out=weight)
+            w = weight
+        v.take(index, out=term, mode="clip")  # in range by construction
         term *= w
         out += term
     return out
@@ -88,13 +100,13 @@ def rk4_paths(x0, frame_times, vflat, x_first, dx, n, periodic, substeps, lo, hi
 
     Returns (paths[nsamples, nframes, D], escaped[nsamples]).
 
-    The state, the four stages and the interpolation scratch live in one
-    float64 block (and the corner indices in one int64 block) allocated per
-    call and updated in place, in the operation order of the oracle.  A
-    streamed run calls this once per pair of frames; with a fresh array per
-    operation, the heap grew and shrank on every call and refaulted its
-    pages (twice the minor page faults of one call over every frame, in
-    the bohm_full config).
+    The state, the four stages, the interpolation scratch and the three
+    blended velocities live in arrays allocated per call and updated in
+    place, in the operation order of the oracle.  A streamed run calls this
+    once per pair of frames; with a fresh array per operation, the heap
+    grew and shrank on every call and refaulted its pages (twice the minor
+    page faults of one call over every frame, in the bohm_full config).
+    x0 and vflat are not modified.
     """
     frame_times = np.ascontiguousarray(frame_times, dtype=np.float64)
     vflat = np.ascontiguousarray(vflat, dtype=np.float64)
@@ -105,8 +117,26 @@ def rk4_paths(x0, frame_times, vflat, x_first, dx, n, periodic, substeps, lo, hi
     nf = frame_times.shape[0]
     work = np.empty((9, d_dims, nsamples))
     x, k1, k2, k3, k4, stage = work[:6]
-    scratch = work[6:]
-    index = np.empty((2, d_dims, nsamples), dtype=np.int64)
+    scratch = (*work[6:], np.empty(nsamples))
+    index = np.empty((d_dims, nsamples), dtype=np.int64)
+    # v0, vm and v1 of a substep on m points per axis.  A periodic buffer
+    # repeats point 0 at point n of every axis, so the upper corner of the
+    # last cell needs no wrap and each corner is a fixed flat offset from
+    # the lower one.
+    m = n + 1 if periodic else n
+    points = (m,) * d_dims
+    vbuf = np.empty((3, d_dims) + points)
+    inner = vbuf[(slice(None), slice(None)) + (slice(0, n),) * d_dims]
+    pads = [(vbuf[(slice(None),) * (2 + d) + (n,)],
+             vbuf[(slice(None),) * (2 + d) + (0,)])
+            for d in range(d_dims) if periodic]
+    offsets = [int(np.ravel_multi_index([(c >> d) & 1 for d in range(d_dims)],
+                                        points))
+               for c in range(1 << d_dims)]
+    v0, vm, v1 = [[buf.reshape(-1)[off:] for off in offsets] for buf in vbuf]
+    frames = vflat.reshape((nf, d_dims) + (n,) * d_dims)
+    blend = np.empty(frames.shape[1:])
+    geom = (x_first, dx, n, m, periodic)
     x[...] = x0.T
     paths = np.empty((nsamples, nf, d_dims))
     escaped = np.zeros(nsamples, np.uint8)
@@ -120,19 +150,23 @@ def rk4_paths(x0, frame_times, vflat, x_first, dx, n, periodic, substeps, lo, hi
             a0 = (t - t0) / (t1 - t0)
             am = (t + 0.5 * h - t0) / (t1 - t0)
             a1 = (t + h - t0) / (t1 - t0)
-            v0 = (1 - a0) * vflat[f] + a0 * vflat[f + 1]
-            vm = (1 - am) * vflat[f] + am * vflat[f + 1]
-            v1 = (1 - a1) * vflat[f] + a1 * vflat[f + 1]
-            _interp_batch(v0, x, x_first, dx, n, periodic, k1, scratch, index)
+            for v, a in zip(inner, (a0, am, a1)):
+                # (1 - a) V_f + a V_{f+1}, in the oracle's order
+                np.multiply(frames[f], 1 - a, out=v)
+                np.multiply(frames[f + 1], a, out=blend)
+                v += blend
+            for dst, src in pads:
+                dst[...] = src
+            _interp_batch(v0, x, *geom, k1, scratch, index)
             np.multiply(0.5 * h, k1, out=stage)     # x + 0.5 h k1
             stage += x
-            _interp_batch(vm, stage, x_first, dx, n, periodic, k2, scratch, index)
+            _interp_batch(vm, stage, *geom, k2, scratch, index)
             np.multiply(0.5 * h, k2, out=stage)
             stage += x
-            _interp_batch(vm, stage, x_first, dx, n, periodic, k3, scratch, index)
+            _interp_batch(vm, stage, *geom, k3, scratch, index)
             np.multiply(h, k3, out=stage)
             stage += x
-            _interp_batch(v1, stage, x_first, dx, n, periodic, k4, scratch, index)
+            _interp_batch(v1, stage, *geom, k4, scratch, index)
             # x + (h / 6) (k1 + 2 k2 + 2 k3 + k4), summed left to right
             k2 *= 2
             k1 += k2
@@ -145,7 +179,7 @@ def rk4_paths(x0, frame_times, vflat, x_first, dx, n, periodic, substeps, lo, hi
                 x -= lo
                 _wrap(x, length)
                 x += lo
-            else:
+            elif x.min() < lo or x.max() > hi:  # a sample left the box
                 under = x < lo
                 over = x > hi
                 small_u = under & (lo - x < dx)
@@ -160,6 +194,17 @@ def rk4_paths(x0, frame_times, vflat, x_first, dx, n, periodic, substeps, lo, hi
                 np.clip(x, lo, hi, out=x)
         paths[:, f + 1, :] = x.T
     return paths, escaped
+
+
+def rk4_working_bytes(nsamples, d_dims, n, periodic):
+    """The most one rk4_paths call allocates besides what it returns: nine
+    (D, nsamples) float64 arrays of state, stages and scratch, the weight
+    row, the corner index, two (D, nsamples) temporaries of a wall
+    reflection, and the three blended velocities with the blend's (D, n^D)
+    term."""
+    m = n + 1 if periodic else n
+    return 8 * (nsamples * (12 * d_dims + 1)
+                + d_dims * (3 * m**d_dims + n**d_dims))
 
 
 # ---------------------------------------------------------------------------

@@ -294,6 +294,10 @@ BAD_VALUES = {
                                          "initial_state.width": 1e-3,
                                          "initial_state.center": 0.1}, [],
                               "initial_state.width: "),
+    "momentum_overflows": ("evolve", {"initial_state.momentum": 1e308}, [],
+                           "initial_state.momentum: "),
+    "center_off_the_grid": ("evolve", {"initial_state.center": 1e3}, [],
+                            "initial_state.center: "),
 }
 
 

@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import os
+import tracemalloc
 import weakref
 
 import pytest
@@ -69,12 +70,34 @@ def test_memory_guard_before_evolving(name, tmp_path, monkeypatch):
 
 def test_memory_guard_counts_the_trajectory_paths(tmp_path):
     # bohm_full: 300 samples x 51 frames x 1 axis x 8 bytes = 122 400 bytes
-    # of paths on top of about 6 grids of 4096 bytes
+    # of paths, on top of about 6 grids of 4096 bytes and the RK4 working set
+    # (205 436 bytes in all)
     cfg = shipped("bohm_full", memory_budget=100_000)
     with pytest.raises(MemoryBudgetExceeded, match="51 frames"):
         experiments.RUNNERS["bohm_full"](cfg, str(tmp_path), 0)
-    cfg = shipped("bohm_full", memory_budget=200_000)
+    cfg = shipped("bohm_full", memory_budget=250_000)
     assert experiments.RUNNERS["bohm_full"](cfg, str(tmp_path), 0).passed
+
+
+@pytest.mark.parametrize("name", ["bohm_full", "bohm_truncated", "equivariance",
+                                  "entropy_series", "free_expansion"])
+def test_memory_guard_covers_the_traced_peak(name, tmp_path):
+    # the shipped config at full size: a budget one byte below what the run
+    # allocates at its peak stops it, so the guard's estimate is at least
+    # that peak.  A first run with few samples makes the lazy imports
+    # (numpy.random, numpy.fft, statistics), whose module objects
+    # tracemalloc would count otherwise.
+    experiments.RUNNERS[name](shipped(name), str(tmp_path), 0)
+    cfg = load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
+    tracemalloc.start()
+    try:
+        experiments.RUNNERS[name](validate_config(cfg), str(tmp_path), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cfg["grid"]["memory_budget"] = peak - 1
+    with pytest.raises(MemoryBudgetExceeded):
+        experiments.RUNNERS[name](validate_config(cfg), str(tmp_path), 0)
 
 
 @pytest.mark.parametrize("name, t_final", [("continuity", 0.505),

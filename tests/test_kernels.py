@@ -236,6 +236,44 @@ class TestRk4Agreement:
         p2, _ = kernels.rk4_paths(*args)
         np.testing.assert_array_equal(p1, p2)
 
+    def test_periodic_moves_over_a_period_bit_identical(self):
+        # a drift of 100 carries every stage more than one period (4) in a
+        # substep of h = 0.05, so the floors and positions leave [0, n) and
+        # [lo, hi) by more than a period and take the slow remainder
+        x0, times, vflat, *rest = random_rk4_inputs(8, speed=1.0, margin=0.0)
+        args = (x0, times, vflat + 100.0, *rest)
+        lo, hi, substeps = args[-2], args[-1], args[-3]
+        h = (times[1] - times[0]) / substeps
+        assert h * args[2].min() > hi - lo
+        p1, _ = loop_rk4_paths(*args)
+        p2, _ = kernels.rk4_paths(*args)
+        np.testing.assert_array_equal(p1, p2)
+
+    def test_2d_periodic_last_cell_bit_identical(self):
+        # n = 12, not a power of two; the first 20 samples start in the last
+        # cell of both axes, whose upper corners are grid point 0 of that
+        # axis, and drift slowly enough to stay there for a substep
+        x0, times, vflat, x_first, dx, n, *rest = random_rk4_inputs(
+            9, d_dims=2, n=12, nsamples=40, speed=0.3)
+        hi = rest[-1]
+        x0[:20] = np.random.default_rng(10).uniform(hi - dx, hi, (20, 2))
+        args = (x0, times, vflat, x_first, dx, n, *rest)
+        p1, _ = loop_rk4_paths(*args)
+        p2, _ = kernels.rk4_paths(*args)
+        np.testing.assert_array_equal(p1, p2)
+        assert np.all(p1[:20, 0, :] >= hi - dx)
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_leaves_inputs_unmodified(self, periodic):
+        args = random_rk4_inputs(11, d_dims=2, n=16, nsamples=30,
+                                 periodic=periodic, speed=3.0)
+        x_keep, v_keep = args[0].copy(), args[2].copy()
+        paths, _ = kernels.rk4_paths(*args)
+        np.testing.assert_array_equal(args[0], x_keep)
+        np.testing.assert_array_equal(args[2], v_keep)
+        np.testing.assert_array_equal(paths[:, 0, :], x_keep)
+        assert not np.shares_memory(paths, args[0])
+
 
 class TestFramePairChaining:
     """The streamed runners advance samples one pair of velocity frames at a
