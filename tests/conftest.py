@@ -1,5 +1,7 @@
 """Helpers that more than one test module uses, each served by a fixture."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,16 @@ def _thermal_box(length, temperature, levels, grid_n, samples, seed=0):
             "spread_fraction": float((pos.max() - pos.min()) / length)}
 
 
+def _traced_peak(run, *args):
+    """Peak bytes of numpy buffers and Python objects allocated by one run."""
+    tracemalloc.start()
+    try:
+        run(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.fixture
 def coarse_gibbs():
     return _coarse_gibbs
@@ -53,3 +65,8 @@ def coarse_gibbs():
 @pytest.fixture
 def thermal_box():
     return _thermal_box
+
+
+@pytest.fixture
+def traced_peak():
+    return _traced_peak

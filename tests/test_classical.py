@@ -1,5 +1,4 @@
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,25 +325,16 @@ class TestScaling:
             np.log(s["sizes"]), np.log(ratios), 1)[0])
 
 
-def traced_peak(run, *args):
-    """Peak bytes of numpy buffers and Python objects allocated by one run."""
-    tracemalloc.start()
-    try:
-        run(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestRunnerPeakMemory:
-    def test_scaling_holds_one_ensemble_block(self, tmp_path):
+    def test_scaling_holds_one_ensemble_block(self, tmp_path, traced_peak):
         # one (samples, max size) block of (1/2) w^2 x^2, plus a chunk
         cfg = shipped("scaling")
         s = cfg["scaling"]
         peak = traced_peak(RUNNERS["scaling"], cfg, str(tmp_path), 0)
         assert peak < 1.5 * s["samples"] * max(s["sizes"]) * 8
 
-    def test_classical_truncated_holds_particle_a_columns(self, tmp_path):
+    def test_classical_truncated_holds_particle_a_columns(self, tmp_path,
+                                                          traced_peak):
         # x_A, p_A, dp_A/dt and the bin index, and two columns in passing;
         # drawing both particles' x and p at once held 19 MiB here
         cfg = shipped("classical_truncated")

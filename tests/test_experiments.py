@@ -6,7 +6,6 @@ import csv
 import json
 import math
 import os
-import tracemalloc
 import weakref
 
 import pytest
@@ -81,7 +80,7 @@ def test_memory_guard_counts_the_trajectory_paths(tmp_path):
 
 @pytest.mark.parametrize("name", ["bohm_full", "bohm_truncated", "equivariance",
                                   "entropy_series", "free_expansion"])
-def test_memory_guard_covers_the_traced_peak(name, tmp_path):
+def test_memory_guard_covers_the_traced_peak(name, tmp_path, traced_peak):
     # the shipped config at full size: a budget one byte below what the run
     # allocates at its peak stops it, so the guard's estimate is at least
     # that peak.  A first run with few samples makes the lazy imports
@@ -89,12 +88,8 @@ def test_memory_guard_covers_the_traced_peak(name, tmp_path):
     # tracemalloc would count otherwise.
     experiments.RUNNERS[name](shipped(name), str(tmp_path), 0)
     cfg = load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
-    tracemalloc.start()
-    try:
-        experiments.RUNNERS[name](validate_config(cfg), str(tmp_path), 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(experiments.RUNNERS[name], validate_config(cfg),
+                       str(tmp_path), 0)
     cfg["grid"]["memory_budget"] = peak - 1
     with pytest.raises(MemoryBudgetExceeded):
         experiments.RUNNERS[name](validate_config(cfg), str(tmp_path), 0)
