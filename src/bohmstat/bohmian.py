@@ -9,6 +9,7 @@ time (`Advection`); the `truncated` flavor follows the A-subsystem velocity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,7 +155,7 @@ def advection_bytes(grid: Grid, samples: int, nframes: int) -> int:
     returned while the next call builds its own, three sets of escape flags,
     and that call's working set."""
     d = grid.n_pos_axes
-    points = int(np.prod(grid.pos_shape))
+    points = math.prod(grid.pos_shape)
     return (8 * d * (samples * (nframes + 5) + 2 * points) + 3 * samples
             + kernels.rk4_working_bytes(samples, d, grid.n,
                                         grid.boundary == "periodic"))

@@ -1,10 +1,13 @@
 """Command-line runner: `bohmstat run <config.json>` and
 `bohmstat list-experiments`.
 
-`run` checks the config against `configio.SCHEMA`, which gives every key a
-type, a default and a range; `--seed` follows the config's `seed` rule (an
-integer >= 0).  A config defect prints one line, `config error:
-<section>.<key>: <what is wrong>`, and exits 2.
+`run` checks the config against `configio.TOP_LEVEL` and `configio.SCHEMA`,
+which give every key a type, a default and a range; `--seed` follows the
+config's `seed` rule (an integer >= 0).  A config defect prints one line,
+`config error: <section>.<key>: <what is wrong>`, and exits 2.  Every
+runner estimates what it will hold at once from the config and stops with
+MemoryBudgetExceeded, before its first large allocation, when that exceeds
+the top-level `memory_budget`.
 
 Exit codes: 0 success; 2 invalid or unsupported input (a config error, or a
 package error such as MemoryBudgetExceeded, DenseBudgetExceeded or

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InvalidExtent
-from .lattice import DEFAULT_MEMORY_BUDGET, Grid, WaveField
+from .lattice import Grid, WaveField
 from .schrodinger import POTENTIAL_PARAMS, HamiltonianSpec, eigenstates
 
 REQUIRED = object()  # the default of a key that has none
@@ -112,6 +112,7 @@ POSITIVE, COUNT = Range("> 0", lambda v: v > 0), at_least(1)
 TOP_LEVEL = {
     "seed": Key(INT, 0, at_least(0)),
     "output_dir": Key(STR, ".", Range("non-empty", bool)),
+    "memory_budget": Key(INT, 2 * 1024**3),   # bytes; experiments._check_budget
 }
 
 # Every key of every section.  A trailing comment names what checks the
@@ -124,7 +125,6 @@ SCHEMA = {
         "extent": Key(list_of(FLOAT, "numbers", size=2), [0.0, 1.0]),  # Grid
         "boundary": Key(STR, "periodic"),                      # Grid
         "spin_dims": Key(list_of(INT, "integers", empty=True), []),  # Grid
-        "memory_budget": Key(INT, DEFAULT_MEMORY_BUDGET),      # Grid
     },
     "hamiltonian": {
         "masses": Key(NUMBERS, [1.0], POSITIVE),    # + builder

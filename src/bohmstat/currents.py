@@ -28,17 +28,24 @@ def density(psi: WaveField) -> ScalarField:
 
 
 def current(psi: WaveField, h: HamiltonianSpec) -> VectorField:
-    """One component per position axis; spin components are summed."""
+    """One component per position axis; spin components are summed.
+
+    Each component is Re(conj(psi) * (-i/m) * dpsi), multiplied in that
+    order, in place in one work array: besides its output, the call holds
+    at most the gradient's two complex arrays, or the work array and the
+    gradient."""
     grid = psi.grid
     comps = np.empty((grid.n_pos_axes,) + grid.pos_shape)
     spin_axes = tuple(range(grid.n_spin_axes))
     for ax in range(grid.n_pos_axes):
         m = h.mass_of_axis(grid, ax)
         dpsi = gradient(psi.amplitudes, grid, ax)
-        j = np.real(np.conj(psi.amplitudes) * (-1j / m) * dpsi)
-        if spin_axes:
-            j = j.sum(axis=spin_axes)
-        comps[ax] = j
+        j = np.conj(psi.amplitudes)
+        j *= -1j / m
+        j *= dpsi
+        del dpsi
+        comps[ax] = j.real.sum(axis=spin_axes) if spin_axes else j.real
+        del j
     return VectorField(grid, comps, psi.time)
 
 

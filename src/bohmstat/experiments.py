@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
@@ -23,8 +24,8 @@ from .configio import (EXPERIMENTS_META, build_grid, build_hamiltonian,
                        build_initial_state)
 from .currents import FieldFrame, continuity_residual, velocity
 from .errors import ConfigError, MemoryBudgetExceeded, PartitionMismatch
-from .lattice import DEFAULT_MEMORY_BUDGET, VectorField, write_field
-from .schrodinger import energy, evolve, frame_count
+from .lattice import VectorField, write_field
+from .schrodinger import dense_eig_bytes, energy, evolve, frame_count
 from .subsystem import (SubsystemPartition, reduced_density_matrix,
                         subsystem_frame, truncated_current_from_rdm, write_rdm)
 
@@ -49,46 +50,77 @@ def _write_csv(path, header, rows):
         f.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
-# What each field runner holds at once, in real grid-sized arrays (half a
-# complex grid each) beyond the evolution's own five complex grids (initial
-# state, working array, yielded frame, two stepper factors) and its
-# trajectory ensembles: (fixed count, count per position axis, trajectory
-# ensembles).  A FieldFrame is rho and D currents, a velocity field D
-# components and a held wave frame two.
+# What each field runner holds at once, in half complex grids (8 *
+# total_points bytes), beyond the evolution's own thirteen: the initial
+# state, the working array and the yielded frame, the stepper's potential
+# and kinetic factors (two each) and its phase angles (one), and the grid's
+# coordinates and wavenumbers (one each on a 1-D grid, less on others).
+# Each entry is (fixed count, count per position axis, trajectory ensembles
+# on the full grid, trajectory ensembles on the A grid, dense A-grid
+# matrices after the last frame).  A FieldFrame is rho and D currents, a
+# velocity field D components and a held wave frame two; building a
+# FieldFrame takes four more, the two complex arrays of the gradient in
+# currents.current.
 _HELD = {
-    "evolve": (2, 0, 0),                # the frame just written
-    "continuity": (3, 4, 0),            # three FieldFrames, one velocity
-    "subsystem_currents": (3, 1, 0),    # one FieldFrame, the last wave frame
-    "bohm_full": (1, 2, 1),             # FieldFrame, velocity
-    "bohm_truncated": (1, 3, 2),        # and a second velocity
-    "equivariance": (1, 3, 2),
-    "entropy_series": (1, 2, 1),
-    "free_expansion": (1, 2, 1),
+    # energy's H psi: the potential and five complex arrays of
+    # apply_hamiltonian
+    "evolve": (11, 0, 0, 0, 0),
+    "continuity": (8, 4, 0, 0, 0),            # four FieldFrames
+    "subsystem_currents": (5, 1, 0, 0, 4),    # one FieldFrame
+    "bohm_full": (5, 2, 1, 0, 0),             # FieldFrame, velocity
+    "bohm_truncated": (5, 3, 1, 1, 0),        # and a second velocity
+    "equivariance": (5, 3, 2, 0, 0),
+    "entropy_series": (5, 2, 1, 0, 0),
+    "free_expansion": (5, 2, 1, 0, 0),
 }
 
-# bytes per sample and stored frame of the entropy runners' binning:
-# macrostate_of's bool range mask and two int64 cell-index arrays at once
-_MACROSTATE_BYTES = {"entropy_series": 17, "free_expansion": 17}
+# bytes per stored frame of the Python objects a field runner keeps for
+# each (CSV rows, file names, frame times)
+FRAME_BYTES = 256
+
+# bytes per sample and stored frame of a macrostate binning: the int64 cell
+# index that statmech.macrostate_of returns (its bool range masks, freed
+# before, take 3); paths of more than one axis add as much again for the
+# contiguous copy of their first coordinates that searchsorted takes
+MACROSTATE_BYTES = 8
 
 
-def _check_memory(cfg, grid, nframes):
-    """MemoryBudgetExceeded when the streamed run's working set exceeds
-    grid.memory_budget: the grid-sized arrays of _HELD, counted in units of
-    16 * total_points bytes, what each trajectory ensemble's Advection holds
-    (bohmian.advection_bytes, on the full grid), and the entropy runners'
-    per-frame cell indices."""
-    fixed, per_axis, ensembles = _HELD[cfg["experiment"]]
-    d = grid.n_pos_axes
-    need = int((5 + (fixed + per_axis * d) / 2) * 16 * grid.total_points)
-    if ensembles:
-        samples = cfg["ensemble"]["samples"]
-        need += ensembles * bm.advection_bytes(grid, samples, nframes)
-        need += _MACROSTATE_BYTES.get(cfg["experiment"], 0) * samples * nframes
-    budget = grid.memory_budget
+def _check_budget(cfg, need: int, what: str):
+    """MemoryBudgetExceeded when `need` bytes, what the run's largest arrays
+    (`what`) take at once, exceed the config's memory_budget.  Every runner
+    calls it from the config alone, before its first large allocation."""
+    budget = cfg["memory_budget"]
     if need > budget:
-        raise MemoryBudgetExceeded(
-            f"{cfg['experiment']} needs about {need} bytes over {nframes} "
-            f"frames, grid.memory_budget is {budget}")
+        raise MemoryBudgetExceeded(f"{cfg['experiment']} needs about {need} "
+                                   f"bytes for {what}, memory_budget is {budget}")
+
+
+def _field_bytes(cfg, grid, part, nframes) -> int:
+    """What a streamed field run holds at once: the grid-sized arrays of
+    _HELD, counted in units of 8 * total_points bytes, the Python objects
+    kept per frame, what each trajectory ensemble's Advection holds on its
+    own grid (bohmian.advection_bytes), a macrostate binning's cell indices
+    and the dense eigensolve of an eigenstate initial state.  The dense
+    reduced density matrices come after the last frame, with the last wave
+    frame, its conjugate and a transposed copy; the larger of the two counts.
+    Python integers throughout, so no grid size overflows."""
+    fixed, per_axis, full, on_a, rdms = _HELD[cfg["experiment"]]
+    need = ((13 + fixed + per_axis * grid.n_pos_axes) * 8 * grid.total_points
+            + FRAME_BYTES * nframes)
+    if full or on_a:
+        samples = cfg["ensemble"]["samples"]
+        need += full * bm.advection_bytes(grid, samples, nframes)
+        if on_a:
+            need += on_a * bm.advection_bytes(part.a_grid, samples, nframes)
+        if "macrostates" in cfg:
+            copies = 1 if grid.n_pos_axes == 1 else 2
+            need += copies * MACROSTATE_BYTES * samples * nframes
+    if cfg["initial_state"]["kind"] == "eigenstate":
+        need += dense_eig_bytes(grid)
+    if rdms:
+        dim_a = math.prod(part.a_grid.full_shape)
+        need = max(need, 16 * (3 * grid.total_points + rdms * dim_a**2))
+    return need
 
 
 # the runners whose continuity residuals difference three frames in time
@@ -96,18 +128,22 @@ _FRAME_TRIPLES = ("continuity", "subsystem_currents")
 
 
 def _evolved(cfg):
-    """Grid, Hamiltonian, frame count and the generator of wave frames; the
-    frame checks and the memory guard run before the initial state is
-    built."""
+    """Grid, Hamiltonian, frame count, the generator of wave frames and the
+    run's one A/B split of the grid (None without a partition section); the
+    frame checks, the split and the memory guard run before the initial
+    state is built."""
     grid = build_grid(cfg)
     h = build_hamiltonian(cfg)
     ev = cfg["evolution"]
     nframes = frame_count(h, ev["t_final"], ev["frame_stride"])
     if cfg["experiment"] in _FRAME_TRIPLES:
         _uniform_triples(h, ev, nframes)
-    _check_memory(cfg, grid, nframes)
+    part = _partition(cfg, grid) if "partition" in cfg else None
+    _check_budget(cfg, _field_bytes(cfg, grid, part, nframes),
+                  f"{nframes} frames")
     psi0 = build_initial_state(grid, h, cfg)
-    return grid, h, nframes, evolve(psi0, h, ev["t_final"], ev["frame_stride"])
+    return (grid, h, nframes, evolve(psi0, h, ev["t_final"], ev["frame_stride"]),
+            part)
 
 
 def _uniform_triples(h, ev, nframes):
@@ -121,8 +157,7 @@ def _uniform_triples(h, ev, nframes):
 
 
 def _partition(cfg, grid) -> SubsystemPartition:
-    """The run's one A/B split of `grid`, which every subsystem frame, reduced
-    density matrix and truncated ensemble of the run reads."""
+    """The A/B split of `grid` the partition section names."""
     try:
         return SubsystemPartition(grid, cfg["partition"]["a_particles"])
     except PartitionMismatch as exc:
@@ -142,7 +177,7 @@ def _trajectories_csv(path, ens, max_cols=32):
 # dropped
 
 def run_evolve(cfg, outdir, seed):
-    grid, h, _, frames = _evolved(cfg)
+    grid, h, _, frames, _ = _evolved(cfg)
     files, times = [], []
     for i, f in enumerate(frames):
         name = f"psi_{i:04d}.fld"
@@ -166,7 +201,7 @@ def run_evolve(cfg, outdir, seed):
 
 
 def run_continuity(cfg, outdir, seed):
-    grid, h, nframes, frames = _evolved(cfg)
+    grid, h, _, frames, _ = _evolved(cfg)
     window = deque(maxlen=3)
     rows = []
     for psi in frames:
@@ -188,8 +223,7 @@ def run_continuity(cfg, outdir, seed):
 
 
 def run_subsystem_currents(cfg, outdir, seed):
-    grid, h, nframes, frames = _evolved(cfg)
-    part = _partition(cfg, grid)
+    grid, h, nframes, frames, part = _evolved(cfg)
     sfs = []
     for i, last in enumerate(frames):
         if i >= nframes - 3:
@@ -225,13 +259,14 @@ def run_subsystem_currents(cfg, outdir, seed):
 
 def _bohm_setup(cfg, seed):
     """Grid, frame count, the ensemble section, the FieldFrame of each wave
-    frame as it arrives, and the initial samples drawn from the first."""
-    grid, h, nframes, frames = _evolved(cfg)
+    frame as it arrives, the initial samples drawn from the first, and the
+    A/B split (None without a partition section)."""
+    grid, h, nframes, frames, part = _evolved(cfg)
     ffs = (FieldFrame.from_wavefield(f, h) for f in frames)
     first = next(ffs)
     e = cfg["ensemble"]
     x0 = bm.sample_initial(first.rho, e["samples"], seed)
-    return grid, nframes, e, itertools.chain([first], ffs), x0
+    return grid, nframes, e, itertools.chain([first], ffs), x0, part
 
 
 def _velocities(field_frames, see):
@@ -242,7 +277,7 @@ def _velocities(field_frames, see):
 
 
 def run_bohm_full(cfg, outdir, seed):
-    grid, nframes, e, ffs, x0 = _bohm_setup(cfg, seed)
+    grid, nframes, e, ffs, x0, _ = _bohm_setup(cfg, seed)
     last = deque(maxlen=1)
     ens = bm.integrate_trajectories(_velocities(ffs, last.append), x0,
                                     e["substeps"], "full", seed, nframes)
@@ -254,8 +289,7 @@ def run_bohm_full(cfg, outdir, seed):
 
 
 def run_bohm_truncated(cfg, outdir, seed):
-    grid, nframes, e, ffs, x0 = _bohm_setup(cfg, seed)
-    part = _partition(cfg, grid)
+    grid, nframes, e, ffs, x0, part = _bohm_setup(cfg, seed)
     full = bm.Advection(x0, nframes, e["substeps"], "full", seed)
     trunc = bm.Advection(x0[:, part.a_axes], nframes, e["substeps"], "truncated", seed)
     for ff in ffs:
@@ -282,7 +316,7 @@ def run_bohm_truncated(cfg, outdir, seed):
 
 
 def run_equivariance(cfg, outdir, seed):
-    grid, nframes, e, ffs, x0 = _bohm_setup(cfg, seed)
+    grid, nframes, e, ffs, x0, _ = _bohm_setup(cfg, seed)
     substeps, bins = e["substeps"], e["bins"]
     adv = bm.Advection(x0, nframes, substeps, "full", seed)
     # negative control: velocity field frozen at t = 0
@@ -314,20 +348,6 @@ def run_equivariance(cfg, outdir, seed):
 
 
 # ---------------------------------------------------------------------------
-# phase-space and thermodynamics experiments: no grid, so no grid budget;
-# each runner estimates its largest arrays from the config first
-
-
-def _check_phase_memory(cfg, need: int, held: str):
-    """MemoryBudgetExceeded when `need` bytes, what the runner's largest
-    arrays (`held`) take, exceed DEFAULT_MEMORY_BUDGET."""
-    if need > DEFAULT_MEMORY_BUDGET:
-        raise MemoryBudgetExceeded(
-            f"{cfg['experiment']} needs about {need} bytes for {held}, the "
-            f"memory budget is {DEFAULT_MEMORY_BUDGET}")
-
-
-# ---------------------------------------------------------------------------
 # classical phase-space experiments
 
 def _classical_spec(cfg) -> cp.ClassicalHSpec:
@@ -347,8 +367,8 @@ def run_classical_liouville(cfg, outdir, seed):
     # the drawn and displaced ensembles, and the stored frames twice (the
     # Verlet block and its x and p copies)
     frames = 1 + -(-c["steps"] // c["store_stride"])
-    _check_phase_memory(cfg, 8 * c["samples"] * 2 * h.n * (2 * frames + 2),
-                        f"{frames} stored frames of {c['samples']} samples")
+    _check_budget(cfg, 8 * c["samples"] * 2 * h.n * (2 * frames + 2),
+                  f"{frames} stored frames of {c['samples']} samples")
     beta = c["beta"]
     m, om = np.asarray(h.masses), np.asarray(h.omegas)
     # the thermal Gaussian displaced by one width in x: a function of H alone
@@ -381,8 +401,8 @@ def run_classical_truncated(cfg, outdir, seed):
         raise ConfigError("classical.kappa",
                           "truncated-velocity check needs a coupled pair")
     # x_A, p_A, dp_A/dt and the bin index, and two columns in passing
-    _check_phase_memory(cfg, 8 * 6 * c["samples"],
-                        f"6 columns of {c['samples']} samples")
+    _check_budget(cfg, 8 * 6 * c["samples"],
+                  f"6 columns of {c['samples']} samples")
     xa, pa, dpa = cp.sample_thermal_particle(h, c["beta"], c["samples"], seed,
                                              a=0)
     binned = cp.truncated_phase_velocity(xa, pa, dpa)
@@ -421,9 +441,9 @@ def run_classical_truncated(cfg, outdir, seed):
 
 def run_scaling(cfg, outdir, seed):
     s = cfg["scaling"]
-    _check_phase_memory(cfg, 8 * s["samples"] * max(s["sizes"]),
-                        f"{s['samples']} samples of {max(s['sizes'])} "
-                        "oscillators")
+    _check_budget(cfg, 8 * s["samples"] * max(s["sizes"]),
+                  f"{s['samples']} samples of {max(s['sizes'])} "
+                  "oscillators")
     rows, slope = cp.ensemble_average_scaling(s["sizes"], s["samples"],
                                               s["beta"], s["omega"], seed)
     _write_csv(os.path.join(outdir, "scaling.csv"),
@@ -477,7 +497,7 @@ def _entropy_run(cfg, outdir, seed):
         decomp = sm.MacrostateDecomposition.from_intervals_1d(mc["edges"], p_cut)
     except ValueError as exc:
         raise ConfigError("macrostates", str(exc)) from exc
-    grid, nframes, e, ffs, x0 = _bohm_setup(cfg, seed)
+    grid, nframes, e, ffs, x0, _ = _bohm_setup(cfg, seed)
     overlap = bm.cell_overlap(grid, decomp.edges)
     exact = []
 
@@ -576,8 +596,8 @@ def _check_table_memory(cfg, refine=1):
     t = cfg["thermo"]
     n_v, n_t = (refine * (t[key] - 1) + 1 for key in ("v_count", "t_count"))
     levels = 2 if t["family"] == "two_level" else t["levels"]
-    _check_phase_memory(cfg, 8 * n_t * (4 * levels + 9 * n_v),
-                        f"a {n_v} x {n_t} table of {levels} levels")
+    _check_budget(cfg, 8 * n_t * (4 * levels + 9 * n_v),
+                  f"a {n_v} x {n_t} table of {levels} levels")
 
 
 def _table_csv(path, tab):
@@ -666,6 +686,12 @@ def run_first_law(cfg, outdir, seed):
 def run_typicality(cfg, outdir, seed):
     t = cfg["typicality"]
     sizes = t["sizes"]
+    # the largest chain's dense H, eigh's copy, its eigenvectors and LAPACK
+    # syevd's 2 N^2 workspace are five N x N float64 arrays (N = 2^n); eigh
+    # allocates outside tracemalloc's view, and the process's peak RSS grew
+    # by 5.1-5.4 of them at n = 10-12
+    n_max = max(sizes)
+    _check_budget(cfg, 6 * 8 * 4**n_max, f"the dense eigensolve of {n_max} spins")
     reports = []
     for n in sizes:
         reports.append(sc.canonical_typicality(
@@ -710,7 +736,7 @@ def run_cat_mixture(cfg, outdir, seed):
     # mixture is built (the spectrum, two occupations, their halves and the
     # 2 x levels mixture), then 7.25 (the spectrum, the mixture, and within
     # von_neumann_entropy its positive entries, their terms and the p > 0 mask)
-    _check_phase_memory(cfg, 8 * 9 * c["levels"], f"{c['levels']} levels")
+    _check_budget(cfg, 8 * 9 * c["levels"], f"{c['levels']} levels")
     spec = sm.harmonic_spectrum(omega, c["levels"])
     _, p_cold, _ = sm.partition_function(spec, beta_cold)
     _, p_warm, _ = sm.partition_function(spec, beta_warm)

@@ -2,9 +2,12 @@
 
 Uniform tensor-product grids for N particles in d spatial dimensions each,
 with optional spinor components.  A Grid takes the config's grid keys under
-their own names (particles, dims, n, extent, boundary, spin_dims,
-memory_budget), and an InvalidExtent names the key it rejects; the .fld
-header uses the same names.  Two boundary flavors:
+their own names (particles, dims, n, extent, boundary, spin_dims), and an
+InvalidExtent names the key it rejects; the .fld header uses the same names.
+A Grid holds no memory budget: total_points is an exact Python integer,
+which the run's memory guard (`experiments`) compares with the config's
+top-level `memory_budget` before anything grid-sized is allocated.  Two
+boundary flavors:
 
 * periodic  -- points at lo + k*dx, dx = (hi-lo)/n; derivatives are spectral.
 * dirichlet -- interior points at lo + (k+1)*dx, dx = (hi-lo)/(n+1); the
@@ -26,14 +29,13 @@ Natural units: hbar = 1, masses relative to a reference mass, k_B = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import codec
-from .errors import AxisMismatch, InvalidExtent, MemoryBudgetExceeded
-
-DEFAULT_MEMORY_BUDGET = 2 * 1024**3  # bytes
+from .errors import AxisMismatch, InvalidExtent
 
 
 @dataclass
@@ -48,7 +50,6 @@ class Grid:
     extent: tuple
     boundary: str = "periodic"
     spin_dims: tuple = ()
-    memory_budget: int = DEFAULT_MEMORY_BUDGET
 
     def __post_init__(self):
         if self.boundary not in ("periodic", "dirichlet"):
@@ -69,12 +70,7 @@ class Grid:
         self.extent, self.spin_dims = (lo, hi), spins
         n = self.n
         self.n_pos_axes = self.particles * self.dims
-        self.total_points = n**self.n_pos_axes * int(np.prod(spins))
-        bytes_needed = 16 * self.total_points
-        if bytes_needed > self.memory_budget:
-            raise MemoryBudgetExceeded(
-                f"grid needs {bytes_needed} bytes, budget {self.memory_budget}"
-            )
+        self.total_points = n**self.n_pos_axes * math.prod(spins)
         if self.boundary == "periodic":
             self.dx = (hi - lo) / n
             self.axis_coords = lo + self.dx * np.arange(n)

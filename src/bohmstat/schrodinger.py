@@ -356,8 +356,7 @@ def eigenstates(grid: Grid, h: HamiltonianSpec, count: int):
 
     total = grid.total_points
     v = potential_grid(grid, h)
-    if (grid.n_pos_axes == 1 and not grid.spin_shape
-            and grid.boundary == "dirichlet"):
+    if _tridiagonal(grid):
         diag, off = _stencil(grid, h.masses[0])
         vals, vecs = eigh_tridiagonal(diag + v, np.full(total - 1, off),
                                       select="i", select_range=(0, count - 1))
@@ -371,6 +370,23 @@ def eigenstates(grid: Grid, h: HamiltonianSpec, count: int):
     amps = vecs.astype(np.complex128) / np.sqrt(grid.weight)
     return list(vals), [WaveField(grid, amps[:, i].reshape(grid.full_shape))
                         for i in range(count)]
+
+
+def _tridiagonal(grid: Grid) -> bool:
+    """Whether eigenstates takes the tridiagonal route on `grid`."""
+    return (grid.n_pos_axes == 1 and not grid.spin_shape
+            and grid.boundary == "dirichlet")
+
+
+def dense_eig_bytes(grid: Grid) -> int:
+    """The most eigenstates' dense route holds at once on `grid`, 0 on the
+    grids where it takes another route: H and the Fortran-ordered copy that
+    eigh takes of it, 8 N^2 bytes each, and the kinetic blocks that
+    _dense_hamiltonian gathers and adds along one axis, 8 N n bytes each."""
+    total = grid.total_points
+    if _tridiagonal(grid) or total > DENSE_EIG_BUDGET:
+        return 0
+    return 16 * total * (total + grid.n)
 
 
 def _kinetic_matrix(grid: Grid, m: float) -> np.ndarray:

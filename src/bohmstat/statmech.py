@@ -125,8 +125,14 @@ def macrostate_of(x, decomp: MacrostateDecomposition):
     if np.any(outside):
         raise OutsideAllCells(f"{np.ravel(x)[np.ravel(outside)][0]} is outside "
                               f"every cell [{edges[0]}, {edges[-1]}]")
-    idx = np.maximum(np.searchsorted(edges, x, side="left") - 1, 0)
-    return int(idx) if idx.ndim == 0 else idx
+    del outside
+    idx = np.searchsorted(edges, x, side="left")
+    if idx.ndim == 0:
+        return max(int(idx) - 1, 0)
+    # in place: one int64 array is all the call holds beside x
+    idx -= 1
+    np.maximum(idx, 0, out=idx)
+    return idx
 
 
 # ---------------------------------------------------------------------------

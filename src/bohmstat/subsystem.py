@@ -48,7 +48,7 @@ class SubsystemPartition:
         self.a_axes = [ax for p in a for ax in grid.particle_axes(p)]
         self.b_axes = [ax for p in b for ax in grid.particle_axes(p)]
         self.a_grid = Grid(len(a), grid.dims, grid.n, grid.extent, grid.boundary,
-                           tuple(grid.spin_dims[p] for p in a), grid.memory_budget)
+                           tuple(grid.spin_dims[p] for p in a))
 
     def check(self, grid: Grid):
         """PartitionMismatch unless `grid` is the grid this partition splits."""

@@ -26,6 +26,16 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
     return str(p)
 
 
+def shipped_with(name, edits):
+    """The shipped config `name` with {dotted key: value} edits."""
+    with open(os.path.join(CONFIG_DIR, f"{name}.json")) as f:
+        cfg = json.load(f)
+    for dotted, value in edits.items():
+        *section, key = dotted.split(".")
+        (cfg[section[0]] if section else cfg)[key] = value
+    return cfg
+
+
 class TestRun:
     def test_success_exit_zero(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SCALING)
@@ -231,6 +241,9 @@ BAD_VALUES = {
     # the grid's boundary picks the stepper
     "stepper_key": ("evolve", {"hamiltonian.stepper": "crank_nicolson"}, [],
                     "hamiltonian.stepper: unknown key\n"),
+    # the budget is a top-level key
+    "grid_memory_budget": ("evolve", {"grid.memory_budget": 10**6}, [],
+                           "grid.memory_budget: unknown key\n"),
     "fractional_levels": ("cat_mixture", {"cat.levels": 2.7}, [], "cat.levels"),
     "fractional_seed": ("scaling", {"seed": 1.9}, [], "seed"),
     "bool_seed": ("scaling", {"seed": True}, [], "seed"),
@@ -304,12 +317,7 @@ BAD_VALUES = {
 @pytest.mark.parametrize("case", sorted(BAD_VALUES))
 def test_bad_value_exits_two_naming_its_path(tmp_path, capsys, case):
     name, edits, extra, where = BAD_VALUES[case]
-    with open(os.path.join(CONFIG_DIR, f"{name}.json")) as f:
-        cfg = json.load(f)
-    for dotted, value in edits.items():
-        *section, key = dotted.split(".")
-        (cfg[section[0]] if section else cfg)[key] = value
-    path = write_cfg(tmp_path, cfg)
+    path = write_cfg(tmp_path, shipped_with(name, edits))
     out = tmp_path / "o"
     assert main(["run", path, "--output", str(out)] + extra) == 2
     err = capsys.readouterr().err
@@ -333,6 +341,13 @@ class TestCheckFailures:
         assert "[FAIL]" in capsys.readouterr().out
         m = json.loads((out / "manifest.json").read_text())
         assert m["status"] == "check_failed"
+
+
+def budget_row(name, budget, what="", edits=None):
+    """A test_memory_budget_exceeded case: the shipped config `name` with
+    {dotted key: value} edits, run at memory_budget `budget`."""
+    return pytest.param(name, budget, edits or {},
+                        id="-".join(filter(None, (name, str(budget), what))))
 
 
 # the documented exit code of every package error (cli docstring, README)
@@ -381,14 +396,29 @@ class TestPackageErrors:
         assert err.count("\n") == 1 and "raised by the test" in err
         assert not (out / "manifest.json").exists()
 
-    @pytest.mark.parametrize("name, budget", [
-        ("evolve", 1_000),           # below the 4 KiB grid itself
-        ("evolve", 20_000),          # fits the 4 KiB grid, not its working set
-        ("bohm_full", 1_000_000)])   # fits the grids, not 4 MB of paths
-    def test_memory_budget_exceeded(self, tmp_path, capsys, name, budget):
-        with open(os.path.join(CONFIG_DIR, f"{name}.json")) as f:
-            cfg = json.load(f)
-        cfg["grid"]["memory_budget"] = budget
+    @pytest.mark.parametrize("name, budget, edits", [
+        budget_row("evolve", 1_000),          # below the 4 KiB grid itself
+        budget_row("evolve", 20_000),         # fits the 4 KiB grid, not its working set
+        budget_row("bohm_full", 1_000_000),   # fits the grids, not 4 MB of paths
+        # 3 particles on 1024 points: a 16 GiB grid
+        budget_row("evolve", 10**6, "three_particles", {
+            "grid.particles": 3, "grid.n": 1024, "hamiltonian.masses": [1.0] * 3}),
+        # one byte below the estimate of 800 samples of 1024 oscillators, and
+        # of the dense eigensolve of 12 spins
+        budget_row("scaling", 8 * 800 * 1024 - 1),
+        budget_row("typicality", 6 * 8 * 4**12 - 1),
+        # at the default budget, grids whose point counts overflow int64:
+        # 8^400 points (200 two-dimensional particles), and 8^64 * 2^64 (64
+        # spin-1/2 particles)
+        budget_row("evolve", 2 * 1024**3, "8^400_points", {
+            "grid.particles": 200, "grid.dims": 2, "grid.n": 8,
+            "hamiltonian.masses": [1.0] * 200}),
+        budget_row("evolve", 2 * 1024**3, "64_spins", {
+            "grid.particles": 64, "grid.n": 8, "grid.spin_dims": [2] * 64,
+            "hamiltonian.masses": [1.0] * 64})])
+    def test_memory_budget_exceeded(self, tmp_path, capsys, name, budget, edits):
+        cfg = shipped_with(name, edits)
+        cfg["memory_budget"] = budget
         path = write_cfg(tmp_path, cfg)
         out = tmp_path / "o"
         assert main(["run", path, "--output", str(out)]) == 2

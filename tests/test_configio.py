@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from bohmstat import experiments
+from bohmstat import cli, experiments
 from bohmstat.configio import (EXPERIMENTS_META, REQUIRED, SCHEMA, TOP_LEVEL,
                                build_grid, build_hamiltonian,
                                build_initial_state, load_config,
@@ -126,12 +126,13 @@ class TestValidation:
                 assert section in SCHEMA, (name, section)
 
     def test_every_section_key_is_read(self):
-        # a key counts as read when a runner or a builder looks it up by
-        # name, as `section["key"]`; build_grid passes the whole grid section
-        # to Grid, whose parameters are exactly the grid keys
+        # a key counts as read when the cli, a runner or a builder looks it
+        # up by name, as `cfg["key"]` or `section["key"]`; build_grid passes
+        # the whole grid section to Grid, whose parameters are exactly the
+        # grid keys
         assert list(inspect.signature(Grid).parameters) == list(SCHEMA["grid"])
         read = set(SCHEMA["grid"])
-        for fn in (experiments, build_grid, build_hamiltonian,
+        for fn in (cli, experiments, build_grid, build_hamiltonian,
                    build_initial_state):
             for node in ast.walk(ast.parse(inspect.getsource(fn))):
                 if (isinstance(node, ast.Subscript)
@@ -140,6 +141,7 @@ class TestValidation:
         unread = sorted(f"{section}.{key}"
                         for section, keys in SCHEMA.items()
                         for key in keys if key not in read)
+        unread += sorted(key for key in TOP_LEVEL if key not in read)
         assert unread == []
 
     @pytest.mark.parametrize(

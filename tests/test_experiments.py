@@ -1,6 +1,6 @@
 """The field runners consume the wave-frame stream as it arrives: what they
 hold at once, and the memory guard that estimates it before evolving; the
-phase runners' memory guard; and the CSV writer every runner shares."""
+other runners' memory guard; and the CSV writer every runner shares."""
 
 import csv
 import json
@@ -11,10 +11,11 @@ import weakref
 import pytest
 
 from bohmstat import classical_phase as cp
-from bohmstat import experiments
+from bohmstat import configio, experiments
+from bohmstat import spinchain as sc
 from bohmstat import statmech as sm
 from bohmstat.cli import main
-from bohmstat.configio import load_config, validate_config
+from bohmstat.configio import TOP_LEVEL, load_config, validate_config
 from bohmstat.errors import MemoryBudgetExceeded
 from bohmstat.schrodinger import evolve
 
@@ -25,9 +26,9 @@ FIELD_RUNNERS = ["evolve", "continuity", "subsystem_currents", "bohm_full",
                  "free_expansion"]
 
 
-def shipped(name, **grid):
+def shipped(name, **top):
     cfg = load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
-    cfg["grid"].update(grid)
+    cfg.update(top)
     if "ensemble" in cfg:
         cfg["ensemble"]["samples"] = 300  # the frame stream is what is tested
     return validate_config(cfg)
@@ -62,7 +63,7 @@ def test_memory_guard_before_evolving(name, tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "evolve", no_evolve)
     cfg = shipped(name)
     points = cfg["grid"]["n"] ** cfg["grid"]["particles"]
-    cfg["grid"]["memory_budget"] = 4 * 16 * points
+    cfg["memory_budget"] = 4 * 16 * points
     with pytest.raises(MemoryBudgetExceeded):
         experiments.RUNNERS[name](cfg, str(tmp_path), 0)
 
@@ -78,8 +79,7 @@ def test_memory_guard_counts_the_trajectory_paths(tmp_path):
     assert experiments.RUNNERS["bohm_full"](cfg, str(tmp_path), 0).passed
 
 
-@pytest.mark.parametrize("name", ["bohm_full", "bohm_truncated", "equivariance",
-                                  "entropy_series", "free_expansion"])
+@pytest.mark.parametrize("name", FIELD_RUNNERS)
 def test_memory_guard_covers_the_traced_peak(name, tmp_path, traced_peak):
     # the shipped config at full size: a budget one byte below what the run
     # allocates at its peak stops it, so the guard's estimate is at least
@@ -90,9 +90,37 @@ def test_memory_guard_covers_the_traced_peak(name, tmp_path, traced_peak):
     cfg = load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
     peak = traced_peak(experiments.RUNNERS[name], validate_config(cfg),
                        str(tmp_path), 0)
-    cfg["grid"]["memory_budget"] = peak - 1
+    cfg["memory_budget"] = peak - 1
     with pytest.raises(MemoryBudgetExceeded):
         experiments.RUNNERS[name](validate_config(cfg), str(tmp_path), 0)
+
+
+class Reached(Exception):
+    pass
+
+
+def test_memory_guard_counts_the_dense_eigensolve(tmp_path, monkeypatch):
+    # an eigenstate on evolve's 256-point periodic grid takes the dense
+    # route: H and the copy eigh takes, 8 N^2 bytes each, and the kinetic
+    # blocks gathered along the axis, 8 N n bytes twice.  One byte less than
+    # the packet run's count plus that stops the run before the eigensolve;
+    # exactly that reaches it.
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(experiments, "evolve", no_allocation)
+    monkeypatch.setattr(configio, "eigenstates", reached)
+    packet = shipped("evolve")
+    grid = configio.build_grid(packet)
+    packet_need = experiments._field_bytes(packet, grid, None, 21)
+    cfg = shipped("evolve", initial_state={"kind": "eigenstate", "index": 0})
+    need = packet_need + 16 * 256 * (256 + 256)
+    cfg["memory_budget"] = need - 1
+    with pytest.raises(MemoryBudgetExceeded, match=f"needs about {need} bytes"):
+        experiments.run_evolve(cfg, str(tmp_path), 0)
+    cfg["memory_budget"] = need
+    with pytest.raises(Reached):
+        experiments.run_evolve(cfg, str(tmp_path), 0)
 
 
 @pytest.mark.parametrize("name, t_final", [("continuity", 0.505),
@@ -119,7 +147,8 @@ def test_off_stride_t_final_stops_before_evolving(name, t_final, tmp_path,
     assert not (out / "manifest.json").exists()
 
 
-# what each shipped phase config's largest arrays take, by the guard's count
+# what each shipped phase, table and spin-chain config's largest arrays
+# take, by the guard's count
 PHASE_NEEDS = {
     # 2000 samples x 2 particles x (x, p), over the drawn and displaced
     # ensembles and 11 stored frames held twice
@@ -135,6 +164,9 @@ PHASE_NEEDS = {
     # 400 levels: the spectrum, two occupations, their 2 x 400 mixture, and
     # its positive entries and their log
     "cat_mixture": 8 * 9 * 400,
+    # n = 12: six 4096 x 4096 float64 arrays, for the dense H, eigh's copy,
+    # its eigenvectors and LAPACK's workspace
+    "typicality": 6 * 8 * 4**12,
 }
 
 
@@ -145,22 +177,24 @@ def no_allocation(*args, **kwargs):
 @pytest.mark.parametrize("name", list(PHASE_NEEDS))
 def test_phase_memory_guard_before_allocating(name, tmp_path, monkeypatch,
                                               capsys):
-    # the phase configs have no budget key: the default one, lowered to one
-    # byte below the estimate, stops the run (exit 2) before any ensemble is
-    # drawn, table built or spectrum made; the shipped configs never near the
-    # default
+    # a memory_budget one byte below the estimate stops the run (exit 2)
+    # before any ensemble is drawn, table built, spectrum made or chain
+    # Hamiltonian built; the shipped configs never near the default budget
     need = PHASE_NEEDS[name]
-    assert need < experiments.DEFAULT_MEMORY_BUDGET
+    assert need < TOP_LEVEL["memory_budget"].default
     for module, attr in [(cp, "sample_thermal"),
                          (cp, "sample_thermal_particle"),
                          (cp, "ensemble_average_scaling"),
                          (sm, "thermo_table"),
-                         (sm, "harmonic_spectrum")]:
+                         (sm, "harmonic_spectrum"),
+                         (sc, "tfim_hamiltonian")]:
         monkeypatch.setattr(module, attr, no_allocation)
-    monkeypatch.setattr(experiments, "DEFAULT_MEMORY_BUDGET", need - 1)
+    cfg = load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
+    cfg["memory_budget"] = need - 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
     out = tmp_path / "o"
-    assert main(["run", os.path.join(CONFIG_DIR, f"{name}.json"),
-                 "--output", str(out)]) == 2
+    assert main(["run", str(path), "--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("MemoryBudgetExceeded")
     assert f"needs about {need} bytes" in err

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohmstat.errors import AxisMismatch, InvalidExtent, MemoryBudgetExceeded
+from bohmstat.errors import AxisMismatch, InvalidExtent
 from bohmstat.lattice import (Grid, WaveField, gradient, integrate,
                               read_field, write_field)
 
@@ -23,10 +23,6 @@ class TestGridSpec:
         with pytest.raises(InvalidExtent) as exc:
             Grid(**{**keys, key: self.BAD[key]})
         assert exc.value.field == key
-
-    def test_memory_budget(self):
-        with pytest.raises(MemoryBudgetExceeded):
-            Grid(3, 1, 1024, (0.0, 1.0), memory_budget=10**6)
 
     def test_spin_defaults_to_scalar(self):
         grid = Grid(2, 1, 16, (0, 1))
