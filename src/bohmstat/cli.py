@@ -11,11 +11,11 @@ the top-level `memory_budget`.
 
 Exit codes: 0 success; 2 invalid or unsupported input (a config error, or a
 package error such as MemoryBudgetExceeded, DenseBudgetExceeded or
-MalformedFile); 3 a built-in numerical check failed,
-or the run hit a numerical failure (TrajectoryEscapedDomain,
-ConvergenceFailure from an ARPACK eigensolve, TruncationInsufficient,
-NotADensityMatrix, OutsideAllCells, WindowEmpty).  Each error class names its code in `errors`;
-a package error prints one line to stderr and leaves no manifest.
+MalformedFile); 3 a built-in numerical check failed, or the run hit a
+numerical failure (TrajectoryEscapedDomain, TruncationInsufficient,
+NotADensityMatrix, OutsideAllCells, WindowEmpty).  Each error class names its
+code in `errors`; a package error prints one line to stderr and leaves no
+manifest.
 
 Every successful or check-failed run leaves a manifest.json next to its
 outputs with the config echo, seed, wall time, peak resident set size of the

@@ -28,10 +28,6 @@ class AxisMismatch(BohmstatError):
     pass
 
 
-class ConvergenceFailure(BohmstatError):
-    exit_code = 3
-
-
 class NonuniformFrames(BohmstatError):
     pass
 

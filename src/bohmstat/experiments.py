@@ -25,7 +25,7 @@ from .configio import (EXPERIMENTS_META, build_grid, build_hamiltonian,
 from .currents import FieldFrame, continuity_residual, velocity
 from .errors import ConfigError, MemoryBudgetExceeded, PartitionMismatch
 from .lattice import VectorField, write_field
-from .schrodinger import dense_eig_bytes, energy, evolve, frame_count
+from .schrodinger import eigenstate_bytes, energy, evolve, frame_count
 from .subsystem import (SubsystemPartition, reduced_density_matrix,
                         subsystem_frame, truncated_current_from_rdm, write_rdm)
 
@@ -62,9 +62,10 @@ def _write_csv(path, header, rows):
 # FieldFrame takes four more, the two complex arrays of the gradient in
 # currents.current.
 _HELD = {
-    # energy's H psi: the potential and five complex arrays of
-    # apply_hamiltonian
-    "evolve": (11, 0, 0, 0, 0),
+    # energy's H psi: the potential and three complex arrays (7); a 1-D
+    # Crank-Nicolson step's right-hand side and ?gtsv's copies of its bands
+    # take 9 (traced peak of a 16 384-point dirichlet oscillator)
+    "evolve": (9, 0, 0, 0, 0),
     "continuity": (8, 4, 0, 0, 0),            # four FieldFrames
     "subsystem_currents": (5, 1, 0, 0, 4),    # one FieldFrame
     "bohm_full": (5, 2, 1, 0, 0),             # FieldFrame, velocity
@@ -95,12 +96,12 @@ def _check_budget(cfg, need: int, what: str):
                                    f"bytes for {what}, memory_budget is {budget}")
 
 
-def _field_bytes(cfg, grid, part, nframes) -> int:
+def _field_bytes(cfg, grid, h, part, nframes) -> int:
     """What a streamed field run holds at once: the grid-sized arrays of
     _HELD, counted in units of 8 * total_points bytes, the Python objects
     kept per frame, what each trajectory ensemble's Advection holds on its
     own grid (bohmian.advection_bytes), a macrostate binning's cell indices
-    and the dense eigensolve of an eigenstate initial state.  The dense
+    and the eigensolve of an eigenstate initial state.  The dense
     reduced density matrices come after the last frame, with the last wave
     frame, its conjugate and a transposed copy; the larger of the two counts.
     Python integers throughout, so no grid size overflows."""
@@ -116,7 +117,8 @@ def _field_bytes(cfg, grid, part, nframes) -> int:
             copies = 1 if grid.n_pos_axes == 1 else 2
             need += copies * MACROSTATE_BYTES * samples * nframes
     if cfg["initial_state"]["kind"] == "eigenstate":
-        need += dense_eig_bytes(grid)
+        count = cfg["initial_state"]["index"] + 1  # past N: a ConfigError
+        need += eigenstate_bytes(grid, h, min(count, grid.total_points))
     if rdms:
         dim_a = math.prod(part.a_grid.full_shape)
         need = max(need, 16 * (3 * grid.total_points + rdms * dim_a**2))
@@ -139,7 +141,7 @@ def _evolved(cfg):
     if cfg["experiment"] in _FRAME_TRIPLES:
         _uniform_triples(h, ev, nframes)
     part = _partition(cfg, grid) if "partition" in cfg else None
-    _check_budget(cfg, _field_bytes(cfg, grid, part, nframes),
+    _check_budget(cfg, _field_bytes(cfg, grid, h, part, nframes),
                   f"{nframes} frames")
     psi0 = build_initial_state(grid, h, cfg)
     return (grid, h, nframes, evolve(psi0, h, ev["t_final"], ev["frame_stride"]),

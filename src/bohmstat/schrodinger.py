@@ -26,13 +26,14 @@ yields a copy of it, one frame at a time.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceFailure
+from .errors import ConfigError, DenseBudgetExceeded
 from .lattice import Grid, WaveField
 
 DENSE_EIG_BUDGET = 4096
@@ -132,8 +133,8 @@ def _dst1(amp, axis):
 def _stencil(grid: Grid, m: float):
     """Diagonal and off-diagonal of the kinetic matrix -D2 / (2m) of one
     dirichlet axis, D2 the (1,-2,1)/dx^2 stencil with zero boundary values.
-    Every dirichlet kinetic operator (the Crank-Nicolson bands, the
-    tridiagonal and dense eigensolver routes, apply_hamiltonian) reads it."""
+    Every dirichlet kinetic operator (the Crank-Nicolson bands, both
+    eigensolver routes, apply_hamiltonian) reads it."""
     return 1.0 / (m * grid.dx**2), -1.0 / (2 * m * grid.dx**2)
 
 
@@ -302,28 +303,32 @@ def frame_count(h: HamiltonianSpec, duration: float, frame_stride: int) -> int:
 
 
 def apply_hamiltonian(amp, grid: Grid, h: HamiltonianSpec, v=None):
-    """H amp, for amp of the grid's full_shape: V amp plus, along each
-    position axis, -d^2/dx^2 / (2m), spectral (the FFT times -k^2) on a
-    periodic grid and the _stencil bands on a dirichlet one."""
+    """H amp, for a complex amp of the grid's full_shape: V amp plus, along
+    each position axis, -d^2/dx^2 / (2m), spectral (the FFT times -k^2) on a
+    periodic grid and the _stencil bands on a dirichlet one, through one
+    scratch grid reused across axes."""
     if v is None:
         v = potential_grid(grid, h)
     out = v * amp
+    scratch = np.empty_like(out)
     for i, ax in enumerate(grid.pos_axes(amp.shape)):
         m = h.mass_of_axis(grid, i)
         if grid.boundary == "periodic":
             shape = [1] * amp.ndim
             shape[ax] = len(grid.wavenumbers)
-            ft = np.fft.fft(amp, axis=ax)
-            ft *= (-(grid.wavenumbers**2)).reshape(shape)
-            lap = np.fft.ifft(ft, axis=ax)
-            out = out - (lap if np.iscomplexobj(amp) else lap.real) / (2.0 * m)
+            np.fft.fft(amp, axis=ax, out=scratch)
+            scratch *= (-(grid.wavenumbers**2)).reshape(shape)
+            np.fft.ifft(scratch, axis=ax, out=scratch)
+            scratch /= 2.0 * m
+            out -= scratch
             continue
         diag, off = _stencil(grid, m)
         f = np.moveaxis(amp, ax, -1)
-        t = diag * f
+        t = np.moveaxis(scratch, ax, -1)
+        np.multiply(diag, f, out=t)
         t[..., 1:] += off * f[..., :-1]
         t[..., :-1] += off * f[..., 1:]
-        out = out + np.moveaxis(t, -1, ax)
+        out += scratch
     return out
 
 
@@ -337,56 +342,83 @@ def energy(psi: WaveField, h: HamiltonianSpec) -> float:
     return float(val.real)
 
 
+def eigen_route(grid: Grid, h: HamiltonianSpec) -> str:
+    """The route of eigenstates: "separable" when every term of V is a sum
+    of one-axis terms, else "dense".  DenseBudgetExceeded when the route's
+    dense eigh (H, or a periodic axis) exceeds DENSE_EIG_BUDGET."""
+    separable = all(t["kind"] in ("free", "box", "harmonic", "gaussian_barrier")
+                    for t in h.potential)
+    rows = (grid.n if grid.boundary == "periodic" else 0) if separable \
+        else grid.total_points
+    if rows > DENSE_EIG_BUDGET:
+        raise DenseBudgetExceeded(f"a dense eigh of {rows} rows exceeds "
+                                  f"DENSE_EIG_BUDGET {DENSE_EIG_BUDGET}")
+    return "separable" if separable else "dense"
+
+
 def eigenstates(grid: Grid, h: HamiltonianSpec, count: int):
     """Lowest `count` eigenpairs, energies ascending, quadrature-orthonormal.
 
-    H is real symmetric, so every route gives real eigenvectors:
-    * 1-D dirichlet without spin: eigh_tridiagonal of the (1,-2,1) stencil
-      plus V, at any size;
-    * any other grid up to DENSE_EIG_BUDGET points: eigh of the dense H
-      (_dense_hamiltonian);
-    * larger: ARPACK (eigsh) on a LinearOperator over apply_hamiltonian, see
-      _lowest_eigsh.
-    Lanczos converges slowly on a fine 1-D Laplacian (a 1-D dirichlet grid of
-    8192 points took 44 s under eigsh), so a 1-D periodic grid above the
-    budget is slow.
-    """
+    H is real symmetric, so both routes (eigen_route) give real eigenvectors.
+    Dense: eigh of _dense_hamiltonian.  Separable: products of each axis's
+    lowest min(count, n) 1-D levels, from eigh_tridiagonal of the stencil
+    (dirichlet) or eigh of _kinetic_matrix (periodic) plus the axis's V,
+    merged by summed energy, stable over their C-ordered index with the spin
+    components first (V does not act on spin, so each spatial level repeats
+    once per spin component)."""
     from scipy.linalg import eigh, eigh_tridiagonal
-    from scipy.sparse.linalg import LinearOperator
 
-    total = grid.total_points
-    v = potential_grid(grid, h)
-    if _tridiagonal(grid):
-        diag, off = _stencil(grid, h.masses[0])
-        vals, vecs = eigh_tridiagonal(diag + v, np.full(total - 1, off),
-                                      select="i", select_range=(0, count - 1))
-    elif total <= DENSE_EIG_BUDGET:
-        vals, vecs = eigh(_dense_hamiltonian(grid, h, v), overwrite_a=True,
-                          subset_by_index=(0, count - 1))
-    else:
-        vals, vecs = _lowest_eigsh(LinearOperator(
-            (total, total), dtype=np.float64, matvec=lambda x: apply_hamiltonian(
-                x.reshape(grid.full_shape), grid, h, v=v).ravel()), count)
-    amps = vecs.astype(np.complex128) / np.sqrt(grid.weight)
-    return list(vals), [WaveField(grid, amps[:, i].reshape(grid.full_shape))
-                        for i in range(count)]
+    if eigen_route(grid, h) == "dense":
+        vals, vecs = eigh(_dense_hamiltonian(grid, h, potential_grid(grid, h)),
+                          overwrite_a=True, subset_by_index=(0, count - 1))
+        return list(vals), [_state(grid, (), vecs[:, i]) for i in range(count)]
+    v = potential_grid(grid, h)[(0,) * grid.n_spin_axes]
+    d, k = grid.n_pos_axes, min(count, grid.n)
+    summed, levels = np.zeros(grid.spin_shape), []
+    for ax in range(d):
+        # V's line through the first point; V there counts on axis 0 only
+        line = v[(0,) * ax + (slice(None),) + (0,) * (d - ax - 1)] \
+            - (v.flat[0] if ax else 0.0)
+        if grid.boundary == "periodic":
+            mat = _kinetic_matrix(grid, h.mass_of_axis(grid, ax))
+            mat[np.diag_indices(grid.n)] += line
+            vals, vecs = eigh(mat, overwrite_a=True, subset_by_index=(0, k - 1))
+        else:
+            diag, off = _stencil(grid, h.mass_of_axis(grid, ax))
+            vals, vecs = eigh_tridiagonal(diag + line, np.full(grid.n - 1, off),
+                                          select="i", select_range=(0, k - 1))
+        summed = np.add.outer(summed, vals)
+        levels.append(vecs)
+    del v
+    order = np.argsort(summed, axis=None, kind="stable")[:count]
+    energies, shape = summed.ravel()[order], summed.shape
+    del summed
+    states = []
+    for flat in order:
+        index = np.unravel_index(flat, shape)
+        states.append(_state(grid, index[:-d], functools.reduce(
+            np.multiply.outer, [u[:, i] for u, i in zip(levels, index[-d:])])))
+    return list(energies), states
 
 
-def _tridiagonal(grid: Grid) -> bool:
-    """Whether eigenstates takes the tridiagonal route on `grid`."""
-    return (grid.n_pos_axes == 1 and not grid.spin_shape
-            and grid.boundary == "dirichlet")
+def _state(grid: Grid, spin: tuple, vec) -> WaveField:
+    """Spin component `spin` the real unit vector `vec`, quadrature-normed."""
+    amp = np.zeros(grid.full_shape, dtype=np.complex128)
+    amp[spin] = vec.reshape(grid.full_shape[len(spin):])
+    amp /= np.sqrt(grid.weight)
+    return WaveField(grid, amp)
 
 
-def dense_eig_bytes(grid: Grid) -> int:
-    """The most eigenstates' dense route holds at once on `grid`, 0 on the
-    grids where it takes another route: H and the Fortran-ordered copy that
-    eigh takes of it, 8 N^2 bytes each, and the kinetic blocks that
-    _dense_hamiltonian gathers and adds along one axis, 8 N n bytes each."""
-    total = grid.total_points
-    if _tridiagonal(grid) or total > DENSE_EIG_BUDGET:
-        return 0
-    return 16 * total * (total + grid.n)
+def eigenstate_bytes(grid: Grid, h: HamiltonianSpec, count: int) -> int:
+    """The most eigenstates holds at once: `count` states of 16 N bytes; on
+    the dense route H, eigh's copy (8 N^2 each), the kinetic blocks (8 N n
+    twice) and eigh's N x count vectors; on the separable route a periodic
+    axis's matrix, eigh's copy and each axis's vectors (8 n^2 each), and
+    the merge's summed energies and argsort (24 N)."""
+    total, n = grid.total_points, grid.n
+    if eigen_route(grid, h) == "dense":
+        return 16 * total * (total + n) + 24 * total * count
+    return 16 * total * count + 8 * n * n * (2 + grid.n_pos_axes) + 24 * total
 
 
 def _kinetic_matrix(grid: Grid, m: float) -> np.ndarray:
@@ -414,34 +446,3 @@ def _dense_hamiltonian(grid: Grid, h: HamiltonianSpec, v) -> np.ndarray:
         lines[b, :, c, b, :, c] += _kinetic_matrix(grid, h.mass_of_axis(grid, ax))
     return mat
 
-
-def _lowest_eigsh(op, count: int):
-    """The `count` lowest eigenpairs of the real symmetric operator `op`,
-    ascending, by ARPACK from a fixed start vector, so that runs repeat.
-    Raises ConvergenceFailure when ARPACK does not converge.
-
-    Lanczos can return fewer copies of a degenerate level than there are
-    (72x72 periodic oscillator: 2 of 10 start vectors lost an E = 3 state to
-    E = 4).  So `op` is solved again with the vectors found shifted above the
-    highest found; any level of that solve below the highest found is one the
-    first solve missed, and replaces it.
-    """
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
-    v0 = np.random.default_rng(0).standard_normal(op.shape[0])
-    try:
-        vals, vecs = eigsh(op, k=count, which="SA", v0=v0)
-        while True:
-            order = np.argsort(vals)[:count]
-            vals, vecs = vals[order], vecs[:, order]
-            shift = vals[-1] - vals[0] + 1.0
-            low, new = eigsh(LinearOperator(op.shape, dtype=op.dtype, matvec=(
-                lambda x, u=vecs, s=shift: op.matvec(x) + s * (u @ (u.T @ x)))),
-                k=count, which="SA", v0=v0)
-            missed = low < vals[-1] - 1e-10 * max(1.0, abs(vals[-1]))
-            if not missed.any():
-                return vals, vecs
-            vals = np.append(vals, low[missed])
-            vecs = np.column_stack([vecs, new[:, missed]])
-    except ArpackNoConvergence as exc:
-        raise ConvergenceFailure(f"ARPACK eigsh: {exc}") from exc

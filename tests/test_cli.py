@@ -7,9 +7,11 @@ import textwrap
 import pytest
 
 import bohmstat
-from bohmstat import errors
+from bohmstat import errors, experiments
 from bohmstat.cli import main
+from bohmstat.configio import build_grid, build_hamiltonian, validate_config
 from bohmstat.experiments import RUNNERS
+from bohmstat.schrodinger import frame_count
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -223,6 +225,10 @@ BAD_VALUES = {
     "negative_index": ("free_expansion", {"initial_state.kind": "eigenstate",
                                           "initial_state.index": -1},
                        [], "initial_state.index"),
+    # past the grid's 256 states; the memory guard, which counts the
+    # returned states, runs first and must not take it for a huge run
+    "index_past_the_grid": ("evolve", {"initial_state": {
+        "kind": "eigenstate", "index": 10**9}}, [], "initial_state.index"),
     "negative_seed_flag": ("scaling", {}, ["--seed", "-1"], "seed"),
     "negative_time_step": ("evolve", {"hamiltonian.time_step": -0.001}, [],
                            "hamiltonian.time_step"),
@@ -364,7 +370,6 @@ EXIT_CODES = {
     "AnalyticDensityUnavailable": 2,
     "MalformedFile": 2,
     "ConfigError": 2,
-    "ConvergenceFailure": 3,
     "TrajectoryEscapedDomain": 3,
     "NotADensityMatrix": 3,
     "OutsideAllCells": 3,
@@ -439,24 +444,45 @@ class TestPackageErrors:
         assert m["status"] == "check_failed"
         assert m["metrics"]["frac_within_3se"] == 0.0
 
-    def test_arpack_no_convergence_exits_three(self, tmp_path, capsys,
-                                               monkeypatch):
-        # an eigenstate on a 72 x 72 grid, above DENSE_EIG_BUDGET: ARPACK
-        import scipy.sparse.linalg as spla
-
-        def no_convergence(*args, **kwargs):
-            raise spla.ArpackNoConvergence("no convergence", [], [])
-
-        monkeypatch.setattr(spla, "eigsh", no_convergence)
-        with open(os.path.join(CONFIG_DIR, "evolve.json")) as f:
-            cfg = json.load(f)
-        cfg["grid"].update(dims=2, n=72)
-        cfg["initial_state"] = {"kind": "eigenstate", "index": 0}
+    # an eigenstate whose eigensolve needs a dense eigh above
+    # DENSE_EIG_BUDGET: the whole H of a non-separable potential, or one
+    # periodic axis's kinetic matrix
+    @pytest.mark.parametrize("edits", [
+        {"grid.particles": 2, "grid.n": 72, "hamiltonian.masses": [1.0, 1.0],
+         "hamiltonian.potential": [{"kind": "harmonic", "omega": 1.0},
+                                   {"kind": "pair_coupling", "lam": 0.3}]},
+        {"grid.n": 4100}], ids=["pair_coupling_72x72", "periodic_1d_4100"])
+    def test_eigenstate_above_dense_budget(self, tmp_path, capsys, edits):
+        cfg = shipped_with("evolve", dict(
+            edits, initial_state={"kind": "eigenstate", "index": 0}))
         path = write_cfg(tmp_path, cfg)
         out = tmp_path / "o"
-        assert main(["run", path, "--output", str(out)]) == 3
+        assert main(["run", path, "--output", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("ConvergenceFailure")
+        assert err.count("\n") == 1 and err.startswith("DenseBudgetExceeded")
+        assert not (out / "manifest.json").exists()
+
+    def test_eigenstate_at_the_top_of_the_spectrum(self, tmp_path, capsys):
+        # the last of a 65 x 65 box's 4225 states: the guard counts all 4225
+        # returned states, 16 N bytes each, and one byte less stops the run
+        cfg = shipped_with("evolve", {
+            "grid.dims": 2, "grid.n": 65, "grid.extent": [0.0, 1.0],
+            "grid.boundary": "dirichlet",
+            "hamiltonian.potential": [{"kind": "box"}],
+            "initial_state": {"kind": "eigenstate", "index": 4224}})
+        resolved = validate_config(cfg)
+        h = build_hamiltonian(resolved)
+        nframes = frame_count(h, cfg["evolution"]["t_final"],
+                              cfg["evolution"]["frame_stride"])
+        need = experiments._field_bytes(resolved, build_grid(resolved), h,
+                                        None, nframes)
+        assert need > 16 * 4225 * 4225
+        cfg["memory_budget"] = need - 1
+        path = write_cfg(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["run", path, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("MemoryBudgetExceeded")
         assert not (out / "manifest.json").exists()
 
 

@@ -99,28 +99,91 @@ class Reached(Exception):
     pass
 
 
-def test_memory_guard_counts_the_dense_eigensolve(tmp_path, monkeypatch):
-    # an eigenstate on evolve's 256-point periodic grid takes the dense
-    # route: H and the copy eigh takes, 8 N^2 bytes each, and the kinetic
-    # blocks gathered along the axis, 8 N n bytes twice.  One byte less than
-    # the packet run's count plus that stops the run before the eigensolve;
-    # exactly that reaches it.
+def evolve_with(edits):
+    """configs/evolve.json with {section: {key: value}} edits, unresolved."""
+    cfg = load_config(os.path.join(CONFIG_DIR, "evolve.json"))
+    for section, keys in edits.items():
+        cfg[section].update(keys)
+    return cfg
+
+
+def guard_stops_at(cfg, need, tmp_path, monkeypatch):
+    """One byte less than `need` stops the evolve run `cfg` before the
+    eigensolve; exactly `need` reaches it."""
     def reached(*args):
         raise Reached
 
     monkeypatch.setattr(experiments, "evolve", no_allocation)
     monkeypatch.setattr(configio, "eigenstates", reached)
-    packet = shipped("evolve")
-    grid = configio.build_grid(packet)
-    packet_need = experiments._field_bytes(packet, grid, None, 21)
-    cfg = shipped("evolve", initial_state={"kind": "eigenstate", "index": 0})
-    need = packet_need + 16 * 256 * (256 + 256)
     cfg["memory_budget"] = need - 1
     with pytest.raises(MemoryBudgetExceeded, match=f"needs about {need} bytes"):
-        experiments.run_evolve(cfg, str(tmp_path), 0)
+        experiments.run_evolve(validate_config(cfg), str(tmp_path), 0)
     cfg["memory_budget"] = need
     with pytest.raises(Reached):
-        experiments.run_evolve(cfg, str(tmp_path), 0)
+        experiments.run_evolve(validate_config(cfg), str(tmp_path), 0)
+
+
+def packet_need(cfg):
+    """The guard's count for the config's own Gaussian packet run."""
+    packet = validate_config(cfg)
+    return experiments._field_bytes(packet, configio.build_grid(packet),
+                                    configio.build_hamiltonian(packet), None,
+                                    21)
+
+
+def test_memory_guard_counts_the_dense_eigensolve(tmp_path, monkeypatch):
+    # evolve's 256-point periodic grid with a spin-1/2 component and a
+    # spin_coupling term takes the dense route on N = 512 states: H and the
+    # copy eigh takes, 8 N^2 bytes each, the kinetic blocks gathered along
+    # the axis, 8 N n bytes twice, and for index 0 eigh's one real vector
+    # and the returned state, 8 N and 16 N bytes
+    cfg = evolve_with({"grid": {"spin_dims": [2]}})
+    cfg["hamiltonian"]["potential"].append({"kind": "spin_coupling", "mu": 0.5})
+    need = packet_need(cfg) + 16 * 512 * (512 + 256) + 24 * 512
+    cfg["initial_state"] = {"kind": "eigenstate", "index": 0}
+    guard_stops_at(cfg, need, tmp_path, monkeypatch)
+
+
+def test_memory_guard_counts_the_separable_eigensolve(tmp_path, monkeypatch):
+    # the shipped grid's harmonic well is separable: the 256 x 256 kinetic
+    # matrix and eigh's copy, the axis's 256 x 256 real vectors (8 n^2 bytes
+    # each), 24 bytes per product state for the merge, and index 9's ten
+    # returned states of 16 N bytes
+    cfg = evolve_with({})
+    need = packet_need(cfg) + 8 * 256 * 256 * 3 + 24 * 256 + 16 * 256 * 10
+    cfg["initial_state"] = {"kind": "eigenstate", "index": 9}
+    guard_stops_at(cfg, need, tmp_path, monkeypatch)
+
+
+# eigenstate runs whose traced peak the guard must cover: a separable 72 x 72
+# box above DENSE_EIG_BUDGET, the shipped 1-D periodic grid's top level, and
+# a dense pair_coupling case near the top of its 576 levels
+EIGENSTATE_RUNS = {
+    "box_72x72_index_9": (
+        {"grid": {"dims": 2, "n": 72, "boundary": "dirichlet"},
+         "hamiltonian": {"potential": [{"kind": "box"}]}}, 9),
+    "periodic_1d_index_255": ({}, 255),
+    "pair_coupling_24x24_index_300": (
+        {"grid": {"particles": 2, "n": 24, "extent": [-5.0, 5.0]},
+         "hamiltonian": {"masses": [1.0, 1.0],
+                         "potential": [{"kind": "harmonic", "omega": 1.0},
+                                       {"kind": "pair_coupling", "lam": 0.3}]}},
+        300),
+}
+
+
+@pytest.mark.parametrize("name", list(EIGENSTATE_RUNS))
+def test_memory_guard_covers_the_eigenstate_peak(name, tmp_path, traced_peak):
+    # as test_memory_guard_covers_the_traced_peak, after a warm-up run
+    edits, index = EIGENSTATE_RUNS[name]
+    cfg = evolve_with(dict(edits, evolution={"t_final": 0.1}))
+    cfg["initial_state"] = {"kind": "eigenstate", "index": index}
+    experiments.run_evolve(validate_config(cfg), str(tmp_path), 0)
+    peak = traced_peak(experiments.run_evolve, validate_config(cfg),
+                       str(tmp_path), 0)
+    cfg["memory_budget"] = peak - 1
+    with pytest.raises(MemoryBudgetExceeded):
+        experiments.run_evolve(validate_config(cfg), str(tmp_path), 0)
 
 
 @pytest.mark.parametrize("name, t_final", [("continuity", 0.505),

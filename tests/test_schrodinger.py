@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -274,62 +279,86 @@ class TestEigenstates:
         np.testing.assert_allclose(energies, [0.5, 1.5, 2.5, 3.5], atol=5e-2)
 
 
-# grids that are not 1-D dirichlet without spin, each solved twice on the one
-# operator: dense eigh (DENSE_EIG_BUDGET = the grid size) and ARPACK (budget
-# 0)
+# (grid, Hamiltonian, count, route): eigenstates against the full spectrum
+# of scipy's eigh on the dense H the test assembles itself.  Unequal masses
+# and frequencies tell the axes apart.
 ROUTE_CASES = {
+    # E = 0, then 4-fold k = 1 and 4-fold k = (1, 1)
+    "free_periodic": (Grid(1, 2, 12, (-3.0, 3.0)),
+                      HamiltonianSpec((1.0,), [{"kind": "free"}]), 9, "separable"),
+    # sine modes (1, 1), (1, 2) twice, (2, 2), (1, 3) twice
+    "box_dirichlet": (Grid(1, 2, 14, (0.0, 1.0), boundary="dirichlet"),
+                      HamiltonianSpec((1.0,), [{"kind": "box"}]), 6, "separable"),
     # non-degenerate lowest levels 1.35, 2.35, 3.05, 3.35
     "two_particle_periodic": (
         Grid(2, 1, 24, (-6.0, 6.0)),
-        HamiltonianSpec((1.0, 1.0), [{"kind": "harmonic", "omega": [1.0, 1.7]}])),
+        HamiltonianSpec((1.0, 1.0), [{"kind": "harmonic", "omega": [1.0, 1.7]}]),
+        6, "separable"),
+    "two_particle_dirichlet": (
+        Grid(2, 1, 24, (-6.0, 6.0), boundary="dirichlet"),
+        HamiltonianSpec((1.0, 1.0), [{"kind": "harmonic", "omega": [1.0, 1.7]}]),
+        6, "separable"),
+    # E = 1, 2, 2, 3, 3, 3 up to the stencil's error
+    "dirichlet_2d": (
+        Grid(1, 2, 16, (-4.0, 4.0), boundary="dirichlet"),
+        HamiltonianSpec((1.0,), [{"kind": "harmonic", "omega": 1.0}]),
+        6, "separable"),
+    "gaussian_barrier": (
+        Grid(1, 2, 16, (-4.0, 4.0)),
+        HamiltonianSpec((1.0,), [{"kind": "harmonic", "omega": 1.0},
+                                 {"kind": "gaussian_barrier", "height": 2.0,
+                                  "width": 0.6, "center": 0.5}]),
+        7, "separable"),
+    "two_masses": (
+        Grid(2, 1, 20, (-5.0, 5.0)),
+        HamiltonianSpec((1.0, 2.5), [{"kind": "harmonic", "omega": [1.0, 1.3]}]),
+        6, "separable"),
+    # every spatial level twice, once per spin component
+    "spin_without_coupling": (
+        Grid(1, 1, 48, (-8.0, 8.0), spin_dims=(2,)),
+        HamiltonianSpec((1.0,), [{"kind": "harmonic", "omega": 1.0}]),
+        6, "separable"),
     "spin_half": (
         Grid(1, 1, 48, (-8.0, 8.0), spin_dims=(2,)),
         HamiltonianSpec((1.0,), [{"kind": "harmonic", "omega": 1.0},
-                                 {"kind": "spin_coupling", "mu": 0.5}])),
-    "dirichlet_2d": (
-        Grid(1, 2, 16, (-4.0, 4.0), boundary="dirichlet"),
-        HamiltonianSpec((1.0,), [{"kind": "harmonic", "omega": 1.0}])),
+                                 {"kind": "spin_coupling", "mu": 0.5}]),
+        6, "dense"),
+    "pair_coupling": (
+        Grid(2, 1, 16, (-5.0, 5.0)),
+        HamiltonianSpec((1.0, 2.5), [{"kind": "harmonic", "omega": 1.0},
+                                     {"kind": "pair_coupling", "lam": 0.3}]),
+        6, "dense"),
 }
-
-
-def eigenstates_under(budget, grid, h, count):
-    """eigenstates with DENSE_EIG_BUDGET set to `budget` for the one call;
-    ARPACK must run exactly when the grid is above the budget."""
-    arpack_calls = []
-    lowest = schrodinger._lowest_eigsh
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(schrodinger, "DENSE_EIG_BUDGET", budget)
-        mp.setattr(schrodinger, "_lowest_eigsh",
-                   lambda *args: arpack_calls.append(args) or lowest(*args))
-        result = eigenstates(grid, h, count)
-    assert len(arpack_calls) == (grid.total_points > budget)
-    return result
-
-
-def dense_and_arpack(name, count):
-    grid, h = ROUTE_CASES[name]
-    dense = eigenstates_under(grid.total_points, grid, h, count)
-    arpack = eigenstates_under(0, grid, h, count)
-    return grid, dense, arpack
 
 
 class TestEigensolverRoutes:
     @pytest.mark.parametrize("name", list(ROUTE_CASES))
-    def test_arpack_energies_match_dense(self, name):
-        _, (e_dense, _), (e_arpack, _) = dense_and_arpack(name, 6)
-        np.testing.assert_allclose(e_arpack, e_dense, rtol=0, atol=1e-10)
+    def test_matches_dense_eigh(self, name):
+        # energies to 1e-10; states by the projector on each degenerate
+        # group (levels closer than 1e-8) that lies wholly inside `count`,
+        # since the basis of a group cut by `count` is a choice
+        from scipy.linalg import eigh
 
-    def test_arpack_states_match_dense(self):
-        grid, (_, dense), (_, arpack) = dense_and_arpack(
-            "two_particle_periodic", 4)
-        for a, b in zip(dense, arpack):
-            ov = np.vdot(a.amplitudes, b.amplitudes) * grid.weight
-            assert abs(abs(ov) - 1.0) < 1e-8
+        grid, h, count, route = ROUTE_CASES[name]
+        assert schrodinger.eigen_route(grid, h) == route
+        ref_e, ref_v = eigh(schrodinger._dense_hamiltonian(
+            grid, h, potential_grid(grid, h)))
+        energies, states = eigenstates(grid, h, count)
+        np.testing.assert_allclose(energies, ref_e[:count], rtol=0, atol=1e-10)
+        got = np.array([s.amplitudes.ravel() for s in states]).T \
+            * np.sqrt(grid.weight)
+        starts = [0] + [i for i in range(1, count + 1)
+                        if ref_e[i] - ref_e[i - 1] > 1e-8]
+        assert len(starts) > 1
+        for lo, hi in zip(starts, starts[1:]):
+            p_ref = ref_v[:, lo:hi] @ ref_v[:, lo:hi].T
+            p_got = got[:, lo:hi] @ got[:, lo:hi].conj().T
+            assert np.abs(p_got - p_ref).max() < 1e-8
 
     def test_states_are_real_orthonormal_eigenvectors(self):
-        grid, h = ROUTE_CASES["spin_half"]
-        for budget in (grid.total_points, 0):
-            energies, states = eigenstates_under(budget, grid, h, 4)
+        for name in ("spin_without_coupling", "spin_half"):  # both routes
+            grid, h, _, _ = ROUTE_CASES[name]
+            energies, states = eigenstates(grid, h, 4)
             amps = np.array([s.amplitudes.ravel() for s in states])
             assert not amps.imag.any()
             np.testing.assert_allclose(amps.conj() @ amps.T * grid.weight,
@@ -339,7 +368,7 @@ class TestEigensolverRoutes:
                 assert np.max(np.abs(resid)) < 1e-8
 
     def test_dirichlet_2d_above_budget(self):
-        # 72 x 72 = 5184 points > DENSE_EIG_BUDGET: ARPACK, against the
+        # 72 x 72 = 5184 points > DENSE_EIG_BUDGET, separable, against the
         # exact spectrum of the (1,-2,1) stencil, sum over both axes of
         # 2 / (m dx^2) sin^2(pi k / (2 (N + 1)))
         n = 72
@@ -355,12 +384,28 @@ class TestEigensolverRoutes:
 
     def test_periodic_degenerate_levels_all_found(self):
         # 72 x 72 periodic oscillator: E = 1, 2, 2, 3, 3, 3 (spectral
-        # kinetic operator, exact to round-off at this extent); single-vector
-        # Lanczos can return fewer copies of a degenerate level than exist
+        # kinetic operator, exact to round-off at this extent); every copy
+        # of a degenerate level is returned
         grid = Grid(1, 2, 72, (-8.0, 8.0))
         h = HamiltonianSpec((1.0,), [{"kind": "harmonic", "omega": 1.0}])
         energies, _ = eigenstates(grid, h, 6)
         np.testing.assert_allclose(energies, [1, 2, 2, 3, 3, 3], atol=1e-10)
+
+    def test_eigensolve_imports_no_scipy_sparse(self):
+        # a fresh interpreter: the test process may have loaded it already
+        script = textwrap.dedent("""
+            import sys
+            from bohmstat.lattice import Grid
+            from bohmstat.schrodinger import HamiltonianSpec, eigenstates
+            for grid, kind in ((Grid(1, 2, 72, (0.0, 1.0), boundary="dirichlet"),
+                                "box"), (Grid(1, 2, 72, (-8.0, 8.0)), "free")):
+                eigenstates(grid, HamiltonianSpec((1.0,), [{"kind": kind}]), 6)
+            loaded = [m for m in sys.modules if m.startswith("scipy.sparse")]
+            assert not loaded, loaded
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(schrodinger.__file__)))
+        subprocess.run([sys.executable, "-c", script], check=True,
+                       env=dict(os.environ, PYTHONPATH=src))
 
 
 # the dense matrix assembled from the kinetic matrices and V, against one
@@ -371,9 +416,9 @@ BLOCK_CASES = {
     "periodic_1d": (Grid(1, 1, 40, (-6.0, 6.0)),
                     HamiltonianSpec((1.0,), [{"kind": "harmonic",
                                               "omega": 1.0}])),
-    "periodic_2d": ROUTE_CASES["two_particle_periodic"],
-    "dirichlet_2d": ROUTE_CASES["dirichlet_2d"],
-    "spin_half": ROUTE_CASES["spin_half"],
+    "periodic_2d": ROUTE_CASES["two_particle_periodic"][:2],
+    "dirichlet_2d": ROUTE_CASES["dirichlet_2d"][:2],
+    "spin_half": ROUTE_CASES["spin_half"][:2],
     "periodic_two_masses": (
         Grid(2, 1, 20, (-6.0, 6.0)),
         HamiltonianSpec((1.0, 2.5), [{"kind": "pair_coupling", "lam": 0.3}])),
@@ -390,11 +435,12 @@ class TestDenseHamiltonian:
         v = potential_grid(grid, h)
         per_column = np.column_stack([
             apply_hamiltonian(e.reshape(grid.full_shape), grid, h, v=v).ravel()
-            for e in np.eye(grid.total_points)])
+            for e in np.eye(grid.total_points, dtype=np.complex128)])
         dense = schrodinger._dense_hamiltonian(grid, h, v)
         tol = 1e-14 if grid.boundary == "periodic" else 0.0
-        np.testing.assert_allclose(dense, per_column, rtol=0,
+        np.testing.assert_allclose(dense, per_column.real, rtol=0,
                                    atol=tol * np.abs(per_column).max())
+        assert np.abs(per_column.imag).max() <= tol * np.abs(per_column).max()
 
 
 class TestKineticOperator:
@@ -411,7 +457,7 @@ class TestKineticOperator:
         n, dx = grid.n, grid.dx
         j = np.arange(1, n + 1)
         lines = [np.sin(np.pi * k * j / (n + 1)) for k in modes]
-        amp = np.outer(*lines)
+        amp = np.outer(*lines).astype(np.complex128)
         energy_ = sum(2.0 / (m * dx**2) * np.sin(np.pi * k / (2 * (n + 1))) ** 2
                       for k, m in zip(modes, self.MASSES))
         got = apply_hamiltonian(amp, grid, h)
