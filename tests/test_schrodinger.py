@@ -331,6 +331,16 @@ ROUTE_CASES = {
 }
 
 
+def separable_and_dense(name, count):
+    grid, h, _, route = ROUTE_CASES[name]
+    assert route == "separable"
+    separable = eigenstates(grid, h, count)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schrodinger, "eigen_route", lambda *args: "dense")
+        dense = eigenstates(grid, h, count)
+    return grid, separable, dense
+
+
 class TestEigensolverRoutes:
     @pytest.mark.parametrize("name", list(ROUTE_CASES))
     def test_matches_dense_eigh(self, name):
@@ -354,6 +364,22 @@ class TestEigensolverRoutes:
             p_ref = ref_v[:, lo:hi] @ ref_v[:, lo:hi].T
             p_got = got[:, lo:hi] @ got[:, lo:hi].conj().T
             assert np.abs(p_got - p_ref).max() < 1e-8
+
+    # the separable route against eigenstates' own dense route on the same
+    # operator (eigen_route forced to "dense"); the names are those of the
+    # ARPACK-against-dense comparison these tests held before that route went
+    @pytest.mark.parametrize("name", ["two_particle_periodic"])
+    def test_arpack_energies_match_dense(self, name):
+        _, (e_sep, _), (e_dense, _) = separable_and_dense(name, 6)
+        np.testing.assert_allclose(e_sep, e_dense, rtol=0, atol=1e-10)
+
+    def test_arpack_states_match_dense(self):
+        # non-degenerate lowest four levels: each state to a sign
+        grid, (_, sep), (_, dense) = separable_and_dense(
+            "two_particle_periodic", 4)
+        for a, b in zip(sep, dense):
+            ov = np.vdot(a.amplitudes, b.amplitudes) * grid.weight
+            assert abs(abs(ov) - 1.0) < 1e-8
 
     def test_states_are_real_orthonormal_eigenvectors(self):
         for name in ("spin_without_coupling", "spin_half"):  # both routes
