@@ -5,12 +5,19 @@ periodic grid, point 0's cell below lo lies one period up); `sample_initial`
 draws by this rule and `cell_overlap` bins densities by it.  Samples are
 advected with fixed-step RK4 through velocity frames that arrive one at a
 time (`Advection`); the `truncated` flavor follows the A-subsystem velocity.
+The positions of each frame are appended to a spool, an unnamed temporary
+file, as they are computed, and read back one frame at a time, so an
+ensemble holds O(samples) memory whatever its frame count; the spool takes
+as much disk as the ensemble's .trj file until it is closed.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import tempfile
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -59,16 +66,52 @@ def cell_overlap(grid: Grid, edges: np.ndarray) -> np.ndarray:
     return frac / grid.dx
 
 
+# about how many bytes of sample-major paths write_trajectories builds at once
+TRANSPOSE_BYTES = 1 << 20
+
+
+def _chunk_samples(samples: int, nframes: int, d: int) -> int:
+    """The samples whose whole paths write_trajectories transposes at once."""
+    return max(1, min(samples, TRANSPOSE_BYTES // max(1, 8 * d * nframes)))
+
+
 @dataclass
 class TrajectoryEnsemble:
+    """Sample paths held in `spool`, an open binary file, frame-major: frame
+    k's (samples, dims) float64 positions start at byte 8 * dims * samples * k.
+    They are read back one frame, or part of one, at a time (frame).  Used
+    as a context manager, the ensemble closes the spool on exit, which
+    deletes a temporary one."""
+
     flavor: str  # "full" or "truncated"
     seed: int
     times: np.ndarray          # (nframes,)
-    paths: np.ndarray          # (nsamples, nframes, D)
+    spool: BinaryIO
+    samples: int
+    dims: int
 
     @property
-    def samples(self) -> int:
-        return self.paths.shape[0]
+    def shape(self) -> tuple:
+        """(samples, frames, dims): the shape of the paths array."""
+        return self.samples, len(self.times), self.dims
+
+    def frame(self, k: int, start: int = 0, stop: int = None) -> np.ndarray:
+        """The positions of samples [start, stop) at frame k (negative k
+        counts from the last frame), (stop - start, dims), read from the
+        spool."""
+        k = range(len(self.times))[k]
+        start, stop, _ = slice(start, stop).indices(self.samples)
+        out = np.empty((stop - start, self.dims))
+        offset = 8 * self.dims * (k * self.samples + start)
+        if os.preadv(self.spool.fileno(), [out], offset) != out.nbytes:
+            raise EOFError(f"the spool ends before frame {k}")
+        return out
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.spool.close()
 
 
 class Advection:
@@ -80,9 +123,13 @@ class Advection:
     of one call over every frame, in the same order.  Only those two
     velocity frames are held, in a (2, D, npts) buffer, which each call
     blends in time into the kernel's own three velocity buffers (padded by
-    one wrapped point per axis on a periodic grid); the positions go into a
-    (nsamples, nframes, D) path array allocated up front.  advection_bytes
-    counts what an Advection holds at most.
+    one wrapped point per axis on a periodic grid).  Each push appends the
+    positions at its frame to the spool, an unnamed temporary file in
+    `spool_dir` (the default temporary directory when None), so no
+    (nsamples, nframes, D) path array is ever held; ensemble() flushes it
+    and reads nothing.  close(), or the end of a `with` block, closes the
+    spool, which deletes it, and leaves the ensembles made from it
+    unreadable.  advection_bytes counts what an Advection holds at most.
 
     Velocities are interpolated multilinearly in space and linearly in time.
     Periodic positions wrap; dirichlet positions reflect off the wall when
@@ -91,12 +138,12 @@ class Advection:
     """
 
     def __init__(self, x0: np.ndarray, nframes: int, substeps: int = 1,
-                 flavor: str = "full", seed: int = 0):
+                 flavor: str = "full", seed: int = 0, spool_dir=None):
         x0 = np.asarray(x0, dtype=np.float64)
         if x0.ndim == 1:
             x0 = x0[:, None]
-        self.paths = np.empty((x0.shape[0], nframes, x0.shape[1]))
-        self.paths[:, 0, :] = self._x = x0
+        self._x = x0
+        self._spool = tempfile.TemporaryFile(dir=spool_dir)
         self.times = np.empty(nframes)
         self.escaped = np.zeros(x0.shape[0], np.uint8)
         self.substeps, self.flavor, self.seed = substeps, flavor, seed
@@ -111,8 +158,8 @@ class Advection:
             raise ValueError(f"more than the {k} velocity frames allotted")
         if k == 0:
             d_dims = grid.n_pos_axes
-            if self.paths.shape[2] != d_dims:
-                raise AxisMismatch(f"x0 has {self.paths.shape[2]} coords, "
+            if self._x.shape[1] != d_dims:
+                raise AxisMismatch(f"x0 has {self._x.shape[1]} coords, "
                                    f"grid has {d_dims}")
             self.grid = grid
             self._v = np.empty((2, d_dims, int(np.prod(grid.pos_shape))))
@@ -129,51 +176,71 @@ class Advection:
                 grid.axis_coords[0], grid.dx, grid.n,
                 grid.boundary == "periodic", self.substeps, lo, hi,
             )
-            # the next pair starts from this one's end, read from `pair`
-            # rather than from the strided column of `paths`
+            # the next pair starts from this one's end
             self._x = pair[:, 1, :]
-            self.paths[:, k, :] = self._x
             self.escaped |= escaped
+        self._spool.write(np.ascontiguousarray(self._x))
         self.count = k + 1
         return self._x
 
     def ensemble(self) -> TrajectoryEnsemble:
-        """The frames pushed so far as a TrajectoryEnsemble."""
+        """The frames pushed so far as a TrajectoryEnsemble on the spool."""
         if self.grid.boundary == "dirichlet" and self.escaped.any():
             raise TrajectoryEscapedDomain(
                 f"{int(self.escaped.sum())} trajectories left the domain by "
                 f"more than dx")
-        k = self.count
-        return TrajectoryEnsemble(self.flavor, self.seed, self.times[:k],
-                                  self.paths[:, :k, :])
+        self._spool.flush()
+        return TrajectoryEnsemble(self.flavor, self.seed, self.times[:self.count],
+                                  self._spool, *self._x.shape)
+
+    def close(self):
+        self._spool.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 def advection_bytes(grid: Grid, samples: int, nframes: int) -> int:
     """The most an Advection of `samples` over `nframes` frames on `grid`
-    holds at once, with its caller's starting positions: its paths and
-    two-frame velocity buffer, the positions the last kernels.rk4_paths call
-    returned while the next call builds its own, three sets of escape flags,
-    and that call's working set."""
+    holds at once, with its caller's starting positions: its two-frame
+    velocity buffer, the positions the last kernels.rk4_paths call returned
+    while the next call builds its own (or while a push spools a contiguous
+    copy of them), three sets of escape flags, and that call's working set;
+    then the block of whole sample paths that write_trajectories transposes
+    at once (about TRANSPOSE_BYTES) and the frame slice it reads into it.
+    Nothing grows with samples x nframes: the paths are on the spool."""
     d = grid.n_pos_axes
     points = math.prod(grid.pos_shape)
-    return (8 * d * (samples * (nframes + 5) + 2 * points) + 3 * samples
+    chunk = _chunk_samples(samples, nframes, d)
+    return (8 * d * (5 * samples + 2 * points + chunk * (nframes + 1))
+            + 3 * samples
             + kernels.rk4_working_bytes(samples, d, grid.n,
                                         grid.boundary == "periodic"))
 
 
 def integrate_trajectories(velocity_frames, x0: np.ndarray, substeps: int = 1,
                            flavor: str = "full", seed: int = 0,
-                           nframes: int = None) -> TrajectoryEnsemble:
+                           nframes: int = None,
+                           spool_dir=None) -> TrajectoryEnsemble:
     """RK4 advection of x0 through time-ordered velocity VectorField frames
-    (see Advection).  `velocity_frames` may be any iterable, a generator
-    included, when `nframes` gives its length; each frame is used as it
-    arrives and may be dropped after."""
+    (see Advection, which spools the paths in `spool_dir`); the caller
+    closes the returned ensemble, and with it the spool.
+    `velocity_frames` may be any iterable, a generator included, when
+    `nframes` gives its length; each frame is used as it arrives and may be
+    dropped after."""
     if nframes is None:
         nframes = len(velocity_frames)
-    adv = Advection(x0, nframes, substeps, flavor, seed)
-    for frame in velocity_frames:
-        adv.push(frame)
-    return adv.ensemble()
+    adv = Advection(x0, nframes, substeps, flavor, seed, spool_dir)
+    try:
+        for frame in velocity_frames:
+            adv.push(frame)
+        return adv.ensemble()
+    except BaseException:
+        adv.close()
+        raise
 
 
 def equivariance_distance(positions: np.ndarray, rho: ScalarField,
@@ -197,25 +264,41 @@ def equivariance_distance(positions: np.ndarray, rho: ScalarField,
 def order_inversions(ens: TrajectoryEnsemble) -> int:
     """Count of adjacent-order violations of the initial 1D sample ordering
     at the final time (Bohmian flow in 1D must preserve ordering)."""
-    if ens.paths.shape[2] != 1:
+    if ens.dims != 1:
         raise AxisMismatch("ordering check is for single-coordinate paths")
-    first = ens.paths[:, 0, 0]
-    last = ens.paths[:, -1, 0]
-    order = np.argsort(first, kind="stable")
-    return int(np.sum(np.diff(last[order]) < 0))
+    order = np.argsort(ens.frame(0)[:, 0], kind="stable")
+    return int(np.sum(np.diff(ens.frame(-1)[order, 0]) < 0))
+
+
+def _sample_major(ens: TrajectoryEnsemble):
+    """ens's paths in C order of (samples, frames, dims), as consecutive
+    blocks of whole sample paths built one at a time in one buffer."""
+    samples, nframes, d = ens.shape
+    step = _chunk_samples(samples, nframes, d)
+    block = np.empty((step, nframes, d))
+    for start in range(0, samples, step):
+        stop = min(start + step, samples)
+        for k in range(nframes):
+            block[:stop - start, k] = ens.frame(k, start, stop)
+        yield block[:stop - start]
 
 
 def write_trajectories(path, ens: TrajectoryEnsemble):
+    """Writes ens as a .trj file, its paths sample-major (the header's
+    `shape` is (samples, frames, dims)), transposed from the frame-major
+    spool about TRANSPOSE_BYTES at a time."""
     header = {
         "flavor": ens.flavor,
         "seed": int(ens.seed),
         "times": [float(t) for t in ens.times],
-        "shape": list(ens.paths.shape),
+        "shape": list(ens.shape),
     }
-    codec.write(path, header, ens.paths)
+    codec.write(path, header, _sample_major(ens))
 
 
 def read_trajectories(path):
+    """The TrajectoryEnsemble of a .trj file, on a new spool in the default
+    temporary directory."""
     header, (paths,) = codec.read(path, lambda h: [(h["shape"], False)],
                                   required=("flavor", "seed", "times"))
     frames = paths.shape[1] if paths.ndim == 3 else -1
@@ -224,5 +307,9 @@ def read_trajectories(path):
     codec.require(path, type(header["seed"]) is int, "seed must be an integer")
     codec.require(path, codec.are_numbers(header["times"], frames),
                   "times must hold one number per stored frame")
+    spool = tempfile.TemporaryFile()
+    spool.write(np.ascontiguousarray(paths.transpose(1, 0, 2)))
+    spool.flush()
     return TrajectoryEnsemble(header["flavor"], header["seed"],
-                              np.array(header["times"]), paths)
+                              np.array(header["times"]), spool,
+                              paths.shape[0], paths.shape[2])

@@ -313,7 +313,7 @@ def write_ensemble(path, ens: PhaseEnsemble):
         "shape": list(ens.xs.shape),
         "seed": int(ens.seed),
     }
-    codec.write(path, header, ens.xs, ens.ps)
+    codec.write(path, header, (ens.xs, ens.ps))
 
 
 def read_ensemble(path) -> PhaseEnsemble:

@@ -22,8 +22,10 @@ def _dtype(is_complex) -> np.dtype:
     return np.dtype("<c16" if is_complex else "<f8")
 
 
-def write(path, header: dict, *arrays) -> None:
-    """Write `header` as the JSON line, then every array's payload."""
+def write(path, header: dict, arrays) -> None:
+    """Write `header` as the JSON line, then the payload of each array in the
+    iterable `arrays` as it is drawn, so a generator's arrays need not all be
+    held at once."""
     with open(path, "wb") as f:
         f.write(json.dumps(header).encode() + b"\n")
         for arr in arrays:

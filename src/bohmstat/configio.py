@@ -11,6 +11,7 @@ the offending entry.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from typing import Callable, NamedTuple
@@ -431,5 +432,6 @@ def build_initial_state(grid, h: HamiltonianSpec, cfg: dict) -> WaveField:
     if s["index"] >= grid.total_points:  # kind "eigenstate"
         raise ConfigError("initial_state.index", f"must be below the number of "
                           f"grid states ({grid.total_points}), got {s['index']}")
+    # the states below the index are built and dropped one at a time
     _, fields = eigenstates(grid, h, s["index"] + 1)
-    return fields[s["index"]]
+    return next(itertools.islice(fields, s["index"], None))

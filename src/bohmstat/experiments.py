@@ -79,12 +79,6 @@ _HELD = {
 # each (CSV rows, file names, frame times)
 FRAME_BYTES = 256
 
-# bytes per sample and stored frame of a macrostate binning: the int64 cell
-# index that statmech.macrostate_of returns (its bool range masks, freed
-# before, take 3); paths of more than one axis add as much again for the
-# contiguous copy of their first coordinates that searchsorted takes
-MACROSTATE_BYTES = 8
-
 
 def _check_budget(cfg, need: int, what: str):
     """MemoryBudgetExceeded when `need` bytes, what the run's largest arrays
@@ -100,10 +94,10 @@ def _field_bytes(cfg, grid, h, part, nframes) -> int:
     """What a streamed field run holds at once: the grid-sized arrays of
     _HELD, counted in units of 8 * total_points bytes, the Python objects
     kept per frame, what each trajectory ensemble's Advection holds on its
-    own grid (bohmian.advection_bytes), a macrostate binning's cell indices
-    and the eigensolve of an eigenstate initial state.  The dense
-    reduced density matrices come after the last frame, with the last wave
-    frame, its conjugate and a transposed copy; the larger of the two counts.
+    own grid (bohmian.advection_bytes) and the eigensolve of an eigenstate
+    initial state.  The dense reduced density matrices come after the last
+    frame, with the last wave frame, its conjugate and a transposed copy;
+    the larger of the two counts.
     Python integers throughout, so no grid size overflows."""
     fixed, per_axis, full, on_a, rdms = _HELD[cfg["experiment"]]
     need = ((13 + fixed + per_axis * grid.n_pos_axes) * 8 * grid.total_points
@@ -113,9 +107,6 @@ def _field_bytes(cfg, grid, h, part, nframes) -> int:
         need += full * bm.advection_bytes(grid, samples, nframes)
         if on_a:
             need += on_a * bm.advection_bytes(part.a_grid, samples, nframes)
-        if "macrostates" in cfg:
-            copies = 1 if grid.n_pos_axes == 1 else 2
-            need += copies * MACROSTATE_BYTES * samples * nframes
     if cfg["initial_state"]["kind"] == "eigenstate":
         count = cfg["initial_state"]["index"] + 1  # past N: a ConfigError
         need += eigenstate_bytes(grid, h, min(count, grid.total_points))
@@ -167,10 +158,12 @@ def _partition(cfg, grid) -> SubsystemPartition:
 
 
 def _trajectories_csv(path, ens, max_cols=32):
+    """The first coordinate of the first `max_cols` samples at each frame,
+    read from the spool one frame at a time."""
     k = min(max_cols, ens.samples)
     header = ["time"] + [f"x_{i:04d}" for i in range(k)]
-    rows = [[float(t)] + [float(v) for v in ens.paths[:k, fi, 0]]
-            for fi, t in enumerate(ens.times)]
+    rows = ([float(t)] + ens.frame(fi, 0, k)[:, 0].tolist()
+            for fi, t in enumerate(ens.times))
     _write_csv(path, header, rows)
 
 
@@ -281,28 +274,32 @@ def _velocities(field_frames, see):
 def run_bohm_full(cfg, outdir, seed):
     grid, nframes, e, ffs, x0, _ = _bohm_setup(cfg, seed)
     last = deque(maxlen=1)
-    ens = bm.integrate_trajectories(_velocities(ffs, last.append), x0,
-                                    e["substeps"], "full", seed, nframes)
-    bm.write_trajectories(os.path.join(outdir, "trajectories.trj"), ens)
-    _trajectories_csv(os.path.join(outdir, "trajectories.csv"), ens)
-    tv = bm.equivariance_distance(ens.paths[:, -1, :], last[0].rho, e["bins"])
+    with bm.integrate_trajectories(_velocities(ffs, last.append), x0,
+                                   e["substeps"], "full", seed, nframes,
+                                   outdir) as ens:
+        bm.write_trajectories(os.path.join(outdir, "trajectories.trj"), ens)
+        _trajectories_csv(os.path.join(outdir, "trajectories.csv"), ens)
+        tv = bm.equivariance_distance(ens.frame(-1), last[0].rho, e["bins"])
     metrics = {"samples": ens.samples, "tv_final": tv, "frames": nframes}
     return ExperimentResult(metrics, {}, ["trajectories.trj", "trajectories.csv"])
 
 
 def run_bohm_truncated(cfg, outdir, seed):
     grid, nframes, e, ffs, x0, part = _bohm_setup(cfg, seed)
-    full = bm.Advection(x0, nframes, e["substeps"], "full", seed)
-    trunc = bm.Advection(x0[:, part.a_axes], nframes, e["substeps"], "truncated", seed)
-    for ff in ffs:
-        sf = subsystem_frame(ff, part)
-        full.push(velocity(ff))
-        trunc.push(velocity(sf))
-    full, trunc = full.ensemble(), trunc.ensemble()
-    bm.write_trajectories(os.path.join(outdir, "full.trj"), full)
-    bm.write_trajectories(os.path.join(outdir, "truncated.trj"), trunc)
-    tv = bm.equivariance_distance(trunc.paths[:, -1, :], sf.rho, e["bins"])
-    div = np.linalg.norm(full.paths[:, -1, part.a_axes] - trunc.paths[:, -1, :], axis=1)
+    with bm.Advection(x0, nframes, e["substeps"], "full", seed,
+                      outdir) as full, \
+            bm.Advection(x0[:, part.a_axes], nframes, e["substeps"],
+                         "truncated", seed, outdir) as trunc:
+        for ff in ffs:
+            sf = subsystem_frame(ff, part)
+            full.push(velocity(ff))
+            trunc.push(velocity(sf))
+        full, trunc = full.ensemble(), trunc.ensemble()
+        bm.write_trajectories(os.path.join(outdir, "full.trj"), full)
+        bm.write_trajectories(os.path.join(outdir, "truncated.trj"), trunc)
+        full_end, trunc_end = full.frame(-1), trunc.frame(-1)
+    tv = bm.equivariance_distance(trunc_end, sf.rho, e["bins"])
+    div = np.linalg.norm(full_end[:, part.a_axes] - trunc_end, axis=1)
     frac = float(np.mean(div > 10 * grid.dx))
     metrics = {
         "samples": full.samples,
@@ -320,31 +317,32 @@ def run_bohm_truncated(cfg, outdir, seed):
 def run_equivariance(cfg, outdir, seed):
     grid, nframes, e, ffs, x0, _ = _bohm_setup(cfg, seed)
     substeps, bins = e["substeps"], e["bins"]
-    adv = bm.Advection(x0, nframes, substeps, "full", seed)
     # negative control: velocity field frozen at t = 0
-    frozen = bm.Advection(x0, nframes, substeps, "full", seed)
-    rows, v0 = [], None
-    for ff in ffs:
-        v = velocity(ff)
-        if v0 is None:
-            v0 = v.components
-        rows.append((float(v.time),
-                     bm.equivariance_distance(adv.push(v), ff.rho, bins)))
-        frozen.push(VectorField(v.grid, v0, v.time))
-    ens = adv.ensemble()
-    _write_csv(os.path.join(outdir, "equivariance.csv"), ["time", "tv_distance"], rows)
-    bm.write_trajectories(os.path.join(outdir, "trajectories.trj"), ens)
-    ctrl = frozen.ensemble()
-    tv_ctrl = bm.equivariance_distance(ctrl.paths[:, -1, :], ff.rho, bins)
-    tv_final = rows[-1][1]
-    metrics = {"tv_final": tv_final, "tv_frozen_control": tv_ctrl,
-               "samples": ens.samples}
-    checks = {"tv_below_0.05": tv_final < 0.05,
-              "control_above_0.2": tv_ctrl > 0.2}
-    if grid.n_pos_axes == 1:
-        inv = bm.order_inversions(ens)
-        metrics["order_inversions"] = inv
-        checks["no_order_inversions"] = inv == 0
+    with bm.Advection(x0, nframes, substeps, "full", seed, outdir) as adv, \
+            bm.Advection(x0, nframes, substeps, "full", seed, outdir) as frozen:
+        rows, v0 = [], None
+        for ff in ffs:
+            v = velocity(ff)
+            if v0 is None:
+                v0 = v.components
+            rows.append((float(v.time),
+                         bm.equivariance_distance(adv.push(v), ff.rho, bins)))
+            frozen.push(VectorField(v.grid, v0, v.time))
+        ens = adv.ensemble()
+        _write_csv(os.path.join(outdir, "equivariance.csv"),
+                   ["time", "tv_distance"], rows)
+        bm.write_trajectories(os.path.join(outdir, "trajectories.trj"), ens)
+        tv_ctrl = bm.equivariance_distance(frozen.ensemble().frame(-1), ff.rho,
+                                           bins)
+        tv_final = rows[-1][1]
+        metrics = {"tv_final": tv_final, "tv_frozen_control": tv_ctrl,
+                   "samples": ens.samples}
+        checks = {"tv_below_0.05": tv_final < 0.05,
+                  "control_above_0.2": tv_ctrl > 0.2}
+        if grid.n_pos_axes == 1:
+            inv = bm.order_inversions(ens)
+            metrics["order_inversions"] = inv
+            checks["no_order_inversions"] = inv == 0
     return ExperimentResult(metrics, checks,
                             ["equivariance.csv", "trajectories.trj"])
 
@@ -507,29 +505,29 @@ def _entropy_run(cfg, outdir, seed):
         rho_first = ff.rho.values.reshape(grid.n, -1).sum(axis=1)
         exact.append(overlap.T @ rho_first * grid.weight)
 
-    ens = bm.integrate_trajectories(_velocities(ffs, cell_masses), x0,
-                                    e["substeps"], "full", seed, nframes)
     s_b_of_cell = np.log(np.diff(decomp.edges) * 2 * p_cut / mc["delta_z"])
     s_qb_of_cell = np.log(np.asarray(decomp.dims, dtype=float))
-    nt = len(ens.times)
-    cell_idx = sm.macrostate_of(ens.paths[:, :, 0], decomp)
-    s_qb = [s_qb_of_cell[cell_idx[:, t]].mean() for t in range(nt)]
-    s_b = [s_b_of_cell[cell_idx[:, t]].mean() for t in range(nt)]
-    grew = float(np.mean(s_qb_of_cell[cell_idx[:, -1]]
-                         > s_qb_of_cell[cell_idx[:, 0]]))
-    # frame t's cell c becomes bin t * n_cells + c of one bincount (in place:
-    # cell_idx is not read again)
-    n_cells = len(decomp.dims)
-    cell_idx += np.arange(nt) * n_cells
-    counts = np.bincount(cell_idx.ravel(),
-                         minlength=nt * n_cells).reshape(nt, n_cells)
+    s_qb, s_b, counts = [], [], []
+    with bm.integrate_trajectories(_velocities(ffs, cell_masses), x0,
+                                   e["substeps"], "full", seed, nframes,
+                                   outdir) as ens:
+        # binned one frame at a time, as read from the spool
+        for t in range(len(ens.times)):
+            cell_idx = sm.macrostate_of(ens.frame(t)[:, 0], decomp)
+            s_qb.append(s_qb_of_cell[cell_idx].mean())
+            s_b.append(s_b_of_cell[cell_idx].mean())
+            counts.append(np.bincount(cell_idx, minlength=len(decomp.dims)))
+            if t == 0:
+                s_qb_first = s_qb_of_cell[cell_idx]
+        bm.write_trajectories(os.path.join(outdir, "trajectories.trj"), ens)
+    grew = float(np.mean(s_qb_of_cell[cell_idx] > s_qb_first))
+    nt, counts = len(ens.times), np.array(counts)
     cg = sm.plugin_entropy(counts / counts.sum(axis=1, keepdims=True),
                            decomp.dims)
     rows = [(float(ens.times[t]), float(s_qb[t]), float(s_b[t]), float(cg[t]))
             for t in range(nt)]
     _write_csv(os.path.join(outdir, "entropy.csv"),
                ["time", "s_qb_mean", "s_b_mean", "s_g_coarse"], rows)
-    bm.write_trajectories(os.path.join(outdir, "trajectories.trj"), ens)
     # imported here: statistics loads decimal and fractions, which no other
     # run needs
     from statistics import NormalDist

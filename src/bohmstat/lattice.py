@@ -225,7 +225,7 @@ def write_field(path, values, grid: Grid, time=0.0):
         "time": float(time),
         "complex": bool(np.iscomplexobj(arr)),
     }
-    codec.write(path, header, arr)
+    codec.write(path, header, [arr])
 
 
 def read_field(path):

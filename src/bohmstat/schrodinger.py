@@ -357,7 +357,10 @@ def eigen_route(grid: Grid, h: HamiltonianSpec) -> str:
 
 
 def eigenstates(grid: Grid, h: HamiltonianSpec, count: int):
-    """Lowest `count` eigenpairs, energies ascending, quadrature-orthonormal.
+    """Lowest `count` eigenpairs, energies ascending, quadrature-orthonormal:
+    the list of energies and a generator that builds each state only when
+    the consumer asks for it, as evolve yields frames, so a caller that
+    drops each state holds one at a time.
 
     H is real symmetric, so both routes (eigen_route) give real eigenvectors.
     Dense: eigh of _dense_hamiltonian.  Separable: products of each axis's
@@ -371,7 +374,7 @@ def eigenstates(grid: Grid, h: HamiltonianSpec, count: int):
     if eigen_route(grid, h) == "dense":
         vals, vecs = eigh(_dense_hamiltonian(grid, h, potential_grid(grid, h)),
                           overwrite_a=True, subset_by_index=(0, count - 1))
-        return list(vals), [_state(grid, (), vecs[:, i]) for i in range(count)]
+        return list(vals), (_state(grid, (), vecs[:, i]) for i in range(count))
     v = potential_grid(grid, h)[(0,) * grid.n_spin_axes]
     d, k = grid.n_pos_axes, min(count, grid.n)
     summed, levels = np.zeros(grid.spin_shape), []
@@ -393,12 +396,14 @@ def eigenstates(grid: Grid, h: HamiltonianSpec, count: int):
     order = np.argsort(summed, axis=None, kind="stable")[:count]
     energies, shape = summed.ravel()[order], summed.shape
     del summed
-    states = []
-    for flat in order:
-        index = np.unravel_index(flat, shape)
-        states.append(_state(grid, index[:-d], functools.reduce(
-            np.multiply.outer, [u[:, i] for u, i in zip(levels, index[-d:])])))
-    return list(energies), states
+
+    def states():
+        for flat in order:
+            index = np.unravel_index(flat, shape)
+            yield _state(grid, index[:-d], functools.reduce(
+                np.multiply.outer, [u[:, i] for u, i in zip(levels, index[-d:])]))
+
+    return list(energies), states()
 
 
 def _state(grid: Grid, spin: tuple, vec) -> WaveField:
@@ -410,15 +415,18 @@ def _state(grid: Grid, spin: tuple, vec) -> WaveField:
 
 
 def eigenstate_bytes(grid: Grid, h: HamiltonianSpec, count: int) -> int:
-    """The most eigenstates holds at once: `count` states of 16 N bytes; on
-    the dense route H, eigh's copy (8 N^2 each), the kinetic blocks (8 N n
+    """The most eigenstates of `count` states holds at once, with the one
+    state of 16 N bytes that a caller dropping each state holds: on the
+    dense route H, eigh's copy (8 N^2 each), the kinetic blocks (8 N n
     twice) and eigh's N x count vectors; on the separable route a periodic
-    axis's matrix, eigh's copy and each axis's vectors (8 n^2 each), and
-    the merge's summed energies and argsort (24 N)."""
+    axis's matrix, eigh's copy, LAPACK's workspace ((nb + 6) n doubles and
+    10 n integers, counted as one more matrix) and each axis's vectors
+    (8 n^2 each), and the merge's summed energies and argsort (24 N), whose
+    argsort stays while a state and its real product vector are built."""
     total, n = grid.total_points, grid.n
     if eigen_route(grid, h) == "dense":
-        return 16 * total * (total + n) + 24 * total * count
-    return 16 * total * count + 8 * n * n * (2 + grid.n_pos_axes) + 24 * total
+        return 16 * total * (total + n + 1) + 8 * total * count
+    return 40 * total + 8 * n * n * (3 + grid.n_pos_axes)
 
 
 def _kinetic_matrix(grid: Grid, m: float) -> np.ndarray:

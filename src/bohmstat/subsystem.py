@@ -154,7 +154,7 @@ def write_rdm(path, rdm: ReducedDensityMatrix):
         "spin_dims": list(rdm.a_grid.spin_dims),
         "time": rdm.time,
     }
-    codec.write(path, header, np.asarray(rdm.matrix, dtype=np.complex128))
+    codec.write(path, header, [np.asarray(rdm.matrix, dtype=np.complex128)])
 
 
 def read_rdm(path):

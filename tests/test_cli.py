@@ -7,7 +7,7 @@ import textwrap
 import pytest
 
 import bohmstat
-from bohmstat import errors, experiments
+from bohmstat import errors, experiments, kernels
 from bohmstat.cli import main
 from bohmstat.configio import build_grid, build_hamiltonian, validate_config
 from bohmstat.experiments import RUNNERS
@@ -72,6 +72,37 @@ class TestRun:
         assert main(["run", write_cfg(tmp_path, cfg), "--output", str(out)]) == 0
         m = json.loads((out / "manifest.json").read_text())
         assert m["status"] == "ok" and m["checks"] and all(m["checks"].values())
+
+    # each trajectory ensemble spools its paths to an unnamed temporary file
+    # in the output directory, which no exit leaves behind
+    @pytest.mark.parametrize("name", ["bohm_full", "bohm_truncated",
+                                      "equivariance", "entropy_series",
+                                      "free_expansion"])
+    def test_output_directory_holds_only_the_manifest_files(self, tmp_path,
+                                                            name):
+        cfg = shipped_with(name, {"ensemble.samples": 300})
+        out = tmp_path / "o"
+        # at 300 samples a check may fail (exit 3); the files are written
+        assert main(["run", write_cfg(tmp_path, cfg), "--output", str(out)]) \
+            in (0, 3)
+        m = json.loads((out / "manifest.json").read_text())
+        assert sorted(os.listdir(out)) == sorted([*m["files"], "manifest.json"])
+
+    def test_escaped_trajectories_leave_an_empty_directory(
+            self, tmp_path, monkeypatch, capsys):
+        real = kernels.rk4_paths
+
+        def escaping(*args):
+            paths, escaped = real(*args)
+            escaped[:] = 1
+            return paths, escaped
+
+        monkeypatch.setattr(kernels, "rk4_paths", escaping)
+        cfg = shipped_with("free_expansion", {"ensemble.samples": 300})
+        out = tmp_path / "o"
+        assert main(["run", write_cfg(tmp_path, cfg), "--output", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("TrajectoryEscapedDomain")
+        assert os.listdir(out) == []
 
     def test_manifest_contents(self, tmp_path):
         cfg = write_cfg(tmp_path, SCALING)
@@ -404,7 +435,8 @@ class TestPackageErrors:
     @pytest.mark.parametrize("name, budget, edits", [
         budget_row("evolve", 1_000),          # below the 4 KiB grid itself
         budget_row("evolve", 20_000),         # fits the 4 KiB grid, not its working set
-        budget_row("bohm_full", 1_000_000),   # fits the grids, not 4 MB of paths
+        # fits the grids, not the RK4 working set and the transpose block
+        budget_row("bohm_full", 1_000_000),
         # 3 particles on 1024 points: a 16 GiB grid
         budget_row("evolve", 10**6, "three_particles", {
             "grid.particles": 3, "grid.n": 1024, "hamiltonian.masses": [1.0] * 3}),
@@ -462,21 +494,30 @@ class TestPackageErrors:
         assert err.count("\n") == 1 and err.startswith("DenseBudgetExceeded")
         assert not (out / "manifest.json").exists()
 
-    def test_eigenstate_at_the_top_of_the_spectrum(self, tmp_path, capsys):
-        # the last of a 65 x 65 box's 4225 states: the guard counts all 4225
-        # returned states, 16 N bytes each, and one byte less stops the run
+    @staticmethod
+    def top_of_the_box_spectrum():
+        """The last of a 65 x 65 box's 4225 states, evolved for 100 steps
+        below the time step's accuracy limit; the guard's estimate for it,
+        and for the same run from the shipped Gaussian packet."""
         cfg = shipped_with("evolve", {
             "grid.dims": 2, "grid.n": 65, "grid.extent": [0.0, 1.0],
             "grid.boundary": "dirichlet",
             "hamiltonian.potential": [{"kind": "box"}],
-            "initial_state": {"kind": "eigenstate", "index": 4224}})
-        resolved = validate_config(cfg)
-        h = build_hamiltonian(resolved)
-        nframes = frame_count(h, cfg["evolution"]["t_final"],
-                              cfg["evolution"]["frame_stride"])
-        need = experiments._field_bytes(resolved, build_grid(resolved), h,
-                                        None, nframes)
-        assert need > 16 * 4225 * 4225
+            "hamiltonian.time_step": 5e-5, "evolution.t_final": 5e-3})
+        needs = []
+        for state in (cfg["initial_state"],
+                      {"kind": "eigenstate", "index": 4224}):
+            resolved = validate_config(dict(cfg, initial_state=state))
+            h = build_hamiltonian(resolved)
+            nframes = frame_count(h, cfg["evolution"]["t_final"],
+                                  cfg["evolution"]["frame_stride"])
+            needs.append(experiments._field_bytes(
+                resolved, build_grid(resolved), h, None, nframes))
+        return dict(cfg, initial_state=state), needs[1], needs[0]
+
+    def test_eigenstate_at_the_top_of_the_spectrum(self, tmp_path, capsys):
+        # one byte less than the guard's estimate stops the run
+        cfg, need, _ = self.top_of_the_box_spectrum()
         cfg["memory_budget"] = need - 1
         path = write_cfg(tmp_path, cfg)
         out = tmp_path / "o"
@@ -484,6 +525,21 @@ class TestPackageErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("MemoryBudgetExceeded")
         assert not (out / "manifest.json").exists()
+
+    def test_eigenstate_at_the_top_of_the_spectrum_fits_its_estimate(
+            self, tmp_path):
+        # the 4224 states below the index are built and dropped one at a
+        # time, so the guard counts the one held state, 16 N bytes, beside
+        # the merge's 24 N and the separable route's 65 x 65 arrays (8 n^2
+        # bytes, five), not all 4225 states (286 MB); the run completes at
+        # that budget
+        cfg, need, packet = self.top_of_the_box_spectrum()
+        assert need == packet + 40 * 4225 + 8 * 65 * 65 * 5
+        cfg["memory_budget"] = need
+        path = write_cfg(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["run", path, "--output", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["status"] == "ok"
 
 
 def test_runs_without_scipy_reach_no_scipy_import(tmp_path):

@@ -1,6 +1,7 @@
 """The one binary format behind .fld, .rdm, .trj and .ens files."""
 
 import json
+import tempfile
 
 import numpy as np
 import pytest
@@ -25,8 +26,17 @@ def _rdm(path):
 
 
 def _trajectories(path):
-    paths = RNG.standard_normal((5, 3, 1))
-    bm.write_trajectories(path, bm.TrajectoryEnsemble("full", 1, np.arange(3.0), paths))
+    # five samples over three frames, on a frame-major spool
+    with tempfile.TemporaryFile() as spool:
+        spool.write(RNG.standard_normal((3, 5, 1)))
+        spool.flush()
+        bm.write_trajectories(path, bm.TrajectoryEnsemble(
+            "full", 1, np.arange(3.0), spool, 5, 1))
+
+
+def _read_trajectories(path):
+    with bm.read_trajectories(path):  # closes the ensemble's spool
+        pass
 
 
 def _ensemble(path):
@@ -38,7 +48,7 @@ def _ensemble(path):
 FORMATS = {
     "fld": (_field, read_field),
     "rdm": (_rdm, ss.read_rdm),
-    "trj": (_trajectories, bm.read_trajectories),
+    "trj": (_trajectories, _read_trajectories),
     "ens": (_ensemble, cp.read_ensemble),
 }
 
@@ -118,7 +128,7 @@ def test_complex_payload_is_interleaved_re_im(tmp_path):
     # a non-contiguous complex view is stored as re, im, re, im, ... in C order
     z = (RNG.standard_normal((6, 4)) + 1j * RNG.standard_normal((6, 4)))[::2, ::-1]
     path = tmp_path / "z.bin"
-    codec.write(path, {"n": 1}, z, z.real)
+    codec.write(path, {"n": 1}, (z, z.real))
     data = path.read_bytes()
     assert data.startswith(b'{"n": 1}\n')
     payload = np.frombuffer(data[len(b'{"n": 1}\n'):], "<f8")

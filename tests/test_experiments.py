@@ -70,8 +70,9 @@ def test_memory_guard_before_evolving(name, tmp_path, monkeypatch):
 
 def test_memory_guard_counts_the_trajectory_paths(tmp_path):
     # bohm_full: 300 samples x 51 frames x 1 axis x 8 bytes = 122 400 bytes
-    # of paths, on top of about 6 grids of 4096 bytes and the RK4 working set
-    # (205 436 bytes in all)
+    # of paths, which fit in one block of write_trajectories's transpose, on
+    # top of about 6 grids of 4096 bytes and the RK4 working set (207 836
+    # bytes in all)
     cfg = shipped("bohm_full", memory_budget=100_000)
     with pytest.raises(MemoryBudgetExceeded, match="51 frames"):
         experiments.RUNNERS["bohm_full"](cfg, str(tmp_path), 0)
@@ -93,6 +94,21 @@ def test_memory_guard_covers_the_traced_peak(name, tmp_path, traced_peak):
     cfg["memory_budget"] = peak - 1
     with pytest.raises(MemoryBudgetExceeded):
         experiments.RUNNERS[name](validate_config(cfg), str(tmp_path), 0)
+
+
+def test_traced_peak_does_not_grow_with_the_frame_count(tmp_path, traced_peak):
+    # bohm_full at 4x its t_final: 151 more frames of 10 000 samples are
+    # 12.08 MB more paths, which the spool keeps on disk
+    def peak(t_final):
+        cfg = load_config(os.path.join(CONFIG_DIR, "bohm_full.json"))
+        cfg["evolution"]["t_final"] = t_final
+        return traced_peak(experiments.run_bohm_full, validate_config(cfg),
+                           str(tmp_path), 0)
+
+    experiments.run_bohm_full(shipped("bohm_full"), str(tmp_path), 0)
+    samples = load_config(os.path.join(CONFIG_DIR, "bohm_full.json"))[
+        "ensemble"]["samples"]
+    assert abs(peak(4.0) - peak(1.0)) < 0.01 * 8 * samples * 150
 
 
 class Reached(Exception):
@@ -146,22 +162,27 @@ def test_memory_guard_counts_the_dense_eigensolve(tmp_path, monkeypatch):
 
 def test_memory_guard_counts_the_separable_eigensolve(tmp_path, monkeypatch):
     # the shipped grid's harmonic well is separable: the 256 x 256 kinetic
-    # matrix and eigh's copy, the axis's 256 x 256 real vectors (8 n^2 bytes
-    # each), 24 bytes per product state for the merge, and index 9's ten
-    # returned states of 16 N bytes
+    # matrix, eigh's copy and LAPACK's workspace, the axis's 256 x 256 real
+    # vectors (8 n^2 bytes each), 24 bytes per product state for the merge,
+    # and the one state of 16 N bytes held at a time of the ten that index 9
+    # builds
     cfg = evolve_with({})
-    need = packet_need(cfg) + 8 * 256 * 256 * 3 + 24 * 256 + 16 * 256 * 10
+    need = packet_need(cfg) + 8 * 256 * 256 * 4 + 24 * 256 + 16 * 256
     cfg["initial_state"] = {"kind": "eigenstate", "index": 9}
     guard_stops_at(cfg, need, tmp_path, monkeypatch)
 
 
 # eigenstate runs whose traced peak the guard must cover: a separable 72 x 72
-# box above DENSE_EIG_BUDGET, the shipped 1-D periodic grid's top level, and
-# a dense pair_coupling case near the top of its 576 levels
+# box above DENSE_EIG_BUDGET, the top level of a 65 x 65 box, the shipped
+# 1-D periodic grid's top level, and a dense pair_coupling case near the top
+# of its 576 levels
 EIGENSTATE_RUNS = {
     "box_72x72_index_9": (
         {"grid": {"dims": 2, "n": 72, "boundary": "dirichlet"},
          "hamiltonian": {"potential": [{"kind": "box"}]}}, 9),
+    "box_65x65_index_4224": (
+        {"grid": {"dims": 2, "n": 65, "boundary": "dirichlet"},
+         "hamiltonian": {"potential": [{"kind": "box"}]}}, 4224),
     "periodic_1d_index_255": ({}, 255),
     "pair_coupling_24x24_index_300": (
         {"grid": {"particles": 2, "n": 24, "extent": [-5.0, 5.0]},

@@ -88,7 +88,7 @@ class TestCrankNicolson:
         grid = Grid(1, 1, 128, (0.0, 4.0), boundary="dirichlet")
         h = HamiltonianSpec((1.0,), [{"kind": "box"}], time_step=2e-4)
         _, states = eigenstates(grid, h, 1)
-        frames = list(evolve(states[0], h, 0.2, frame_stride=1000))
+        frames = list(evolve(next(states), h, 0.2, frame_stride=1000))
         rho0 = np.abs(frames[0].amplitudes) ** 2
         rho1 = np.abs(frames[-1].amplitudes) ** 2
         np.testing.assert_allclose(rho1, rho0, atol=1e-10)
@@ -264,7 +264,7 @@ class TestEigenstates:
     def test_orthonormality(self):
         grid = Grid(1, 1, 256, (0.0, 1.0), boundary="dirichlet")
         h = HamiltonianSpec((1.0,), [{"kind": "box"}])
-        _, states = eigenstates(grid, h, 4)
+        states = list(eigenstates(grid, h, 4)[1])
         for i in range(4):
             for j in range(4):
                 ov = np.vdot(states[i].amplitudes, states[j].amplitudes) \
@@ -385,6 +385,7 @@ class TestEigensolverRoutes:
         for name in ("spin_without_coupling", "spin_half"):  # both routes
             grid, h, _, _ = ROUTE_CASES[name]
             energies, states = eigenstates(grid, h, 4)
+            states = list(states)
             amps = np.array([s.amplitudes.ravel() for s in states])
             assert not amps.imag.any()
             np.testing.assert_allclose(amps.conj() @ amps.T * grid.weight,
@@ -402,6 +403,7 @@ class TestEigensolverRoutes:
         assert grid.total_points > DENSE_EIG_BUDGET
         h = HamiltonianSpec((1.0,), [{"kind": "box"}])
         energies, states = eigenstates(grid, h, 6)
+        states = list(states)
         axis = 2.0 / grid.dx**2 * np.sin(np.pi * np.arange(1, 5)
                                          / (2 * (n + 1))) ** 2
         exact = np.sort(np.add.outer(axis, axis).ravel())[:6]
